@@ -1,16 +1,22 @@
-// blchaos is the deterministic chaos driver for blserve: it spawns a
-// real server process, replays a seeded schedule of traffic, fault
-// injection (via the server's -chaos-admin /debug endpoints), hard
-// kills, and restarts, and asserts the durability invariants — no torn
-// snapshots, warm restarts, exclusive responses, and corruption
-// counted instead of fatal. See internal/chaos for the invariants.
+// blchaos is the deterministic chaos driver for the serving stack. It
+// runs one internal/chaos scenario against real processes it spawns
+// and owns, replaying a seeded schedule of traffic, fault injection
+// (via the servers' -chaos-admin /debug endpoints), SIGKILLs, and
+// restarts, and checks the scenario's invariants. See internal/chaos
+// for each scenario's phases and invariants.
 //
-// With -cluster it instead drives the replicated-serving scenario:
-// N blserve replicas behind a real blgate, one SIGKILLed mid-load, one
-// stalled through its faultpoints, then all killed for the brownout
-// drill — asserting zero client-visible 5xx while any replica is
-// healthy, winning hedges against the stall, a held retry budget, and
-// degraded stale answers once the whole cluster is down.
+// By default it runs the durability soak: one blserve with durable
+// state, killed and restarted mid-load — asserting no torn snapshots,
+// warm restarts, exclusive responses, and corruption counted instead
+// of fatal.
+//
+// With -cluster it drives the replicated-serving scenario: N blserve
+// replicas behind a real blgate, one SIGKILLed mid-load, one stalled
+// through its faultpoints, a hedged request's distributed trace
+// assembled, then all killed for the brownout drill — asserting zero
+// client-visible 5xx while any replica is healthy, winning hedges
+// against the stall, a held retry budget, and degraded stale answers
+// once the whole cluster is down.
 //
 // With -tenants it drives the multi-tenant fairness scenario: three
 // blserve -tenants replicas behind a rendezvous-routing blgate, with a
@@ -29,16 +35,17 @@
 // the unfinished shards, and produces results bit-identical to a
 // single-process run with the exact trial count.
 //
+// On Linux every spawned server dies with blchaos, however it exits.
+//
 // Usage:
 //
-//	blchaos [-bin PATH] [-seed 1] [-duration 30s] [-hit-floor 0.5]
-//	        [-state-dir DIR] [-v]
+//	blchaos [-bin PATH] [-seed 1] [-duration 30s] [-state-dir DIR] [-v]
 //	blchaos -cluster [-bin PATH] [-gate-bin PATH] [-replicas 3]
 //	        [-seed 1] [-duration 30s] [-v]
 //	blchaos -tenants [-bin PATH] [-gate-bin PATH] [-seed 1] [-v]
 //	blchaos -jobs [-bin PATH] [-gate-bin PATH] [-seed 1] [-v]
 //
-// With no -bin (or -gate-bin in cluster mode), blchaos builds the
+// With no -bin (or -gate-bin in a gateway scenario), blchaos builds the
 // binaries from the enclosing module. The JSON report goes to stdout;
 // the exit status is non-zero when any invariant was violated. A
 // failing schedule replays with its -seed.
@@ -60,15 +67,24 @@ func main() {
 	bin := flag.String("bin", "", "blserve binary to drive (default: build cmd/blserve)")
 	seed := flag.Int64("seed", 1, "schedule seed; a failing run replays with the same seed")
 	duration := flag.Duration("duration", 30*time.Second, "soak length (drills run after)")
-	hitFloor := flag.Float64("hit-floor", 0.5, "minimum warm-hit fraction required after a restart")
 	stateDir := flag.String("state-dir", "", "server state directory (default: a temp dir, removed afterwards)")
 	clusterMode := flag.Bool("cluster", false, "run the gateway cluster scenario instead of the durability soak")
 	jobsMode := flag.Bool("jobs", false, "run the distributed-jobs scenario instead of the durability soak")
 	tenantsMode := flag.Bool("tenants", false, "run the multi-tenant fairness scenario instead of the durability soak")
-	gateBin := flag.String("gate-bin", "", "blgate binary for -cluster/-jobs (default: build cmd/blgate)")
+	gateBin := flag.String("gate-bin", "", "blgate binary for -cluster/-jobs/-tenants (default: build cmd/blgate)")
 	replicas := flag.Int("replicas", 3, "cluster size for -cluster")
 	verbose := flag.Bool("v", false, "narrate the schedule and forward server stderr")
 	flag.Parse()
+
+	scenario := chaos.Soak
+	switch {
+	case *tenantsMode:
+		scenario = chaos.Tenants
+	case *jobsMode:
+		scenario = chaos.Jobs
+	case *clusterMode:
+		scenario = chaos.Cluster
+	}
 
 	ctx, stop := cli.SignalContext()
 	defer stop()
@@ -77,123 +93,41 @@ func main() {
 	if *verbose {
 		logw = os.Stderr
 	}
-	if *bin == "" {
-		dir, err := os.MkdirTemp("", "blchaos-bin-*")
-		if err != nil {
-			cli.Exit("blchaos", err)
-		}
-		defer os.RemoveAll(dir)
-		built, err := chaos.BuildServe(dir)
-		if err != nil {
-			cli.Exit("blchaos", err)
-		}
-		*bin = built
-		if (*clusterMode || *jobsMode || *tenantsMode) && *gateBin == "" {
-			if *gateBin, err = chaos.BuildGate(dir); err != nil {
-				cli.Exit("blchaos", err)
-			}
-		}
-	}
-
-	if *tenantsMode {
-		if *gateBin == "" {
-			dir, err := os.MkdirTemp("", "blchaos-bin-*")
-			if err != nil {
-				cli.Exit("blchaos", err)
-			}
-			defer os.RemoveAll(dir)
-			if *gateBin, err = chaos.BuildGate(dir); err != nil {
-				cli.Exit("blchaos", err)
-			}
-		}
-		rep, err := chaos.RunTenants(ctx, chaos.TenantsConfig{
-			ServeBin: *bin,
-			GateBin:  *gateBin,
-			Seed:     *seed,
-			Log:      logw,
-		})
-		report(rep, err, rep == nil || len(rep.Violations) > 0, *seed)
-		fmt.Fprintf(os.Stderr, "blchaos: clean tenants run: polite %d/%d ok under flood, hog %d/%d shed, %.0f%% keys remapped, %d/%d survivors warm\n",
-			rep.FloodOK, rep.FloodSent, rep.HogShed, rep.HogSent,
-			100*rep.RemapFraction, rep.SurvivorWarm, rep.SurvivorKeys)
-		return
-	}
-
-	if *jobsMode {
-		if *gateBin == "" {
-			dir, err := os.MkdirTemp("", "blchaos-bin-*")
-			if err != nil {
-				cli.Exit("blchaos", err)
-			}
-			defer os.RemoveAll(dir)
-			if *gateBin, err = chaos.BuildGate(dir); err != nil {
-				cli.Exit("blchaos", err)
-			}
-		}
-		rep, err := chaos.RunJobs(ctx, chaos.JobsConfig{
-			ServeBin: *bin,
-			GateBin:  *gateBin,
-			Seed:     *seed,
-			Log:      logw,
-		})
-		report(rep, err, rep == nil || len(rep.Violations) > 0, *seed)
-		fmt.Fprintf(os.Stderr, "blchaos: clean jobs run: %d+%d shards, %d recovered + %d re-run, %d trials, %d kills, %d restart(s)\n",
-			rep.SweepShards, rep.SubsetShards, rep.RecoveredShards, rep.RerunShards,
-			rep.Trials, rep.ReplicaKills+rep.CoordinatorKills, rep.Restarts)
-		return
-	}
-
-	if *clusterMode {
-		if *gateBin == "" {
-			dir, err := os.MkdirTemp("", "blchaos-bin-*")
-			if err != nil {
-				cli.Exit("blchaos", err)
-			}
-			defer os.RemoveAll(dir)
-			if *gateBin, err = chaos.BuildGate(dir); err != nil {
-				cli.Exit("blchaos", err)
-			}
-		}
-		rep, err := chaos.RunCluster(ctx, chaos.ClusterConfig{
-			ServeBin: *bin,
-			GateBin:  *gateBin,
-			Seed:     *seed,
-			Duration: *duration,
-			Replicas: *replicas,
-			Log:      logw,
-		})
-		report(rep, err, rep == nil || len(rep.Violations) > 0, *seed)
-		fmt.Fprintf(os.Stderr, "blchaos: clean cluster run: %d replicas, %d kills, %d requests, %d hedge wins, %d stale served, hedged trace assembled with %d spans\n",
-			rep.Replicas, rep.Kills, rep.Requests, rep.HedgeWins, rep.StaleServed, rep.TraceSpans)
-		return
-	}
-
-	rep, err := chaos.Run(ctx, chaos.Config{
-		Bin:      *bin,
-		Seed:     *seed,
-		Duration: *duration,
-		HitFloor: *hitFloor,
-		StateDir: *stateDir,
-		Log:      logw,
-	})
-	report(rep, err, rep == nil || len(rep.Violations) > 0, *seed)
-	fmt.Fprintf(os.Stderr, "blchaos: clean run: %d rounds, %d kills, %d requests, warm hit rate %.2f\n",
-		rep.Rounds, rep.Kills, rep.Requests, rep.WarmHitRate)
-}
-
-// report prints the JSON report and exits non-zero on harness errors
-// or invariant violations; it returns only for a clean run.
-func report(rep any, err error, violated bool, seed int64) {
-	if rep != nil {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(rep)
-	}
+	dir, err := os.MkdirTemp("", "blchaos-bin-*")
 	if err != nil {
 		cli.Exit("blchaos", err)
 	}
-	if violated {
-		fmt.Fprintf(os.Stderr, "blchaos: invariant violation(s); replay with -seed %d\n", seed)
+	defer os.RemoveAll(dir)
+	if *bin == "" {
+		if *bin, err = chaos.BuildServe(dir); err != nil {
+			cli.Exit("blchaos", err)
+		}
+	}
+	if scenario != chaos.Soak && *gateBin == "" {
+		if *gateBin, err = chaos.BuildGate(dir); err != nil {
+			cli.Exit("blchaos", err)
+		}
+	}
+
+	rep, err := chaos.Run(ctx, scenario, chaos.Config{
+		ServeBin: *bin,
+		GateBin:  *gateBin,
+		Seed:     *seed,
+		Duration: *duration,
+		Replicas: *replicas,
+		StateDir: *stateDir,
+		Log:      logw,
+	})
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	enc.Encode(rep)
+	if err != nil {
+		cli.Exit("blchaos", err)
+	}
+	if len(rep.Violations) > 0 {
+		fmt.Fprintf(os.Stderr, "blchaos: invariant violation(s); replay with -seed %d\n", *seed)
 		os.Exit(1)
 	}
+	fmt.Fprintf(os.Stderr, "blchaos: clean %s run: %d replicas, %d requests, %d kills, %d restarts\n",
+		scenario, rep.Replicas, rep.Requests, rep.Kills, rep.Restarts)
 }

@@ -108,8 +108,7 @@ func main() {
 	addr := flag.String("addr", ":8723", "listen address (:0 picks a free port, printed on stderr)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrently executing requests")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request pipeline timeout")
-	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain window (deprecated alias for -drain-timeout)")
-	drainTimeout := flag.Duration("drain-timeout", 0, "graceful shutdown drain window; wins over -drain when set")
+	drain := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown drain window")
 	instanceID := flag.String("instance-id", "", "instance identity reported in the X-Instance-Id response header (default host-pid)")
 	queue := flag.Int("queue", 64, "max requests queued for a worker before shedding with 429 (0 = unbounded)")
 	cache := flag.Int("cache", 4096, "max entries per result cache, LRU-evicted (0 = unbounded)")
@@ -149,9 +148,6 @@ func main() {
 	logger, err := cli.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		cli.Exit("blserve", err)
-	}
-	if *drainTimeout > 0 {
-		*drain = *drainTimeout
 	}
 	if *instanceID == "" {
 		*instanceID = defaultInstanceID()

@@ -22,11 +22,10 @@ func TestShortSoak(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
-	rep, err := Run(ctx, Config{
-		Bin:      bin,
+	rep, err := Run(ctx, Soak, Config{
+		ServeBin: bin,
 		Seed:     42,
 		Duration: 6 * time.Second,
-		HitFloor: 0.5,
 		Log:      testWriter{t},
 	})
 	if err != nil {
@@ -38,14 +37,14 @@ func TestShortSoak(t *testing.T) {
 	if rep.Kills < 1 || rep.Restarts < 1 {
 		t.Fatalf("soak never killed/restarted the server: %+v", rep)
 	}
-	if rep.Recovered < 1 {
+	if rep.Soak.Recovered < 1 {
 		t.Fatalf("no state was ever recovered across restarts: %+v", rep)
 	}
-	if rep.Skipped < 1 {
+	if rep.Soak.Skipped < 1 {
 		t.Fatalf("corruption drill did not count a skipped entry: %+v", rep)
 	}
-	if rep.WarmChecks >= 1 && rep.WarmHitRate < 0.5 {
-		t.Fatalf("warm hit rate %.2f below floor: %+v", rep.WarmHitRate, rep)
+	if rep.Soak.WarmChecks >= 1 && rep.Soak.WarmHitRate < 0.5 {
+		t.Fatalf("warm hit rate %.2f below floor: %+v", rep.Soak.WarmHitRate, rep)
 	}
 }
 

@@ -1,12 +1,9 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
@@ -16,93 +13,39 @@ import (
 	"ballarus/internal/obs"
 )
 
-// ClusterConfig parameterizes one gateway chaos run: N real blserve
-// replicas behind a real blgate, with scripted kills, stalls, and a
-// full-cluster brownout.
-type ClusterConfig struct {
-	// ServeBin is the blserve binary (see BuildServe); required.
-	ServeBin string
-	// GateBin is the blgate binary (see BuildGate); required.
-	GateBin string
-	// Seed drives the request schedule. Same seed, same schedule.
-	Seed int64
-	// Duration bounds the kill-soak phase (background load with one
-	// replica SIGKILLed mid-flight). <= 0 means 15s.
-	Duration time.Duration
-	// Replicas is the cluster size. < 2 means 3.
-	Replicas int
-	// Log receives harness narration and forwarded process stderr; nil
-	// discards it.
-	Log io.Writer
-}
-
-// ClusterReport is the outcome of a cluster chaos run. Violations is
-// the list of broken invariants; a clean run has none.
+// ClusterReport is the Cluster scenario's section of the Report.
 type ClusterReport struct {
-	Seed     int64 `json:"seed"`
-	Replicas int   `json:"replicas"`
-	Requests int   `json:"requests"`
-	Answered int   `json:"answered"`
-	Degraded int   `json:"degraded"` // 200s served from the brownout cache
-	Refused  int   `json:"refused"`
-	Kills    int   `json:"kills"`
-	Restarts int   `json:"restarts"`
 	// Gateway-side counters, read from /gateway/stats after the drills.
-	HedgeFires     int64 `json:"hedge_fires"`
-	HedgeWins      int64 `json:"hedge_wins"`
-	StaleServed    int64 `json:"stale_served"`
-	MetricsScraped bool  `json:"metrics_scraped"`
+	HedgeFires  int64 `json:"hedge_fires"`
+	HedgeWins   int64 `json:"hedge_wins"`
+	StaleServed int64 `json:"stale_served"`
 	// Distributed-tracing drill: whether a hedged request's
 	// cross-process trace assembled with both attempt spans (loser
 	// canceled) and a replica-side execute span, and how many spans the
 	// assembled tree held.
-	TraceAssembled bool     `json:"trace_assembled"`
-	TraceSpans     int      `json:"trace_spans"`
-	Violations     []string `json:"violations,omitempty"`
+	TraceAssembled bool `json:"trace_assembled"`
+	TraceSpans     int  `json:"trace_spans"`
 }
 
-// gateStats mirrors blgate's GET /gateway/stats body.
-type gateStats struct {
-	Replicas []struct {
-		ID        string `json:"id"`
-		Healthy   bool   `json:"healthy"`
-		Ejected   bool   `json:"ejected"`
-		Ejections int    `json:"ejections"`
-	} `json:"replicas"`
-	HealthyReplicas int     `json:"healthy_replicas"`
-	BudgetTokens    float64 `json:"retry_budget_tokens"`
-	HedgeFires      int64   `json:"hedge_fires"`
-	HedgeWins       int64   `json:"hedge_wins"`
-	StaleServed     int64   `json:"stale_served"`
+type cluster struct {
+	*fleet
+	r *ClusterReport
 }
 
-type clusterHarness struct {
-	cfg    ClusterConfig
-	rng    *rand.Rand
-	client *http.Client
-	log    io.Writer
-
-	mu   sync.Mutex
-	gate *proc
-	reps []*proc  // nil entries are dead replicas
-	urls []string // replica base URLs, fixed for the gateway's lifetime
-	rep  *ClusterReport
-}
-
-// RunCluster executes one gateway chaos run:
+// clusterPlan runs Config.Replicas blserve replicas behind a blgate:
 //
 //  1. warm: sequential traffic through the gateway; with every replica
 //     healthy, every request must answer 200;
-//  2. kill: SIGKILL one replica mid-load and keep background traffic
-//     flowing — while at least one replica is healthy, no client may
-//     see a 5xx or a transport error;
-//  3. stall: hang another replica's execute stage via its chaos-admin
-//     faultpoints; hedged requests must keep answering 200 and at
-//     least one hedge must fire and win;
-//  4. recover: restart the killed replica on its old address and wait
-//     for active probing to mark the whole cluster healthy;
-//  5. trace: hang a replica's execute stage again, drive traffic until
-//     a request hedges, then assemble its distributed trace through
+//  2. kill: SIGKILL r0 mid-load and keep background traffic flowing —
+//     while at least one replica is healthy, no client may see a 5xx or
+//     a transport error;
+//  3. stall: hang r1's execute stage via its chaos-admin faultpoints;
+//     hedged requests must keep answering 200 and at least one hedge
+//     must fire and win;
+//  4. recover: restart r0 on its old address and wait for active
+//     probing to mark the whole cluster healthy;
+//  5. trace: hang r1's execute stage again, drive traffic until a
+//     request hedges, then assemble its distributed trace through
 //     GET /v1/trace/{id} — the tree must hold both gateway attempt
 //     spans (the loser closed "canceled", not "error") and the winning
 //     replica's execute span parented at the winning attempt;
@@ -114,301 +57,74 @@ type clusterHarness struct {
 //     /gateway/stats, and show the retry budget held (hedges+retries
 //     bounded by ratio x primaries + burst).
 //
-// The returned error reports harness-level failures (binary missing,
-// process never came up); broken invariants land in Violations.
-func RunCluster(ctx context.Context, cfg ClusterConfig) (*ClusterReport, error) {
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 15 * time.Second
-	}
-	if cfg.Replicas < 2 {
-		cfg.Replicas = 3
-	}
-	if cfg.Log == nil {
-		cfg.Log = io.Discard
-	}
-	h := &clusterHarness{
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		client: &http.Client{Timeout: 20 * time.Second},
-		log:    cfg.Log,
-		rep:    &ClusterReport{Seed: cfg.Seed, Replicas: cfg.Replicas},
-	}
-	defer h.teardown()
-
-	if err := h.boot(); err != nil {
-		return h.rep, err
-	}
-	h.warmPhase()
-	if ctx.Err() != nil {
-		return h.rep, ctx.Err()
-	}
-	h.killPhase(ctx)
-	if ctx.Err() != nil {
-		return h.rep, ctx.Err()
-	}
-	h.stallPhase()
-	h.recoverPhase()
-	h.tracePhase()
-	h.brownoutPhase()
-	h.metricsPhase()
-
-	if err := h.gateProc().stop(5 * time.Second); err != nil {
-		h.violate("gateway graceful shutdown failed: %v", err)
-	}
-	h.setGate(nil)
-	return h.rep, nil
-}
-
-func (h *clusterHarness) boot() error {
-	h.urls = make([]string, h.cfg.Replicas)
-	h.reps = make([]*proc, h.cfg.Replicas)
-	for i := range h.reps {
-		p, err := h.startReplica(i, "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		h.reps[i] = p
-		h.urls[i] = p.url()
-	}
-	gate, err := startServe(h.cfg.GateBin, []string{
-		"-addr", "127.0.0.1:0",
-		"-replicas", strings.Join(h.urls, ","),
-		"-probe-every", "150ms",
-		"-probe-timeout", "500ms",
-		"-rise", "1",
-		"-fall", "2",
-		"-eject-after", "2",
-		"-eject-base", "300ms",
-		"-eject-max", "3s",
-		"-hedge-quantile", "0.9",
-		"-hedge-initial", "80ms",
-		"-hedge-min", "10ms",
-		"-max-attempts", "3",
-		"-retry-ratio", "0.5",
-		"-retry-burst", "32",
-		"-timeout", "10s",
-	}, h.log)
-	if err != nil {
-		return err
-	}
-	h.setGate(gate)
-	fmt.Fprintf(h.log, "cluster: %d replicas behind gateway %s\n", h.cfg.Replicas, gate.addr)
-	return nil
-}
-
-// startReplica launches one blserve with the chaos-admin surface on.
-// Durability stays off: this scenario tortures the gateway, not the
-// journal.
-func (h *clusterHarness) startReplica(i int, addr string) (*proc, error) {
-	return startServe(h.cfg.ServeBin, []string{
-		"-addr", addr,
-		"-instance-id", fmt.Sprintf("r%d", i),
-		"-workers", "4",
-		"-queue", "64",
-		"-timeout", "2s",
-		"-drain-timeout", "2s",
-		"-watchdog", "2s",
-		"-chaos-admin",
-	}, h.log)
-}
-
-func (h *clusterHarness) teardown() {
-	h.mu.Lock()
-	gate, reps := h.gate, h.reps
-	h.gate, h.reps = nil, nil
-	h.mu.Unlock()
-	if gate != nil {
-		gate.kill()
-	}
-	for _, p := range reps {
-		if p != nil {
-			p.kill()
-		}
+// Replicas run with the chaos-admin surface on and durability off:
+// this scenario tortures the gateway, not the journal.
+func clusterPlan(f *fleet) plan {
+	c := &cluster{fleet: f, r: &ClusterReport{}}
+	f.rep.Cluster = c.r
+	return plan{
+		replicas: f.cfg.Replicas,
+		replica: []string{
+			"-queue", "64",
+			"-timeout", "2s",
+			"-drain-timeout", "2s",
+			"-watchdog", "2s",
+			"-chaos-admin",
+		},
+		gate: []string{
+			"-eject-max", "3s",
+			"-hedge-quantile", "0.9",
+			"-hedge-initial", "80ms",
+			"-hedge-min", "10ms",
+			"-retry-ratio", "0.5",
+			"-retry-burst", "32",
+			"-timeout", "10s",
+		},
+		phases: []phase{
+			{"warm", c.warm},
+			{"kill", c.killSoak},
+			{"stall", c.stall},
+			{"recover", c.recover},
+			{"trace", c.trace},
+			{"brownout", c.brownout},
+			{"metrics", c.metrics},
+		},
+		shutdown: "gate",
+		grace:    5 * time.Second,
 	}
 }
 
-func (h *clusterHarness) gateProc() *proc {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.gate
-}
-
-func (h *clusterHarness) setGate(p *proc) {
-	h.mu.Lock()
-	h.gate = p
-	h.mu.Unlock()
-}
-
-func (h *clusterHarness) violate(format string, args ...any) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	msg := fmt.Sprintf(format, args...)
-	fmt.Fprintf(h.log, "cluster: VIOLATION: %s\n", msg)
-	if len(h.rep.Violations) < 32 {
-		h.rep.Violations = append(h.rep.Violations, msg)
-	}
-}
-
-// clusterJob derives a scripted request; the seed offset partitions
-// the job space so each phase's jobs are guaranteed fresh (distinct
-// content hashes that no earlier phase can have primed or cached).
-func (h *clusterHarness) clusterJob(seedOffset int64) job {
-	n := 100 + h.rng.Intn(40)*25
-	m := 2 + h.rng.Intn(8)
-	src := fmt.Sprintf(
-		"int main() { int i; int s = 0; for (i = 0; i < %d; i++) { if (i %% %d == 0) { s += i; } else { s -= 1; } } printi(s); return 0; }",
-		n, m)
-	return job{Source: src, Seed: seedOffset + int64(h.rng.Intn(4))}
-}
-
-// sendGate posts one job through the gateway and enforces the
-// response-shape invariants every client-visible answer must satisfy:
-// JSON body, result and refusal mutually exclusive, Retry-After on
-// every retryable refusal. The gateway stays up for the whole run, so
-// a transport error is itself a violation. Returns the status code
-// (0 on transport error) and the decoded body.
-func (h *clusterHarness) sendGate(j job) (int, map[string]any) {
-	gate := h.gateProc()
-	if gate == nil {
-		return 0, nil
-	}
-	payload, _ := json.Marshal(j)
-	resp, err := h.client.Post(gate.url()+"/v1/predict", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		h.violate("gateway transport error: %v", err)
-		return 0, nil
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		h.violate("gateway body read failed: %v", err)
-		return 0, nil
-	}
-	h.mu.Lock()
-	h.rep.Requests++
-	h.mu.Unlock()
-	var m map[string]any
-	if err := json.Unmarshal(body, &m); err != nil {
-		h.violate("status %d with non-JSON body %.80q", resp.StatusCode, body)
-		return resp.StatusCode, nil
-	}
-	_, hasResult := m["heuristic"]
-	_, hasCode := m["code"]
-	if resp.StatusCode == http.StatusOK {
-		degraded, _ := m["degraded"].(bool)
-		h.mu.Lock()
-		h.rep.Answered++
-		if degraded {
-			h.rep.Degraded++
-		}
-		h.mu.Unlock()
-		if !hasResult || hasCode {
-			h.violate("200 body mixes result and refusal: %.120q", body)
-		}
-	} else {
-		h.mu.Lock()
-		h.rep.Refused++
-		h.mu.Unlock()
-		if hasResult || !hasCode {
-			h.violate("status %d body mixes refusal and result: %.120q", resp.StatusCode, body)
-		}
-		if (resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests) &&
-			resp.Header.Get("Retry-After") == "" {
-			h.violate("status %d without Retry-After", resp.StatusCode)
-		}
-	}
-	return resp.StatusCode, m
-}
-
-// postReplica hits a replica's chaos-admin endpoint directly.
-func (h *clusterHarness) postReplica(i int, path string, body []byte) bool {
-	h.mu.Lock()
-	p := h.reps[i]
-	h.mu.Unlock()
-	if p == nil {
-		return false
-	}
-	resp, err := h.client.Post(p.url()+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
-}
-
-func (h *clusterHarness) gatewayStats() (gateStats, bool) {
-	var st gateStats
-	gate := h.gateProc()
-	if gate == nil {
-		return st, false
-	}
-	resp, err := h.client.Get(gate.url() + "/gateway/stats")
-	if err != nil {
-		return st, false
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return st, false
-	}
-	return st, true
-}
-
-// waitHealthy polls /gateway/stats until the routable-replica count
-// reaches want, or violates at the deadline.
-func (h *clusterHarness) waitHealthy(want int, within time.Duration, why string) bool {
-	deadline := time.Now().Add(within)
-	for time.Now().Before(deadline) {
-		if st, ok := h.gatewayStats(); ok && st.HealthyReplicas == want {
-			return true
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	st, _ := h.gatewayStats()
-	h.violate("%s: healthy_replicas never reached %d within %v (now %d)",
-		why, want, within, st.HealthyReplicas)
-	return false
-}
-
-// warmPhase drives sequential traffic through a fully healthy cluster:
+// warm drives sequential traffic through a fully healthy cluster:
 // every request must answer 200. It also primes the gateway's latency
 // samples (for realistic hedge delays) and its brownout cache.
-func (h *clusterHarness) warmPhase() {
-	fmt.Fprintf(h.log, "cluster: warm phase\n")
+func (c *cluster) warm(context.Context) error {
 	for i := 0; i < 24; i++ {
-		if status, _ := h.sendGate(h.clusterJob(0)); status != http.StatusOK {
-			h.violate("warm phase: status %d with all replicas healthy", status)
+		if r := c.send(c.newJob(0), ""); r.status != http.StatusOK {
+			c.violate("warm phase: status %d with all replicas healthy", r.status)
 		}
 	}
 	// The stats passthrough must reach a replica through the gateway.
-	gate := h.gateProc()
-	resp, err := h.client.Get(gate.url() + "/v1/stats")
+	resp, _, err := c.call(http.MethodGet, "gate", "/v1/stats", nil, "")
 	if err != nil {
-		h.violate("warm phase: /v1/stats passthrough: %v", err)
-		return
+		c.violate("warm phase: /v1/stats passthrough: %v", err)
+	} else if resp.StatusCode != http.StatusOK {
+		c.violate("warm phase: /v1/stats passthrough status %d", resp.StatusCode)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		h.violate("warm phase: /v1/stats passthrough status %d", resp.StatusCode)
-	}
+	return nil
 }
 
-// killPhase SIGKILLs replica 0 under background load and keeps the
-// load flowing for the soak window. The invariant: with the other
-// replicas healthy, no client ever sees a 5xx — failures against the
-// dead replica are absorbed by retries, ejection, and probing.
-func (h *clusterHarness) killPhase(ctx context.Context) {
+// killSoak SIGKILLs r0 under background load and keeps the load
+// flowing for Config.Duration. The invariant: with the other replicas
+// healthy, no client ever sees a 5xx — failures against the dead
+// replica are absorbed by retries, ejection, and probing.
+func (c *cluster) killSoak(ctx context.Context) error {
 	// The job pool is drawn up front on this goroutine so the PRNG is
 	// never shared; senders cycle it, which also keeps the gateway's
 	// brownout cache hot with repeats.
 	pool := make([]job, 48)
 	for i := range pool {
-		pool[i] = h.clusterJob(0)
+		pool[i] = c.newJob(0)
 	}
-	fmt.Fprintf(h.log, "cluster: kill phase (%v soak)\n", h.cfg.Duration)
-
 	var next atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -423,8 +139,8 @@ func (h *clusterHarness) killPhase(ctx context.Context) {
 				default:
 				}
 				j := pool[int(next.Add(1))%len(pool)]
-				if status, _ := h.sendGate(j); status >= 500 {
-					h.violate("kill phase: client saw %d with healthy replicas present", status)
+				if r := c.send(j, ""); r.status >= 500 {
+					c.violate("kill phase: client saw %d with healthy replicas present", r.status)
 				}
 				time.Sleep(2 * time.Millisecond)
 			}
@@ -432,107 +148,69 @@ func (h *clusterHarness) killPhase(ctx context.Context) {
 	}
 
 	time.Sleep(300 * time.Millisecond) // let load establish, then strike mid-flight
-	h.mu.Lock()
-	victim := h.reps[0]
-	h.reps[0] = nil
-	h.mu.Unlock()
-	victim.kill()
-	h.mu.Lock()
-	h.rep.Kills++
-	h.mu.Unlock()
-	fmt.Fprintf(h.log, "cluster: killed r0 mid-load\n")
-
-	soak := time.After(h.cfg.Duration)
+	c.kill("r0")
 	select {
-	case <-soak:
+	case <-time.After(c.cfg.Duration):
 	case <-ctx.Done():
 	}
 	close(stop)
 	wg.Wait()
+	return nil
 }
 
-// stallPhase hangs replica 1's execute stage via its own chaos-admin
-// faultpoint and sends fresh jobs: the gateway's hedges must keep
-// every answer a 200, and at least one hedge must fire and win.
-func (h *clusterHarness) stallPhase() {
-	before, _ := h.gatewayStats()
+// hangR1 hangs r1's execute stage for its next ten requests.
+func (c *cluster) hangR1() bool {
 	payload, _ := json.Marshal(map[string]any{"point": "service.execute", "hang": true, "times": 10})
-	if !h.postReplica(1, "/debug/fault", payload) {
-		h.violate("stall phase: fault injection on r1 failed")
-		return
+	return c.post("r1", "/debug/fault", payload)
+}
+
+// stall hangs r1's execute stage via its own chaos-admin faultpoint and
+// sends fresh jobs: the gateway's hedges must keep every answer a 200,
+// and at least one hedge must fire and win.
+func (c *cluster) stall(context.Context) error {
+	var before, after gateStats
+	c.getJSON("gate", "/gateway/stats", &before)
+	if !c.hangR1() {
+		c.violate("stall phase: fault injection on r1 failed")
+		return nil
 	}
-	fmt.Fprintf(h.log, "cluster: stall phase (r1 execute hangs)\n")
 	for i := 0; i < 12; i++ {
 		// The seed offset makes each job fresh: a run-cache hit on the
 		// stalled replica would bypass the hung execute stage.
-		if status, _ := h.sendGate(h.clusterJob(1000)); status != http.StatusOK {
-			h.violate("stall phase: status %d despite healthy replicas to hedge to", status)
+		if r := c.send(c.newJob(1000), ""); r.status != http.StatusOK {
+			c.violate("stall phase: status %d despite healthy replicas to hedge to", r.status)
 		}
 	}
-	h.postReplica(1, "/debug/clearfaults", nil)
+	c.post("r1", "/debug/clearfaults", nil)
 
-	after, ok := h.gatewayStats()
-	if !ok {
-		h.violate("stall phase: no gateway stats")
-		return
+	if err := c.getJSON("gate", "/gateway/stats", &after); err != nil {
+		c.violate("stall phase: no gateway stats: %v", err)
+		return nil
 	}
 	fires := after.HedgeFires - before.HedgeFires
 	wins := after.HedgeWins - before.HedgeWins
-	fmt.Fprintf(h.log, "cluster: stall phase: %d hedges fired, %d won\n", fires, wins)
+	c.logf("stall phase: %d hedges fired, %d won", fires, wins)
 	if fires < 1 {
-		h.violate("stall phase: no hedge fired against a stalled replica")
+		c.violate("stall phase: no hedge fired against a stalled replica")
 	}
 	if wins < 1 {
-		h.violate("stall phase: no hedge ever won against a stalled replica")
+		c.violate("stall phase: no hedge ever won against a stalled replica")
 	}
 	if after.HedgeWins > after.HedgeFires {
-		h.violate("hedge wins %d exceed hedge fires %d", after.HedgeWins, after.HedgeFires)
+		c.violate("hedge wins %d exceed hedge fires %d", after.HedgeWins, after.HedgeFires)
 	}
+	return nil
 }
 
-// recoverPhase restarts the killed replica on its old address and
-// waits for active probing to readmit it.
-func (h *clusterHarness) recoverPhase() {
-	h.mu.Lock()
-	addr := strings.TrimPrefix(h.urls[0], "http://")
-	h.mu.Unlock()
-	p, err := h.startReplica(0, addr)
-	if err != nil {
-		h.violate("recover phase: restart r0 on %s: %v", addr, err)
-		return
+// recover restarts r0 on its old address and waits for active probing
+// to readmit it.
+func (c *cluster) recover(context.Context) error {
+	if err := c.restart("r0"); err != nil {
+		c.violate("recover phase: restart r0: %v", err)
+		return nil
 	}
-	h.mu.Lock()
-	h.reps[0] = p
-	h.rep.Restarts++
-	h.mu.Unlock()
-	fmt.Fprintf(h.log, "cluster: restarted r0 on %s\n", addr)
-	h.waitHealthy(h.cfg.Replicas, 10*time.Second, "recover phase")
-}
-
-// sendGateTraced posts one job through the gateway and returns the
-// status with the X-Trace-Id the gateway stamped on the response.
-func (h *clusterHarness) sendGateTraced(j job) (int, string) {
-	gate := h.gateProc()
-	if gate == nil {
-		return 0, ""
-	}
-	payload, _ := json.Marshal(j)
-	resp, err := h.client.Post(gate.url()+"/v1/predict", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		h.violate("trace phase: gateway transport error: %v", err)
-		return 0, ""
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	h.mu.Lock()
-	h.rep.Requests++
-	if resp.StatusCode == http.StatusOK {
-		h.rep.Answered++
-	} else {
-		h.rep.Refused++
-	}
-	h.mu.Unlock()
-	return resp.StatusCode, resp.Header.Get("X-Trace-Id")
+	c.waitHealthy(c.cfg.Replicas, 10*time.Second, "recover phase")
+	return nil
 }
 
 // flattenTrace collects every node of an assembled trace.
@@ -569,43 +247,41 @@ func hasExecuteSpan(n *obs.TraceNode) bool {
 	return false
 }
 
-// tracePhase ends the drills where observability has to pay off: it
-// hangs r1's execute stage again, drives fresh jobs until one hedges,
-// then assembles that request's distributed trace via GET
-// /v1/trace/{id} and checks the tree — both attempt spans present and
-// parented at the gateway's request span, the losing attempt closed
-// with status "canceled" (a hedge loser is not an error), and the
-// winning attempt carrying the winning replica's execute span.
-func (h *clusterHarness) tracePhase() {
-	payload, _ := json.Marshal(map[string]any{"point": "service.execute", "hang": true, "times": 10})
-	if !h.postReplica(1, "/debug/fault", payload) {
-		h.violate("trace phase: fault injection on r1 failed")
-		return
+// trace is where observability has to pay off: it hangs r1's execute
+// stage again, drives fresh jobs until one hedges, then assembles that
+// request's distributed trace via GET /v1/trace/{id} and checks the
+// tree — both attempt spans present and parented at the gateway's
+// request span, the losing attempt closed with status "canceled" (a
+// hedge loser is not an error), and the winning attempt carrying the
+// winning replica's execute span.
+func (c *cluster) trace(context.Context) error {
+	if !c.hangR1() {
+		c.violate("trace phase: fault injection on r1 failed")
+		return nil
 	}
-	defer h.postReplica(1, "/debug/clearfaults", nil)
-	fmt.Fprintf(h.log, "cluster: trace phase (r1 execute hangs; assembling a hedged trace)\n")
+	defer c.post("r1", "/debug/clearfaults", nil)
 
-	gate := h.gateProc()
 	for i := 0; i < 12; i++ {
-		status, traceID := h.sendGateTraced(h.clusterJob(4000))
-		if status != http.StatusOK {
-			h.violate("trace phase: status %d despite healthy replicas to hedge to", status)
+		r := c.send(c.newJob(4000), "")
+		traceID := r.header.Get("X-Trace-Id")
+		if r.status != http.StatusOK {
+			c.violate("trace phase: status %d despite healthy replicas to hedge to", r.status)
 			continue
 		}
 		if traceID == "" {
-			h.violate("trace phase: 200 response missing X-Trace-Id")
+			c.violate("trace phase: 200 response missing X-Trace-Id")
 			continue
 		}
-		resp, err := h.client.Get(gate.url() + "/v1/trace/" + traceID)
+		// An unarchived (unhedged) trace may answer 404; its decoded
+		// body has no hedged root, so the loop moves on.
+		_, raw, err := c.call(http.MethodGet, "gate", "/v1/trace/"+traceID, nil, "")
 		if err != nil {
-			h.violate("trace phase: GET /v1/trace/%s: %v", traceID, err)
+			c.violate("trace phase: GET /v1/trace/%s: %v", traceID, err)
 			continue
 		}
 		var a obs.AssembledTrace
-		err = json.NewDecoder(resp.Body).Decode(&a)
-		resp.Body.Close()
-		if err != nil {
-			h.violate("trace phase: trace %s: undecodable body: %v", traceID, err)
+		if err := json.Unmarshal(raw, &a); err != nil {
+			c.violate("trace phase: trace %s: undecodable body: %v", traceID, err)
 			continue
 		}
 		if a.Root == nil || a.Root.Attrs["hedged"] != "true" {
@@ -622,143 +298,104 @@ func (h *clusterHarness) tracePhase() {
 			}
 		}
 		if primary == nil || hedge == nil {
-			h.violate("trace phase: hedged trace %s missing attempt spans (primary %v, hedge %v)",
+			c.violate("trace phase: hedged trace %s missing attempt spans (primary %v, hedge %v)",
 				traceID, primary != nil, hedge != nil)
-			return
+			return nil
 		}
 		loser, winner := primary, hedge
 		if primary.Status == "" {
 			loser, winner = hedge, primary
 		}
 		if loser.Status != "canceled" {
-			h.violate("trace phase: losing attempt %s has status %q (err %q), want canceled",
+			c.violate("trace phase: losing attempt %s has status %q (err %q), want canceled",
 				loser.Name, loser.Status, loser.Err)
 		}
 		if winner.Status != "" {
-			h.violate("trace phase: winning attempt %s has status %q, want ok", winner.Name, winner.Status)
+			c.violate("trace phase: winning attempt %s has status %q, want ok", winner.Name, winner.Status)
 		}
 		if primary.ParentID != a.Root.SpanID || hedge.ParentID != a.Root.SpanID {
-			h.violate("trace phase: attempt spans not parented at the request span (primary %q, hedge %q, root %q)",
+			c.violate("trace phase: attempt spans not parented at the request span (primary %q, hedge %q, root %q)",
 				primary.ParentID, hedge.ParentID, a.Root.SpanID)
 		}
 		if !hasExecuteSpan(winner) {
-			h.violate("trace phase: winning attempt has no replica execute span beneath it")
+			c.violate("trace phase: winning attempt has no replica execute span beneath it")
 		}
-		h.mu.Lock()
-		h.rep.TraceAssembled = true
-		h.rep.TraceSpans = a.Spans
-		h.mu.Unlock()
-		fmt.Fprintf(h.log, "cluster: trace phase: assembled %s (%d spans from %s)\n%s",
+		c.r.TraceAssembled = true
+		c.r.TraceSpans = a.Spans
+		c.logf("trace phase: assembled %s (%d spans from %s)\n%s",
 			traceID, a.Spans, strings.Join(a.Sources, ","), obs.RenderWaterfall(&a, 48))
-		return
+		return nil
 	}
-	h.violate("trace phase: no request hedged in 12 tries against a stalled replica")
+	c.violate("trace phase: no request hedged in 12 tries against a stalled replica")
+	return nil
 }
 
-// brownoutPhase kills every replica. A request the cluster has already
+// brownout kills every replica. A request the cluster has already
 // answered must still get a 200 — marked "degraded":true, served from
 // the gateway's last-known-good cache — while an unseen request gets a
 // JSON refusal with Retry-After. Clients never see a transport error.
-func (h *clusterHarness) brownoutPhase() {
+func (c *cluster) brownout(context.Context) error {
 	// Prime one known job while the cluster is still up, so the cache
 	// provably holds it whatever the LRU evicted during the soak.
-	known := h.clusterJob(2000)
-	if status, _ := h.sendGate(known); status != http.StatusOK {
-		h.violate("brownout phase: priming request refused with status %d", status)
+	known := c.newJob(2000)
+	if r := c.send(known, ""); r.status != http.StatusOK {
+		c.violate("brownout phase: priming request refused with status %d", r.status)
+	}
+	for i := 0; i < c.cfg.Replicas; i++ {
+		c.kill(fmt.Sprintf("r%d", i))
+	}
+	c.waitHealthy(0, 5*time.Second, "brownout phase")
+
+	r := c.send(known, "")
+	if r.status != http.StatusOK {
+		c.violate("brownout phase: known request got %d, want 200 from the stale cache", r.status)
+	} else if degraded, _ := r.body["degraded"].(bool); !degraded {
+		c.violate("brownout phase: stale answer not marked degraded: %v", r.body)
 	}
 
-	h.mu.Lock()
-	reps := make([]*proc, len(h.reps))
-	copy(reps, h.reps)
-	for i := range h.reps {
-		h.reps[i] = nil
+	unseen := c.send(c.newJob(3000), "")
+	if unseen.status < 500 {
+		c.violate("brownout phase: unseen request got %d, want a 5xx refusal", unseen.status)
+	} else if _, hasCode := unseen.body["code"]; !hasCode {
+		c.violate("brownout phase: unseen refusal missing taxonomy code: %v", unseen.body)
 	}
-	h.mu.Unlock()
-	for _, p := range reps {
-		if p != nil {
-			p.kill()
-			h.mu.Lock()
-			h.rep.Kills++
-			h.mu.Unlock()
-		}
-	}
-	fmt.Fprintf(h.log, "cluster: brownout: every replica killed\n")
-	h.waitHealthy(0, 5*time.Second, "brownout phase")
-
-	status, m := h.sendGate(known)
-	if status != http.StatusOK {
-		h.violate("brownout phase: known request got %d, want 200 from the stale cache", status)
-	} else if degraded, _ := m["degraded"].(bool); !degraded {
-		h.violate("brownout phase: stale answer not marked degraded: %v", m)
-	}
-
-	unseenStatus, um := h.sendGate(h.clusterJob(3000))
-	if unseenStatus < 500 {
-		h.violate("brownout phase: unseen request got %d, want a 5xx refusal", unseenStatus)
-	} else if _, hasCode := um["code"]; !hasCode {
-		h.violate("brownout phase: unseen refusal missing taxonomy code: %v", um)
-	}
+	return nil
 }
 
-// metricsPhase scrapes the gateway's /metrics after the drills: the
+// metrics scrapes the gateway's /metrics after the drills: the
 // exposition must lint clean, agree with /gateway/stats, and show the
 // retry budget held — retries plus hedges bounded by ratio x primaries
 // plus burst (the amplification cap the budget promises).
-func (h *clusterHarness) metricsPhase() {
-	gate := h.gateProc()
-	resp, err := h.client.Get(gate.url() + "/metrics")
-	if err != nil {
-		h.violate("metrics: scrape failed: %v", err)
-		return
+func (c *cluster) metrics(context.Context) error {
+	exp := c.scrape("gate")
+	if exp == nil {
+		return nil
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		h.violate("metrics: read failed: %v", err)
-		return
+	var st gateStats
+	if err := c.getJSON("gate", "/gateway/stats", &st); err != nil {
+		c.violate("metrics: no gateway stats for cross-check: %v", err)
+		return nil
 	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		h.violate("metrics: content-type %q", ct)
-	}
-	for _, p := range obs.Lint(bytes.NewReader(body)) {
-		h.violate("metrics lint: %s", p)
-	}
-	exp, err := obs.ParseExposition(bytes.NewReader(body))
-	if err != nil {
-		h.violate("metrics: unparsable exposition: %v", err)
-		return
-	}
-	st, ok := h.gatewayStats()
-	if !ok {
-		h.violate("metrics: no gateway stats for cross-check")
-		return
-	}
-	h.rep.HedgeFires = st.HedgeFires
-	h.rep.HedgeWins = st.HedgeWins
-	h.rep.StaleServed = st.StaleServed
-
-	check := func(name string, labels map[string]string, want float64) {
-		v, found := exp.Value(name, labels)
-		if !found || v != want {
-			h.violate("metrics: %s%v = %v (found %v), stats say %v", name, labels, v, found, want)
-		}
-	}
-	check("ballarus_gateway_hedge_fires_total", nil, float64(st.HedgeFires))
-	check("ballarus_gateway_hedge_wins_total", nil, float64(st.HedgeWins))
-	check("ballarus_gateway_stale_served_total", nil, float64(st.StaleServed))
-	check("ballarus_gateway_healthy_replicas", nil, 0)
+	c.r.HedgeFires = st.HedgeFires
+	c.r.HedgeWins = st.HedgeWins
+	c.r.StaleServed = st.StaleServed
+	c.expect(exp, "ballarus_gateway_hedge_fires_total", nil, float64(st.HedgeFires))
+	c.expect(exp, "ballarus_gateway_hedge_wins_total", nil, float64(st.HedgeWins))
+	c.expect(exp, "ballarus_gateway_stale_served_total", nil, float64(st.StaleServed))
+	c.expect(exp, "ballarus_gateway_healthy_replicas", nil, 0)
 
 	if st.StaleServed < 1 {
-		h.violate("metrics: brownout never served a stale answer")
+		c.violate("metrics: brownout never served a stale answer")
 	}
 	primary, _ := exp.Value("ballarus_gateway_attempts_total", map[string]string{"kind": "primary"})
 	hedge, _ := exp.Value("ballarus_gateway_attempts_total", map[string]string{"kind": "hedge"})
 	retry, _ := exp.Value("ballarus_gateway_attempts_total", map[string]string{"kind": "retry"})
 	if bound := 0.5*primary + 32; hedge+retry > bound {
-		h.violate("metrics: retry budget breached: %.0f hedges + %.0f retries > 0.5 x %.0f primaries + 32",
+		c.violate("metrics: retry budget breached: %.0f hedges + %.0f retries > 0.5 x %.0f primaries + 32",
 			hedge, retry, primary)
 	}
-	h.rep.MetricsScraped = true
-	fmt.Fprintf(h.log, "cluster: metrics check: %d samples, %d hedge fires, %d wins, %d stale served\n",
+	c.rep.MetricsScraped = true
+	c.logf("metrics check: %d samples, %d hedge fires, %d wins, %d stale served",
 		len(exp.Samples), st.HedgeFires, st.HedgeWins, st.StaleServed)
+	return nil
 }

@@ -25,7 +25,7 @@ func TestClusterShortSoak(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
-	rep, err := RunCluster(ctx, ClusterConfig{
+	rep, err := Run(ctx, Cluster, Config{
 		ServeBin: serveBin,
 		GateBin:  gateBin,
 		Seed:     42,
@@ -44,10 +44,10 @@ func TestClusterShortSoak(t *testing.T) {
 	if rep.Restarts < 1 {
 		t.Fatalf("killed replica was never restarted: %+v", rep)
 	}
-	if rep.HedgeFires < 1 || rep.HedgeWins < 1 {
+	if rep.Cluster.HedgeFires < 1 || rep.Cluster.HedgeWins < 1 {
 		t.Fatalf("stall drill produced no winning hedges: %+v", rep)
 	}
-	if rep.StaleServed < 1 || rep.Degraded < 1 {
+	if rep.Cluster.StaleServed < 1 || rep.Degraded < 1 {
 		t.Fatalf("brownout drill never served a degraded stale answer: %+v", rep)
 	}
 	if !rep.MetricsScraped {

@@ -1,43 +1,19 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"os"
-	"strings"
 	"time"
 
 	"ballarus/internal/jobs"
-	"ballarus/internal/obs"
 	"ballarus/internal/orders"
 )
 
-// JobsConfig parameterizes the distributed-jobs chaos drill: a real job
-// coordinator (blserve -jobs) dispatching Section 5 experiment shards
-// through a real blgate to two real replicas, with a replica SIGKILLed
-// mid-job and the coordinator SIGKILLed and restarted mid-job.
-type JobsConfig struct {
-	// ServeBin is the blserve binary (see BuildServe); required.
-	ServeBin string
-	// GateBin is the blgate binary (see BuildGate); required.
-	GateBin string
-	// Seed is echoed in the report for interface parity with the other
-	// scenarios; the jobs drill itself is fully deterministic.
-	Seed int64
-	// Log receives harness narration and forwarded process stderr; nil
-	// discards it.
-	Log io.Writer
-}
-
-// JobsReport is the outcome of one jobs chaos drill. Violations is the
-// list of broken invariants; a clean run has none.
+// JobsReport is the Jobs scenario's section of the Report.
 type JobsReport struct {
-	Seed             int64 `json:"seed"`
 	Benches          int   `json:"benches"`
 	SweepShards      int   `json:"sweep_shards"`
 	SubsetShards     int   `json:"subset_shards"`
@@ -47,15 +23,12 @@ type JobsReport struct {
 	Trials           int64 `json:"trials"`
 	ReplicaKills     int   `json:"replica_kills"`
 	CoordinatorKills int   `json:"coordinator_kills"`
-	Restarts         int   `json:"restarts"`
 	SweepVerified    bool  `json:"sweep_verified"`
 	SubsetsVerified  bool  `json:"subsets_verified"`
-	MetricsScraped   bool  `json:"metrics_scraped"`
 	// SweepRecoveredShards is how many of the finished sweep job's shards
 	// the restarted coordinator restored (all of them, if the checkpoint
 	// held).
-	SweepRecoveredShards int      `json:"sweep_recovered_shards"`
-	Violations           []string `json:"violations,omitempty"`
+	SweepRecoveredShards int `json:"sweep_recovered_shards"`
 }
 
 // jobsExpected is the single-process ground truth the distributed runs
@@ -81,83 +54,56 @@ type jobResultBody struct {
 	Result *jobs.Result `json:"result"`
 }
 
-type jobsHarness struct {
-	cfg    JobsConfig
-	client *http.Client
-	log    io.Writer
-	rep    *JobsReport
-
-	stateDir  string
-	reps      [2]*proc
-	gate      *proc
-	coord     *proc
-	coordAddr string
+type jobsDrill struct {
+	*fleet
+	r       *JobsReport
+	truth   chan jobsExpected
+	exp     jobsExpected
+	sweepID string
 }
 
-// RunJobs executes one distributed-jobs chaos drill:
+// jobsPlan runs a job coordinator (blserve -jobs) dispatching Section 5
+// experiment shards through blgate to two replicas:
 //
-//  1. ground truth: the harness runs the full 5040-order sweep and the
-//     exact C(22,11) subset experiment in-process;
-//  2. boot: two plain replicas (shard execution is always on) behind a
-//     real blgate, plus a coordinator blserve -jobs whose executor
-//     dispatches shards through the gateway, journaling to -state-dir;
-//  3. sweep: a full sweep job runs end-to-end; its merged matrix must
+//  1. coordinator: boot the coordinator, journaling to the fleet's
+//     state directory, and collect the single-process ground truth —
+//     the full 5040-order sweep and the exact C(22,11) subset
+//     experiment — computed in-process while the fleet booted;
+//  2. sweep: a full sweep job runs end-to-end; its merged matrix must
 //     be bit-identical to the single-process sweep;
-//  4. chaos: the exact subset job is submitted; one replica is
-//     SIGKILLed mid-job (the gateway must absorb it), then the
-//     coordinator is SIGKILLed mid-job and restarted on the same
-//     address and state directory. It must resume from the journal,
-//     re-run only the unfinished shards, and finish with the exact
-//     trial count and a bit-identical best-count vector — and the
-//     finished sweep job must still be there, artifact intact;
-//  5. metrics: the coordinator's /metrics must lint clean and the
+//  3. chaos: the exact subset job is submitted; r0 is SIGKILLed
+//     mid-job (the gateway must absorb it), then the coordinator is
+//     SIGKILLed mid-job and restarted on the same address and state
+//     directory. It must resume from the journal, re-run only the
+//     unfinished shards, and finish with the exact trial count and a
+//     bit-identical best-count vector — and the finished sweep job
+//     must still be there, artifact intact;
+//  4. metrics: the coordinator's /metrics must lint clean and the
 //     ballarus_jobs_* families must agree with the drill: shards
 //     completed by the restarted process = total - recovered.
-//
-// The returned error reports harness-level failures; broken invariants
-// land in Violations.
-func RunJobs(ctx context.Context, cfg JobsConfig) (*JobsReport, error) {
-	if cfg.Log == nil {
-		cfg.Log = io.Discard
+func jobsPlan(ctx context.Context, f *fleet) plan {
+	d := &jobsDrill{fleet: f, r: &JobsReport{}, truth: make(chan jobsExpected, 1)}
+	f.rep.Jobs = d.r
+	// The ground truth costs ~5s of scoring; overlap it with the boot.
+	f.background(func() { d.truth <- computeJobsExpected(ctx) })
+	return plan{
+		replicas: 2,
+		replica:  []string{"-timeout", "60s", "-drain-timeout", "2s"},
+		gate: []string{
+			"-eject-max", "2s",
+			"-retry-ratio", "1",
+			"-retry-burst", "64",
+			"-timeout", "60s",
+		},
+		phases: []phase{
+			{"coordinator", d.coordinator},
+			{"sweep", d.sweep},
+			{"chaos", d.chaos},
+			{"metrics", d.metrics},
+		},
+		shutdown: "coord",
+		grace:    10 * time.Second,
 	}
-	h := &jobsHarness{
-		cfg:    cfg,
-		client: &http.Client{Timeout: 90 * time.Second},
-		log:    cfg.Log,
-		rep:    &JobsReport{Seed: cfg.Seed},
-	}
-	defer h.teardown()
-
-	// The ground truth costs ~5s of scoring; overlap it with process boot.
-	expc := make(chan jobsExpected, 1)
-	go func() { expc <- computeJobsExpected(ctx) }()
-
-	if err := h.boot(); err != nil {
-		return h.rep, err
-	}
-	exp := <-expc
-	if exp.err != nil {
-		return h.rep, fmt.Errorf("computing single-process ground truth: %w", exp.err)
-	}
-	h.rep.Benches = len(exp.sweep.Benches)
-
-	sweepID := h.sweepPhase(ctx, exp)
-	if ctx.Err() != nil {
-		return h.rep, ctx.Err()
-	}
-	h.chaosPhase(ctx, exp, sweepID)
-	if ctx.Err() != nil {
-		return h.rep, ctx.Err()
-	}
-	h.metricsPhase()
-
-	if h.coord != nil {
-		if err := h.coord.stop(10 * time.Second); err != nil {
-			h.violate("coordinator graceful shutdown failed: %v", err)
-		}
-		h.coord = nil
-	}
-	return h.rep, nil
 }
 
 // computeJobsExpected produces the single-process ground truth both
@@ -179,171 +125,80 @@ func computeJobsExpected(ctx context.Context) jobsExpected {
 	return jobsExpected{sweep: sw, subsets: sub}
 }
 
-func (h *jobsHarness) boot() error {
-	dir, err := os.MkdirTemp("", "blchaos-jobs-*")
-	if err != nil {
-		return err
-	}
-	h.stateDir = dir
-
-	urls := make([]string, len(h.reps))
-	for i := range h.reps {
-		p, err := startServe(h.cfg.ServeBin, []string{
-			"-addr", "127.0.0.1:0",
-			"-instance-id", fmt.Sprintf("jr%d", i),
-			"-workers", "4",
-			"-timeout", "60s",
-			"-drain-timeout", "2s",
-		}, h.log)
-		if err != nil {
-			return err
-		}
-		h.reps[i] = p
-		urls[i] = p.url()
-	}
-	gate, err := startServe(h.cfg.GateBin, []string{
-		"-addr", "127.0.0.1:0",
-		"-replicas", strings.Join(urls, ","),
-		"-probe-every", "150ms",
-		"-probe-timeout", "500ms",
-		"-rise", "1",
-		"-fall", "2",
-		"-eject-after", "2",
-		"-eject-base", "300ms",
-		"-eject-max", "2s",
-		"-max-attempts", "3",
-		"-retry-ratio", "1",
-		"-retry-burst", "64",
-		"-timeout", "60s",
-	}, h.log)
-	if err != nil {
-		return err
-	}
-	h.gate = gate
-
-	coord, err := h.startCoordinator("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	h.coord = coord
-	h.coordAddr = coord.addr
-	fmt.Fprintf(h.log, "jobs: 2 replicas behind gateway %s, coordinator %s (state %s)\n",
-		gate.addr, coord.addr, h.stateDir)
-	return nil
-}
-
-// startCoordinator launches the blserve that owns the job engine: jobs
-// on, shards dispatched through the gateway, journal and snapshots in
-// the shared state directory — the same address and directory let a
+// coordinator boots the blserve that owns the job engine: jobs on,
+// shards dispatched through the gateway, journal and snapshots in the
+// fleet's state directory — the same address and directory let a
 // restarted coordinator resume where the killed one stopped.
-func (h *jobsHarness) startCoordinator(addr string) (*proc, error) {
-	return startServe(h.cfg.ServeBin, []string{
-		"-addr", addr,
+func (d *jobsDrill) coordinator(context.Context) error {
+	err := d.start("coord", d.cfg.ServeBin,
 		"-instance-id", "coord",
 		"-workers", "4",
 		"-timeout", "60s",
 		"-drain-timeout", "2s",
-		"-state-dir", h.stateDir,
+		"-state-dir", d.dir,
 		"-jobs",
-		"-jobs-executor", h.gate.url(),
+		"-jobs-executor", d.url("gate"),
 		"-jobs-parallel", "2",
 		"-jobs-lease", "20s",
-	}, h.log)
-}
-
-func (h *jobsHarness) teardown() {
-	if h.coord != nil {
-		h.coord.kill()
-		h.coord = nil
+	)
+	if err != nil {
+		return err
 	}
-	if h.gate != nil {
-		h.gate.kill()
-		h.gate = nil
+	d.exp = <-d.truth
+	if d.exp.err != nil {
+		return fmt.Errorf("computing single-process ground truth: %w", d.exp.err)
 	}
-	for i, p := range h.reps {
-		if p != nil {
-			p.kill()
-			h.reps[i] = nil
-		}
-	}
-	if h.stateDir != "" {
-		os.RemoveAll(h.stateDir)
-	}
-}
-
-func (h *jobsHarness) violate(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	fmt.Fprintf(h.log, "jobs: VIOLATION: %s\n", msg)
-	if len(h.rep.Violations) < 32 {
-		h.rep.Violations = append(h.rep.Violations, msg)
-	}
+	d.r.Benches = len(d.exp.sweep.Benches)
+	return nil
 }
 
 // submitJob posts one job to the coordinator and returns its accepted
 // status.
-func (h *jobsHarness) submitJob(body map[string]any) *jobs.Status {
+func (d *jobsDrill) submitJob(body map[string]any) *jobs.Status {
 	payload, _ := json.Marshal(body)
-	resp, err := h.client.Post(h.coord.url()+"/v1/jobs", "application/json", bytes.NewReader(payload))
+	resp, raw, err := d.call(http.MethodPost, "coord", "/v1/jobs", payload, "")
 	if err != nil {
-		h.violate("job submit transport error: %v", err)
+		d.violate("job submit transport error: %v", err)
 		return nil
 	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusAccepted {
-		h.violate("job submit status %d: %.200s", resp.StatusCode, raw)
+		d.violate("job submit status %d: %.200s", resp.StatusCode, raw)
 		return nil
 	}
 	var st jobs.Status
 	if err := json.Unmarshal(raw, &st); err != nil {
-		h.violate("job submit body undecodable: %v (%.200s)", err, raw)
+		d.violate("job submit body undecodable: %v (%.200s)", err, raw)
 		return nil
 	}
 	return &st
 }
 
-// jobStatus fetches one job's status; ok is false on any failure (the
+// jobStatus fetches one job's status; nil on any failure (the
 // coordinator may legitimately be dead mid-drill).
-func (h *jobsHarness) jobStatus(id string) (*jobs.Status, bool) {
-	resp, err := h.client.Get(h.coord.url() + "/v1/jobs/" + id)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
+func (d *jobsDrill) jobStatus(id string) *jobs.Status {
 	var st jobs.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, false
+	if d.getJSON("coord", "/v1/jobs/"+id, &st) != nil {
+		return nil
 	}
-	return &st, true
+	return &st
 }
 
 // jobResult fetches a done job's merged artifact.
-func (h *jobsHarness) jobResult(id string) (*jobResultBody, error) {
-	resp, err := h.client.Get(h.coord.url() + "/v1/jobs/" + id + "?result=1")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		return nil, fmt.Errorf("status %d: %.200s", resp.StatusCode, raw)
-	}
+func (d *jobsDrill) jobResult(id string) (*jobResultBody, error) {
 	var out jobResultBody
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := d.getJSON("coord", "/v1/jobs/"+id+"?result=1", &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
 // waitJob polls until the job leaves StateRunning or the deadline hits.
-func (h *jobsHarness) waitJob(ctx context.Context, id string, within time.Duration) *jobs.Status {
+// It returns the last status seen, nil (after a violation) if none.
+func (d *jobsDrill) waitJob(ctx context.Context, id string, within time.Duration) *jobs.Status {
 	deadline := time.Now().Add(within)
 	var last *jobs.Status
 	for time.Now().Before(deadline) && ctx.Err() == nil {
-		if st, ok := h.jobStatus(id); ok {
+		if st := d.jobStatus(id); st != nil {
 			last = st
 			if st.State != jobs.StateRunning {
 				return st
@@ -352,9 +207,9 @@ func (h *jobsHarness) waitJob(ctx context.Context, id string, within time.Durati
 		time.Sleep(20 * time.Millisecond)
 	}
 	if last == nil {
-		h.violate("job %s: no status within %v", id, within)
+		d.violate("job %s: no status within %v", id, within)
 	} else {
-		h.violate("job %s stuck %s: %d/%d shards after %v", id, last.State, last.ShardsDone, last.ShardsTotal, within)
+		d.violate("job %s stuck %s: %d/%d shards after %v", id, last.State, last.ShardsDone, last.ShardsTotal, within)
 	}
 	return last
 }
@@ -378,223 +233,190 @@ func matricesIdentical(a, b [][]float64) bool {
 	return true
 }
 
-// sweepPhase runs the full 5040-order sweep as a distributed job with
-// every process healthy: the merged matrix must be bit-identical to the
-// harness's single-process sweep. Returns the job ID for the post-
-// restart restoration check.
-func (h *jobsHarness) sweepPhase(ctx context.Context, exp jobsExpected) string {
-	fmt.Fprintf(h.log, "jobs: sweep phase (%d orders x %d benches)\n", orders.NumOrders, h.rep.Benches)
-	st := h.submitJob(map[string]any{"kind": "sweep"})
+// sweep runs the full 5040-order sweep as a distributed job with every
+// process healthy: the merged matrix must be bit-identical to the
+// single-process sweep. The job's ID is kept for the post-restart
+// restoration check.
+func (d *jobsDrill) sweep(ctx context.Context) error {
+	d.logf("sweep (%d orders x %d benches)", orders.NumOrders, d.r.Benches)
+	st := d.submitJob(map[string]any{"kind": "sweep"})
 	if st == nil {
-		return ""
+		return nil
 	}
-	h.rep.SweepShards = st.ShardsTotal
-	st = h.waitJob(ctx, st.ID, 2*time.Minute)
+	d.r.SweepShards = st.ShardsTotal
+	d.sweepID = st.ID
+	st = d.waitJob(ctx, st.ID, 2*time.Minute)
 	if st == nil || st.State != jobs.StateDone {
-		return st.ID
+		return nil
 	}
-	body, err := h.jobResult(st.ID)
+	body, err := d.jobResult(st.ID)
 	if err != nil {
-		h.violate("sweep result fetch: %v", err)
-		return st.ID
+		d.violate("sweep result fetch: %v", err)
+		return nil
 	}
-	if want := int64(orders.NumOrders) * int64(h.rep.Benches); body.Result.Trials != want {
-		h.violate("sweep trials = %d, want exactly %d", body.Result.Trials, want)
+	if want := int64(orders.NumOrders) * int64(d.r.Benches); body.Result.Trials != want {
+		d.violate("sweep trials = %d, want exactly %d", body.Result.Trials, want)
 	}
-	if !matricesIdentical(body.Result.Matrix, exp.sweep.M) {
-		h.violate("distributed sweep matrix differs from the single-process run")
-		return st.ID
+	if !matricesIdentical(body.Result.Matrix, d.exp.sweep.M) {
+		d.violate("distributed sweep matrix differs from the single-process run")
+		return nil
 	}
-	h.rep.SweepVerified = true
-	fmt.Fprintf(h.log, "jobs: sweep matrix bit-identical (%d shards, %d trials)\n", st.ShardsTotal, body.Result.Trials)
-	return st.ID
+	d.r.SweepVerified = true
+	d.logf("sweep matrix bit-identical (%d shards, %d trials)", st.ShardsTotal, body.Result.Trials)
+	return nil
 }
 
-// chaosPhase runs the exact C(22,11) experiment and does the killing:
-// replica 0 dies mid-job, then the coordinator dies mid-job and comes
-// back on the same address and state directory.
-func (h *jobsHarness) chaosPhase(ctx context.Context, exp jobsExpected, sweepID string) {
-	fmt.Fprintf(h.log, "jobs: chaos phase (exact C(%d,%d) = %d trials)\n",
-		h.rep.Benches, jobsK, orders.Binomial(h.rep.Benches, jobsK))
-	st := h.submitJob(map[string]any{"kind": "subsets", "k": jobsK, "shard_size": jobsMaskShard})
+// chaos runs the exact C(22,11) experiment and does the killing: r0
+// dies mid-job, then the coordinator dies mid-job and comes back on
+// the same address and state directory.
+func (d *jobsDrill) chaos(ctx context.Context) error {
+	d.logf("exact C(%d,%d) = %d trials", d.r.Benches, jobsK, orders.Binomial(d.r.Benches, jobsK))
+	st := d.submitJob(map[string]any{"kind": "subsets", "k": jobsK, "shard_size": jobsMaskShard})
 	if st == nil {
-		return
+		return nil
 	}
 	id := st.ID
-	h.rep.SubsetShards = st.ShardsTotal
+	d.r.SubsetShards = st.ShardsTotal
 	total := st.ShardsTotal
 	if total < 8 {
-		h.violate("chaos job planned only %d shards; the drill needs room to kill mid-job", total)
-		return
+		d.violate("chaos job planned only %d shards; the drill needs room to kill mid-job", total)
+		return nil
 	}
 
 	// Kill thresholds, in shards done: the replica falls early, the
 	// coordinator once the journal provably holds progress but well
 	// before the job can finish.
 	replicaKillAt, coordKillAt := 3, total/4
-	killedReplica := false
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) && ctx.Err() == nil {
-		cur, ok := h.jobStatus(id)
-		if !ok {
+		cur := d.jobStatus(id)
+		if cur == nil {
 			time.Sleep(5 * time.Millisecond)
 			continue
 		}
 		if cur.State != jobs.StateRunning {
-			h.violate("chaos job reached %q (%d/%d shards) before the coordinator kill", cur.State, cur.ShardsDone, total)
-			return
+			d.violate("chaos job reached %q (%d/%d shards) before the coordinator kill", cur.State, cur.ShardsDone, total)
+			return nil
 		}
-		if !killedReplica && cur.ShardsDone >= replicaKillAt {
-			victim := h.reps[0]
-			h.reps[0] = nil
-			victim.kill()
-			killedReplica = true
-			h.rep.ReplicaKills++
-			fmt.Fprintf(h.log, "jobs: killed replica jr0 at %d/%d shards\n", cur.ShardsDone, total)
+		if d.r.ReplicaKills == 0 && cur.ShardsDone >= replicaKillAt {
+			d.kill("r0")
+			d.r.ReplicaKills++
+			d.logf("killed replica r0 at %d/%d shards", cur.ShardsDone, total)
 		}
-		if killedReplica && cur.ShardsDone >= coordKillAt {
-			h.rep.DoneAtCoordKill = cur.ShardsDone
+		if d.r.ReplicaKills > 0 && cur.ShardsDone >= coordKillAt {
+			d.r.DoneAtCoordKill = cur.ShardsDone
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if h.rep.DoneAtCoordKill == 0 {
-		h.violate("chaos job never reached the coordinator kill threshold (%d shards)", coordKillAt)
-		return
+	if d.r.DoneAtCoordKill == 0 {
+		d.violate("chaos job never reached the coordinator kill threshold (%d shards)", coordKillAt)
+		return nil
 	}
 
-	h.coord.kill()
-	h.coord = nil
-	h.rep.CoordinatorKills++
-	fmt.Fprintf(h.log, "jobs: SIGKILLed coordinator at >=%d/%d shards\n", h.rep.DoneAtCoordKill, total)
-
-	coord, err := h.startCoordinator(h.coordAddr)
-	if err != nil {
-		h.violate("coordinator restart on %s failed: %v", h.coordAddr, err)
-		return
+	d.kill("coord")
+	d.r.CoordinatorKills++
+	d.logf("SIGKILLed coordinator at >=%d/%d shards", d.r.DoneAtCoordKill, total)
+	if err := d.restart("coord"); err != nil {
+		d.violate("coordinator restart failed: %v", err)
+		return nil
 	}
-	h.coord = coord
-	h.rep.Restarts++
-	fmt.Fprintf(h.log, "jobs: restarted coordinator on %s\n", h.coordAddr)
 
-	final := h.waitJob(ctx, id, 2*time.Minute)
+	final := d.waitJob(ctx, id, 2*time.Minute)
 	if final == nil {
-		return
+		return nil
 	}
-	h.rep.RecoveredShards = final.RecoveredShards
+	d.r.RecoveredShards = final.RecoveredShards
 	if final.State != jobs.StateDone {
-		h.violate("chaos job finished %q after restart: %s", final.State, final.Error)
-		return
+		d.violate("chaos job finished %q after restart: %s", final.State, final.Error)
+		return nil
 	}
 	// The journal is fsynced per completion, so every shard the dead
 	// coordinator reported done must come back recovered — and the job
 	// was provably unfinished, so some shards must have been re-run.
-	if final.RecoveredShards < h.rep.DoneAtCoordKill {
-		h.violate("recovered %d shards, but %d were done before the kill — checkpointed work was lost",
-			final.RecoveredShards, h.rep.DoneAtCoordKill)
+	if final.RecoveredShards < d.r.DoneAtCoordKill {
+		d.violate("recovered %d shards, but %d were done before the kill — checkpointed work was lost",
+			final.RecoveredShards, d.r.DoneAtCoordKill)
 	}
 	if final.RecoveredShards >= total {
-		h.violate("recovered all %d shards; the drill failed to interrupt the job", total)
+		d.violate("recovered all %d shards; the drill failed to interrupt the job", total)
 	}
-	h.rep.RerunShards = total - final.RecoveredShards
+	d.r.RerunShards = total - final.RecoveredShards
 
-	wantTrials := orders.Binomial(h.rep.Benches, jobsK)
-	h.rep.Trials = final.TrialsDone
+	wantTrials := orders.Binomial(d.r.Benches, jobsK)
+	d.r.Trials = final.TrialsDone
 	if final.TrialsDone != wantTrials {
-		h.violate("chaos job trials = %d, want exactly %d (lost or duplicated trials)", final.TrialsDone, wantTrials)
+		d.violate("chaos job trials = %d, want exactly %d (lost or duplicated trials)", final.TrialsDone, wantTrials)
 	}
-	body, err := h.jobResult(id)
+	body, err := d.jobResult(id)
 	if err != nil {
-		h.violate("chaos job result fetch: %v", err)
-		return
+		d.violate("chaos job result fetch: %v", err)
+		return nil
 	}
-	res := body.Result
+	res, want := body.Result, d.exp.subsets
 	switch {
 	case res.Trials != wantTrials:
-		h.violate("merged artifact trials = %d, want %d", res.Trials, wantTrials)
-	case len(res.BestCount) != len(exp.subsets.BestCount):
-		h.violate("best-count length %d, want %d", len(res.BestCount), len(exp.subsets.BestCount))
-	case res.DistinctOrders != exp.subsets.DistinctOrders():
-		h.violate("distinct orders %d, want %d", res.DistinctOrders, exp.subsets.DistinctOrders())
+		d.violate("merged artifact trials = %d, want %d", res.Trials, wantTrials)
+	case len(res.BestCount) != len(want.BestCount):
+		d.violate("best-count length %d, want %d", len(res.BestCount), len(want.BestCount))
+	case res.DistinctOrders != want.DistinctOrders():
+		d.violate("distinct orders %d, want %d", res.DistinctOrders, want.DistinctOrders())
 	default:
-		for o, c := range exp.subsets.BestCount {
+		for o, c := range want.BestCount {
 			if res.BestCount[o] != c {
-				h.violate("best count for order %d = %d, want %d", o, res.BestCount[o], c)
-				return
+				d.violate("best count for order %d = %d, want %d", o, res.BestCount[o], c)
+				return nil
 			}
 		}
-		h.rep.SubsetsVerified = true
-		fmt.Fprintf(h.log, "jobs: chaos job done: %d recovered + %d re-run shards, %d trials, best counts identical\n",
-			final.RecoveredShards, h.rep.RerunShards, final.TrialsDone)
+		d.r.SubsetsVerified = true
+		d.logf("chaos job done: %d recovered + %d re-run shards, %d trials, best counts identical",
+			final.RecoveredShards, d.r.RerunShards, final.TrialsDone)
 	}
 
 	// The sweep job finished before the kill; the restarted coordinator
 	// must still hold it, artifact intact.
-	if sweepID == "" {
-		return
+	if d.sweepID == "" {
+		return nil
 	}
-	sst, ok := h.jobStatus(sweepID)
-	if !ok || sst.State != jobs.StateDone {
-		h.violate("finished sweep job %s not restored after the coordinator restart", sweepID)
-		return
+	sst := d.jobStatus(d.sweepID)
+	if sst == nil || sst.State != jobs.StateDone {
+		d.violate("finished sweep job %s not restored after the coordinator restart", d.sweepID)
+		return nil
 	}
-	h.rep.SweepRecoveredShards = sst.RecoveredShards
+	d.r.SweepRecoveredShards = sst.RecoveredShards
 	if sst.RecoveredShards != sst.ShardsTotal {
-		h.violate("sweep job restored %d/%d shards; a finished job must recover whole", sst.RecoveredShards, sst.ShardsTotal)
+		d.violate("sweep job restored %d/%d shards; a finished job must recover whole", sst.RecoveredShards, sst.ShardsTotal)
 	}
-	sbody, err := h.jobResult(sweepID)
+	sbody, err := d.jobResult(d.sweepID)
 	if err != nil {
-		h.violate("restored sweep result fetch: %v", err)
-		return
+		d.violate("restored sweep result fetch: %v", err)
+		return nil
 	}
-	if !matricesIdentical(sbody.Result.Matrix, exp.sweep.M) {
-		h.violate("restored sweep matrix differs from the single-process run")
+	if !matricesIdentical(sbody.Result.Matrix, d.exp.sweep.M) {
+		d.violate("restored sweep matrix differs from the single-process run")
 	}
+	return nil
 }
 
-// metricsPhase scrapes the restarted coordinator's /metrics: the
-// exposition must lint clean and the ballarus_jobs_* families must
-// agree with the drill — in particular, the restarted process completed
-// exactly total - recovered shards, which is the "re-run only the
-// unfinished work" guarantee in counter form.
-func (h *jobsHarness) metricsPhase() {
-	if h.coord == nil {
-		return
-	}
-	resp, err := h.client.Get(h.coord.url() + "/metrics")
-	if err != nil {
-		h.violate("metrics: scrape failed: %v", err)
-		return
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		h.violate("metrics: read failed: %v", err)
-		return
-	}
-	for _, p := range obs.Lint(bytes.NewReader(body)) {
-		h.violate("metrics lint: %s", p)
-	}
-	exp, err := obs.ParseExposition(bytes.NewReader(body))
-	if err != nil {
-		h.violate("metrics: unparsable exposition: %v", err)
-		return
-	}
-	check := func(name string, want float64) {
-		v, found := exp.Value(name, nil)
-		if !found || v != want {
-			h.violate("metrics: %s = %v (found %v), drill says %v", name, v, found, want)
-		}
+// metrics scrapes the restarted coordinator's /metrics: the
+// ballarus_jobs_* families must agree with the drill — in particular,
+// the restarted process completed exactly total - recovered shards,
+// which is the "re-run only the unfinished work" guarantee in counter
+// form.
+func (d *jobsDrill) metrics(context.Context) error {
+	exp := d.scrape("coord")
+	if exp == nil {
+		return nil
 	}
 	// Process-lifetime counters of the restarted coordinator.
-	check("ballarus_jobs_shards_completed_total", float64(h.rep.RerunShards))
-	check("ballarus_jobs_submitted_total", 0) // resumed, not resubmitted
-	check("ballarus_jobs_active", 0)          // both jobs terminal
-	check("ballarus_jobs_recovered_shards", float64(h.rep.RecoveredShards+h.rep.SweepRecoveredShards))
+	d.expect(exp, "ballarus_jobs_shards_completed_total", nil, float64(d.r.RerunShards))
+	d.expect(exp, "ballarus_jobs_submitted_total", nil, 0) // resumed, not resubmitted
+	d.expect(exp, "ballarus_jobs_active", nil, 0)          // both jobs terminal
+	d.expect(exp, "ballarus_jobs_recovered_shards", nil, float64(d.r.RecoveredShards+d.r.SweepRecoveredShards))
 	if _, found := exp.Value("ballarus_jobs_trials_total", nil); !found {
-		h.violate("metrics: ballarus_jobs_trials_total family missing")
+		d.violate("metrics: ballarus_jobs_trials_total family missing")
 	}
-	h.rep.MetricsScraped = true
-	fmt.Fprintf(h.log, "jobs: metrics check: %d samples, %d shards completed post-restart\n",
-		len(exp.Samples), h.rep.RerunShards)
+	d.rep.MetricsScraped = true
+	d.logf("metrics check: %d samples, %d shards completed post-restart", len(exp.Samples), d.r.RerunShards)
+	return nil
 }

@@ -2,8 +2,13 @@ package chaos
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
+
+	"ballarus/internal/jobs"
 )
 
 // TestJobsDrill is the crash-resumable distributed-jobs acceptance
@@ -26,7 +31,7 @@ func TestJobsDrill(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Minute)
 	defer cancel()
-	rep, err := RunJobs(ctx, JobsConfig{
+	rep, err := Run(ctx, Jobs, Config{
 		ServeBin: serveBin,
 		GateBin:  gateBin,
 		Seed:     1,
@@ -38,17 +43,48 @@ func TestJobsDrill(t *testing.T) {
 	for _, v := range rep.Violations {
 		t.Errorf("invariant violated: %s", v)
 	}
-	if !rep.SweepVerified || !rep.SubsetsVerified {
+	if !rep.Jobs.SweepVerified || !rep.Jobs.SubsetsVerified {
 		t.Fatalf("distributed results were not verified bit-identical: %+v", rep)
 	}
-	if rep.ReplicaKills < 1 || rep.CoordinatorKills < 1 || rep.Restarts < 1 {
+	if rep.Jobs.ReplicaKills < 1 || rep.Jobs.CoordinatorKills < 1 || rep.Restarts < 1 {
 		t.Fatalf("drill did not kill and restart as scripted: %+v", rep)
 	}
-	if rep.RecoveredShards < 1 || rep.RerunShards < 1 {
+	if rep.Jobs.RecoveredShards < 1 || rep.Jobs.RerunShards < 1 {
 		t.Fatalf("resume recovered %d shards and re-ran %d; both must be nonzero: %+v",
-			rep.RecoveredShards, rep.RerunShards, rep)
+			rep.Jobs.RecoveredShards, rep.Jobs.RerunShards, rep)
 	}
 	if !rep.MetricsScraped {
 		t.Fatalf("coordinator metrics were never cross-checked: %+v", rep)
 	}
+}
+
+// TestSweepWithoutStatus: a coordinator that accepts the sweep job but
+// never answers a status poll must leave a violation, not a nil
+// dereference.
+func TestSweepWithoutStatus(t *testing.T) {
+	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			w.WriteHeader(http.StatusAccepted)
+			json.NewEncoder(w).Encode(jobs.Status{ID: "j1", State: jobs.StateRunning, ShardsTotal: 4})
+			return
+		}
+		http.Error(w, "unavailable", http.StatusServiceUnavailable)
+	}))
+	defer coord.Close()
+	f := &fleet{
+		log:    testWriter{t},
+		client: coord.Client(),
+		procs:  map[string]*proc{"coord": {name: "coord", addr: coord.Listener.Addr().String()}},
+		rep:    &Report{Scenario: Jobs},
+	}
+	d := &jobsDrill{fleet: f, r: &JobsReport{}}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if err := d.sweep(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.rep.Violations) == 0 {
+		t.Fatal("a job with no status recorded no violation")
+	}
+	t.Log(f.rep.Violations)
 }

@@ -1,40 +1,16 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"math/rand"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
 
-// TenantsConfig parameterizes the multi-tenant fairness drill: three
-// blserve replicas with -tenants behind a blgate routing by rendezvous
-// hash, one hog tenant flooding at 10x its quota next to two
-// well-behaved tenants, then a replica SIGKILL.
-type TenantsConfig struct {
-	// ServeBin is the blserve binary (see BuildServe); required.
-	ServeBin string
-	// GateBin is the blgate binary (see BuildGate); required.
-	GateBin string
-	// Seed drives the request schedule. Same seed, same schedule.
-	Seed int64
-	// Log receives harness narration and forwarded process stderr; nil
-	// discards it.
-	Log io.Writer
-}
-
-// TenantsReport is the outcome of a tenants chaos run.
+// TenantsReport is the Tenants scenario's section of the Report.
 type TenantsReport struct {
-	Seed     int64 `json:"seed"`
-	Replicas int   `json:"replicas"`
-
 	// Baseline: the polite tenants with no hog present.
 	BaselineSent  int     `json:"baseline_sent"`
 	BaselineOK    int     `json:"baseline_ok"`
@@ -51,233 +27,102 @@ type TenantsReport struct {
 	// Rendezvous: distinct keys sent twice, then once more after a kill.
 	Keys          int     `json:"keys"`
 	WarmHits      int     `json:"warm_hits"` // second pass: run_cached on the same replica
-	Kills         int     `json:"kills"`
 	Remapped      int     `json:"remapped"`
 	RemapFraction float64 `json:"remap_fraction"`
 	SurvivorKeys  int     `json:"survivor_keys"`
 	SurvivorWarm  int     `json:"survivor_warm"` // post-kill: still cached on the surviving owner
-
-	Violations []string `json:"violations,omitempty"`
 }
 
-type tenantsHarness struct {
-	cfg    TenantsConfig
-	rng    *rand.Rand
-	client *http.Client
-	log    io.Writer
-
-	mu   sync.Mutex
-	gate *proc
-	reps []*proc
-	rep  *TenantsReport
+type tenantsDrill struct {
+	*fleet
+	r    *TenantsReport
+	pool []job // the polite schedule, replayed in the baseline and flood phases
 }
 
 // hogQuota is the hog tenant's per-replica sustained rate; the flood
 // phase drives it at roughly 10x this.
 const hogQuota = 5
 
-// RunTenants executes the multi-tenant fairness drill:
+// tenantsPlan runs three blserve -tenants replicas (generous default
+// quotas, a tight override for tenant "hog") behind blgate -routing
+// rendezvous:
 //
-//  1. boot: three blserve -tenants replicas (generous default quotas,
-//     a tight override for tenant "hog") behind blgate -routing
-//     rendezvous;
-//  2. baseline: tenants t1 and t2 send scripted traffic alone — every
+//  1. baseline: tenants t1 and t2 send scripted traffic alone — every
 //     request must answer 200; their p99 is recorded;
-//  3. flood: the hog fires at ~10x its quota while t1 and t2 repeat
+//  2. flood: the hog fires at ~10x its quota while t1 and t2 repeat
 //     the baseline schedule. Invariants: the polite tenants complete
 //     within 10% of baseline with zero errors (isolation), the hog is
 //     actually shed with 429 quota_exceeded pass-throughs carrying
 //     X-RateLimit-* headers, and no client ever sees a 5xx;
-//  4. rendezvous: ~60 distinct keys are each sent twice — the second
+//  3. rendezvous: ~60 distinct keys are each sent twice — the second
 //     pass must be run-cache hits on a stable replica (the key's
-//     rendezvous owner);
-//  5. kill: one replica is SIGKILLed and every key resent — keys it
-//     owned remap (no more than ~45%, the ~1/N rendezvous promise plus
-//     schedule noise), surviving keys stay warm on their old owner,
-//     and zero requests fail while two replicas remain healthy.
-//
-// The returned error reports harness-level failures; broken invariants
-// land in Violations.
-func RunTenants(ctx context.Context, cfg TenantsConfig) (*TenantsReport, error) {
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Log == nil {
-		cfg.Log = io.Discard
-	}
-	h := &tenantsHarness{
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		client: &http.Client{Timeout: 20 * time.Second},
-		log:    cfg.Log,
-		rep:    &TenantsReport{Seed: cfg.Seed, Replicas: 3},
-	}
-	defer h.teardown()
-
-	if err := h.boot(); err != nil {
-		return h.rep, err
-	}
-	pool := h.politePool(20)
-	h.baselinePhase(pool)
-	if ctx.Err() != nil {
-		return h.rep, ctx.Err()
-	}
-	h.floodPhase(ctx, pool)
-	if ctx.Err() != nil {
-		return h.rep, ctx.Err()
-	}
-	h.rendezvousPhase()
-	return h.rep, nil
-}
-
-func (h *tenantsHarness) boot() error {
-	h.reps = make([]*proc, 3)
-	urls := make([]string, 3)
-	for i := range h.reps {
-		p, err := startServe(h.cfg.ServeBin, []string{
-			"-addr", "127.0.0.1:0",
-			"-instance-id", fmt.Sprintf("r%d", i),
-			"-workers", "4",
+//     rendezvous owner). Then r0 is SIGKILLed and every key resent —
+//     keys it owned remap (no more than ~45%, the ~1/N rendezvous
+//     promise plus schedule noise), surviving keys stay warm on their
+//     old owner, and zero requests fail while two replicas remain
+//     healthy.
+func tenantsPlan(f *fleet) plan {
+	d := &tenantsDrill{fleet: f, r: &TenantsReport{}}
+	f.rep.Tenants = d.r
+	return plan{
+		replicas: 3,
+		replica: []string{
 			"-queue", "64",
 			"-timeout", "5s",
 			"-drain-timeout", "2s",
 			"-tenants",
 			"-tenant-rate", "500",
 			"-tenant-quota", fmt.Sprintf("hog=%d,%d", hogQuota, hogQuota),
-		}, h.log)
-		if err != nil {
-			return err
-		}
-		h.reps[i] = p
-		urls[i] = p.url()
-	}
-	gate, err := startServe(h.cfg.GateBin, []string{
-		"-addr", "127.0.0.1:0",
-		"-replicas", strings.Join(urls, ","),
-		"-routing", "rendezvous",
-		"-routing-seed", "1",
-		"-probe-every", "150ms",
-		"-probe-timeout", "500ms",
-		"-rise", "1",
-		"-fall", "2",
-		"-eject-after", "2",
-		"-eject-base", "300ms",
-		"-eject-max", "3s",
-		// Hedging off the hot path: a hedge that wins on a non-owner
-		// replica would read as a routing flap in the stability checks.
-		"-hedge-quantile", "0.99",
-		"-hedge-initial", "2s",
-		"-max-attempts", "3",
-		"-retry-ratio", "0.5",
-		"-retry-burst", "32",
-		"-timeout", "10s",
-	}, h.log)
-	if err != nil {
-		return err
-	}
-	h.mu.Lock()
-	h.gate = gate
-	h.mu.Unlock()
-	fmt.Fprintf(h.log, "tenants: 3 tenant-quota replicas behind rendezvous gateway %s\n", gate.addr)
-	return nil
-}
-
-func (h *tenantsHarness) teardown() {
-	h.mu.Lock()
-	gate, reps := h.gate, h.reps
-	h.gate, h.reps = nil, nil
-	h.mu.Unlock()
-	if gate != nil {
-		gate.kill()
-	}
-	for _, p := range reps {
-		if p != nil {
-			p.kill()
-		}
-	}
-}
-
-func (h *tenantsHarness) violate(format string, args ...any) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	msg := fmt.Sprintf(format, args...)
-	fmt.Fprintf(h.log, "tenants: VIOLATION: %s\n", msg)
-	if len(h.rep.Violations) < 32 {
-		h.rep.Violations = append(h.rep.Violations, msg)
+		},
+		gate: []string{
+			"-routing", "rendezvous",
+			"-routing-seed", "1",
+			"-eject-max", "3s",
+			// Hedging off the hot path: a hedge that wins on a non-owner
+			// replica would read as a routing flap in the stability checks.
+			// The 2s floor keeps it off once the p99 of cached answers
+			// (a few ms) would otherwise hedge every fresh key.
+			"-hedge-quantile", "0.99",
+			"-hedge-initial", "2s",
+			"-hedge-min", "2s",
+			"-retry-ratio", "0.5",
+			"-retry-burst", "32",
+			"-timeout", "10s",
+		},
+		phases: []phase{
+			{"baseline", d.baseline},
+			{"flood", d.flood},
+			{"rendezvous", d.rendezvous},
+		},
 	}
 }
 
 // tenantJob derives a scripted request; idx partitions the key space
 // so each caller controls which content hashes it touches.
-func (h *tenantsHarness) tenantJob(idx int) job {
-	n := 100 + (idx%37)*25
-	m := 2 + idx%7
-	src := fmt.Sprintf(
-		"int main() { int i; int s = %d; for (i = 0; i < %d; i++) { if (i %% %d == 0) { s += i; } else { s -= 1; } } printi(s); return 0; }",
-		idx, n, m)
-	return job{Source: src, Seed: 1}
+func tenantJob(idx int) job {
+	return loopJob(idx, 100+(idx%37)*25, 2+idx%7, 1)
 }
 
-// politePool draws the fixed request schedule the polite tenants replay
-// in both the baseline and flood phases.
-func (h *tenantsHarness) politePool(n int) []job {
-	pool := make([]job, n)
-	for i := range pool {
-		pool[i] = h.tenantJob(10000 + h.rng.Intn(2000))
+// send posts one predict through the gateway as tenantID. Every phase
+// of this drill keeps at least two replicas healthy, so a 5xx is a
+// violation. Quota and overload refusals must be told apart: a
+// quota_exceeded 429 carries X-RateLimit-Limit and no other 429 does.
+func (d *tenantsDrill) send(tenantID string, j job) reply {
+	r := d.fleet.send(j, tenantID)
+	if r.status >= 500 {
+		d.violate("tenant %s: status %d with healthy replicas present", tenantID, r.status)
 	}
-	return pool
-}
-
-// send posts one predict through the gateway as the given tenant.
-// Returns the status (0 on transport error), the decoded body, and the
-// X-Instance-Id of the answering replica. A transport error or 5xx is
-// a violation in every phase of this drill: the gateway never goes
-// down and at least two replicas are healthy at all times.
-func (h *tenantsHarness) send(tenantID string, j job) (int, map[string]any, string) {
-	h.mu.Lock()
-	gate := h.gate
-	h.mu.Unlock()
-	if gate == nil {
-		return 0, nil, ""
-	}
-	payload, _ := json.Marshal(j)
-	req, err := http.NewRequest(http.MethodPost, gate.url()+"/v1/predict", bytes.NewReader(payload))
-	if err != nil {
-		return 0, nil, ""
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if tenantID != "" {
-		req.Header.Set("X-Tenant-Id", tenantID)
-	}
-	resp, err := h.client.Do(req)
-	if err != nil {
-		h.violate("tenant %s: gateway transport error: %v", tenantID, err)
-		return 0, nil, ""
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		h.violate("tenant %s: body read failed: %v", tenantID, err)
-		return 0, nil, ""
-	}
-	if resp.StatusCode >= 500 {
-		h.violate("tenant %s: status %d with healthy replicas present", tenantID, resp.StatusCode)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(body, &m); err != nil {
-		h.violate("tenant %s: status %d with non-JSON body %.80q", tenantID, resp.StatusCode, body)
-		return resp.StatusCode, nil, ""
-	}
-	if resp.StatusCode == http.StatusTooManyRequests {
-		code, _ := m["code"].(string)
-		if code == "quota_exceeded" && resp.Header.Get("X-RateLimit-Limit") == "" {
-			h.violate("tenant %s: quota 429 without X-RateLimit-Limit", tenantID)
+	if r.status == http.StatusTooManyRequests && r.body != nil {
+		code, _ := r.body["code"].(string)
+		limited := r.header.Get("X-RateLimit-Limit") != ""
+		if code == "quota_exceeded" && !limited {
+			d.violate("tenant %s: quota 429 without X-RateLimit-Limit", tenantID)
 		}
-		if code != "quota_exceeded" && resp.Header.Get("X-RateLimit-Limit") != "" {
-			h.violate("tenant %s: non-quota 429 carries X-RateLimit-Limit (code %q)", tenantID, code)
+		if code != "quota_exceeded" && limited {
+			d.violate("tenant %s: non-quota 429 carries X-RateLimit-Limit (code %q)", tenantID, code)
 		}
 	}
-	return resp.StatusCode, m, resp.Header.Get("X-Instance-Id")
+	return r
 }
 
 // politeRound replays the polite schedule for tenants t1 and t2,
@@ -285,20 +130,20 @@ func (h *tenantsHarness) send(tenantID string, j job) (int, map[string]any, stri
 // pass), and returns sent, ok, and the p99 latency in milliseconds.
 // Polite traffic is paced at ~20ms per request so it stays far inside
 // the default tenant quota in every phase.
-func (h *tenantsHarness) politeRound(pool []job, minFor time.Duration) (sent, ok int, p99 float64) {
+func (d *tenantsDrill) politeRound(minFor time.Duration) (sent, ok int, p99 float64) {
 	var lat []float64
 	deadline := time.Now().Add(minFor)
 	for pass := 0; ; pass++ {
-		for i, j := range pool {
+		for i, j := range d.pool {
 			for _, id := range []string{"t1", "t2"} {
 				start := time.Now()
-				status, _, _ := h.send(id, j)
+				status := d.send(id, j).status
 				lat = append(lat, float64(time.Since(start))/float64(time.Millisecond))
 				sent++
 				if status == http.StatusOK {
 					ok++
 				} else {
-					h.violate("polite tenant %s request %d (pass %d) refused with %d", id, i, pass, status)
+					d.violate("polite tenant %s request %d (pass %d) refused with %d", id, i, pass, status)
 				}
 				time.Sleep(20 * time.Millisecond)
 			}
@@ -314,23 +159,24 @@ func (h *tenantsHarness) politeRound(pool []job, minFor time.Duration) (sent, ok
 	return sent, ok, p99
 }
 
-// baselinePhase measures the polite tenants with no hog present: every
-// request must answer 200.
-func (h *tenantsHarness) baselinePhase(pool []job) {
-	fmt.Fprintf(h.log, "tenants: baseline phase\n")
-	sent, ok, p99 := h.politeRound(pool, 0)
-	h.mu.Lock()
-	h.rep.BaselineSent, h.rep.BaselineOK, h.rep.BaselineP99Ms = sent, ok, p99
-	h.mu.Unlock()
-	fmt.Fprintf(h.log, "tenants: baseline: %d/%d ok, p99 %.1fms\n", ok, sent, p99)
+// baseline draws the polite schedule and measures the polite tenants
+// with no hog present: every request must answer 200.
+func (d *tenantsDrill) baseline(context.Context) error {
+	d.pool = make([]job, 20)
+	for i := range d.pool {
+		d.pool[i] = tenantJob(10000 + d.rng.Intn(2000))
+	}
+	sent, ok, p99 := d.politeRound(0)
+	d.r.BaselineSent, d.r.BaselineOK, d.r.BaselineP99Ms = sent, ok, p99
+	d.logf("baseline: %d/%d ok, p99 %.1fms", ok, sent, p99)
+	return nil
 }
 
-// floodPhase runs the hog at ~10x its quota while the polite tenants
-// repeat the baseline schedule. Isolation means the polite completion
-// rate stays within 10% of baseline with zero errors while the hog is
+// flood runs the hog at ~10x its quota while the polite tenants repeat
+// the baseline schedule. Isolation means the polite completion rate
+// stays within 10% of baseline with zero errors while the hog is
 // visibly shed.
-func (h *tenantsHarness) floodPhase(ctx context.Context, pool []job) {
-	fmt.Fprintf(h.log, "tenants: flood phase (hog at ~10x quota)\n")
+func (d *tenantsDrill) flood(ctx context.Context) error {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var hogSent, hogOK, hogShed int
@@ -350,14 +196,14 @@ func (h *tenantsHarness) floodPhase(ctx context.Context, pool []job) {
 					return
 				default:
 				}
-				status, m, _ := h.send("hog", h.tenantJob(20000+(s*2+i)%4))
+				r := d.send("hog", tenantJob(20000+(s*2+i)%4))
 				hogMu.Lock()
 				hogSent++
 				switch {
-				case status == http.StatusOK:
+				case r.status == http.StatusOK:
 					hogOK++
-				case status == http.StatusTooManyRequests:
-					if code, _ := m["code"].(string); code == "quota_exceeded" {
+				case r.status == http.StatusTooManyRequests:
+					if code, _ := r.body["code"].(string); code == "quota_exceeded" {
 						hogShed++
 					}
 				}
@@ -369,128 +215,93 @@ func (h *tenantsHarness) floodPhase(ctx context.Context, pool []job) {
 
 	// Keep the flood window open long enough for the hog to blow
 	// through its burst and sustain ~10x the refill rate.
-	sent, ok, p99 := h.politeRound(pool, 4*time.Second)
+	sent, ok, p99 := d.politeRound(4 * time.Second)
 	close(stop)
 	wg.Wait()
 
-	h.mu.Lock()
-	h.rep.FloodSent, h.rep.FloodOK, h.rep.FloodP99Ms = sent, ok, p99
-	h.rep.HogSent, h.rep.HogOK, h.rep.HogShed = hogSent, hogOK, hogShed
-	baseRate := float64(h.rep.BaselineOK) / float64(max(h.rep.BaselineSent, 1))
+	d.r.FloodSent, d.r.FloodOK, d.r.FloodP99Ms = sent, ok, p99
+	d.r.HogSent, d.r.HogOK, d.r.HogShed = hogSent, hogOK, hogShed
+	baseRate := float64(d.r.BaselineOK) / float64(max(d.r.BaselineSent, 1))
 	floodRate := float64(ok) / float64(max(sent, 1))
-	h.mu.Unlock()
-	fmt.Fprintf(h.log, "tenants: flood: polite %d/%d ok (p99 %.1fms), hog %d sent / %d ok / %d shed\n",
+	d.logf("flood: polite %d/%d ok (p99 %.1fms), hog %d sent / %d ok / %d shed",
 		ok, sent, p99, hogSent, hogOK, hogShed)
 
 	if floodRate < baseRate-0.1 {
-		h.violate("flood phase: polite completion %.2f fell more than 10%% below baseline %.2f", floodRate, baseRate)
+		d.violate("flood phase: polite completion %.2f fell more than 10%% below baseline %.2f", floodRate, baseRate)
 	}
 	if hogShed == 0 {
-		h.violate("flood phase: hog at 10x quota was never shed with quota_exceeded")
+		d.violate("flood phase: hog at 10x quota was never shed with quota_exceeded")
 	}
 	if hogOK > hogShed {
-		h.violate("flood phase: hog mostly admitted (%d ok vs %d shed) at 10x quota", hogOK, hogShed)
+		d.violate("flood phase: hog mostly admitted (%d ok vs %d shed) at 10x quota", hogOK, hogShed)
 	}
+	return nil
 }
 
-// rendezvousPhase checks cache-affine routing and graceful failover:
+// rendezvous checks cache-affine routing and graceful failover:
 // distinct keys settle on stable owners, a second pass is warm, and a
 // SIGKILL remaps only the dead replica's slice of the key space while
 // surviving keys stay warm and every request keeps answering.
-func (h *tenantsHarness) rendezvousPhase() {
+func (d *tenantsDrill) rendezvous(context.Context) error {
 	const keys = 60
-	fmt.Fprintf(h.log, "tenants: rendezvous phase (%d keys)\n", keys)
 	owner := make([]string, keys)
 	for i := 0; i < keys; i++ {
-		_, _, inst := h.send("t1", h.tenantJob(30000+i))
-		owner[i] = inst
+		owner[i] = d.send("t1", tenantJob(30000+i)).header.Get("X-Instance-Id")
 	}
 	warm := 0
 	for i := 0; i < keys; i++ {
-		status, m, inst := h.send("t1", h.tenantJob(30000+i))
-		if status != http.StatusOK {
+		r := d.send("t1", tenantJob(30000+i))
+		if r.status != http.StatusOK {
 			continue
 		}
-		cached, _ := m["run_cached"].(bool)
-		if inst == owner[i] && cached {
+		cached, _ := r.body["run_cached"].(bool)
+		if r.header.Get("X-Instance-Id") == owner[i] && cached {
 			warm++
 		}
 	}
-	h.mu.Lock()
-	h.rep.Keys, h.rep.WarmHits = keys, warm
-	h.mu.Unlock()
-	fmt.Fprintf(h.log, "tenants: rendezvous: %d/%d second-pass warm hits\n", warm, keys)
+	d.r.Keys, d.r.WarmHits = keys, warm
+	d.logf("rendezvous: %d/%d second-pass warm hits", warm, keys)
 	if warm < keys*9/10 {
-		h.violate("rendezvous: only %d/%d keys warm on a stable owner (want >= 90%%)", warm, keys)
+		d.violate("rendezvous: only %d/%d keys warm on a stable owner (want >= 90%%)", warm, keys)
 	}
 
-	// SIGKILL replica 0 and resend everything.
-	h.mu.Lock()
-	victim := h.reps[0]
-	h.reps[0] = nil
-	h.mu.Unlock()
-	victim.kill()
-	h.mu.Lock()
-	h.rep.Kills++
-	h.mu.Unlock()
-	fmt.Fprintf(h.log, "tenants: killed r0\n")
-	h.waitHealthy(2, 10*time.Second)
+	// SIGKILL r0 and resend everything.
+	d.kill("r0")
+	d.waitHealthy(2, 10*time.Second, "rendezvous")
 
 	remapped, survivorKeys, survivorWarm := 0, 0, 0
 	for i := 0; i < keys; i++ {
-		status, m, inst := h.send("t1", h.tenantJob(30000+i))
-		if status != http.StatusOK {
-			h.violate("rendezvous: key %d refused with %d after the kill (2 replicas healthy)", i, status)
+		r := d.send("t1", tenantJob(30000+i))
+		if r.status != http.StatusOK {
+			d.violate("rendezvous: key %d refused with %d after the kill (2 replicas healthy)", i, r.status)
 			continue
 		}
+		inst := r.header.Get("X-Instance-Id")
 		if owner[i] == "r0" {
 			if inst == "r0" {
-				h.violate("rendezvous: key %d still answered by the killed replica", i)
+				d.violate("rendezvous: key %d still answered by the killed replica", i)
 			}
 			remapped++
 			continue
 		}
 		survivorKeys++
-		cached, _ := m["run_cached"].(bool)
+		cached, _ := r.body["run_cached"].(bool)
 		if inst == owner[i] && cached {
 			survivorWarm++
 		}
 	}
 	frac := float64(remapped) / float64(keys)
-	h.mu.Lock()
-	h.rep.Remapped, h.rep.RemapFraction = remapped, frac
-	h.rep.SurvivorKeys, h.rep.SurvivorWarm = survivorKeys, survivorWarm
-	h.mu.Unlock()
-	fmt.Fprintf(h.log, "tenants: kill: %.0f%% of keys remapped, %d/%d survivor keys still warm\n",
+	d.r.Remapped, d.r.RemapFraction = remapped, frac
+	d.r.SurvivorKeys, d.r.SurvivorWarm = survivorKeys, survivorWarm
+	d.logf("kill: %.0f%% of keys remapped, %d/%d survivor keys still warm",
 		100*frac, survivorWarm, survivorKeys)
 
 	if frac > 0.45 {
-		h.violate("rendezvous: killing 1 of 3 remapped %.0f%% of keys, want <= ~40%% (1/N plus noise)", 100*frac)
+		d.violate("rendezvous: killing 1 of 3 remapped %.0f%% of keys, want <= ~40%% (1/N plus noise)", 100*frac)
 	}
 	if survivorKeys > 0 && survivorWarm < survivorKeys*9/10 {
-		h.violate("rendezvous: only %d/%d surviving keys stayed warm on their owner after the kill",
+		d.violate("rendezvous: only %d/%d surviving keys stayed warm on their owner after the kill",
 			survivorWarm, survivorKeys)
 	}
-}
-
-// waitHealthy polls /gateway/stats until the routable count reaches
-// want, or violates at the deadline.
-func (h *tenantsHarness) waitHealthy(want int, within time.Duration) {
-	h.mu.Lock()
-	gate := h.gate
-	h.mu.Unlock()
-	deadline := time.Now().Add(within)
-	for time.Now().Before(deadline) {
-		resp, err := h.client.Get(gate.url() + "/gateway/stats")
-		if err == nil {
-			var st gateStats
-			err = json.NewDecoder(resp.Body).Decode(&st)
-			resp.Body.Close()
-			if err == nil && st.HealthyReplicas == want {
-				return
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	h.violate("healthy_replicas never reached %d within %v", want, within)
+	return nil
 }

@@ -25,7 +25,7 @@ func TestTenantsDrill(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
-	rep, err := RunTenants(ctx, TenantsConfig{
+	rep, err := Run(ctx, Tenants, Config{
 		ServeBin: serveBin,
 		GateBin:  gateBin,
 		Seed:     42,
@@ -37,13 +37,13 @@ func TestTenantsDrill(t *testing.T) {
 	for _, v := range rep.Violations {
 		t.Errorf("invariant violated: %s", v)
 	}
-	if rep.BaselineOK != rep.BaselineSent || rep.BaselineSent == 0 {
+	if rep.Tenants.BaselineOK != rep.Tenants.BaselineSent || rep.Tenants.BaselineSent == 0 {
 		t.Fatalf("baseline incomplete: %+v", rep)
 	}
-	if rep.HogShed == 0 {
+	if rep.Tenants.HogShed == 0 {
 		t.Fatalf("hog was never shed: %+v", rep)
 	}
-	if rep.Kills != 1 || rep.Remapped == 0 {
+	if rep.Kills != 1 || rep.Tenants.Remapped == 0 {
 		t.Fatalf("kill drill did not remap anything: %+v", rep)
 	}
 }
