@@ -130,8 +130,7 @@ func FitWeights(missPct [core.NumHeuristics]float64) Weights {
 // ---- Context-first pipeline API ----
 //
 // Every pipeline entry point has a context-aware, functional-options
-// form. The older fixed-signature functions below remain as thin
-// deprecated wrappers.
+// form.
 
 // CompileOption configures compilation.
 type CompileOption func(*CompileOptions)
@@ -493,10 +492,6 @@ var (
 	// WithTracer replaces the service's request tracer (the ring buffer
 	// behind blserve's /debug/traces).
 	WithTracer = service.WithTracer
-	// WithShardRunner enables the shard stage (Service.Shard, blserve's
-	// POST /v1/shard): batch-job shards execute through the given runner,
-	// content-addressed and breaker-guarded like every other stage.
-	WithShardRunner = service.WithShardRunner
 	// WithTenants enables multi-tenant admission: per-tenant token-bucket
 	// quotas and fairness-aware shedding against the given registry.
 	WithTenants = service.WithTenants
@@ -541,14 +536,6 @@ func NewTenantRegistry(cfg TenantConfig) *TenantRegistry { return tenant.NewRegi
 // to the given tenant (the programmatic analogue of the X-Tenant-Id
 // header). An empty id means the default tenant.
 func TenantContext(ctx context.Context, id string) context.Context { return tenant.WithID(ctx, id) }
-
-// ShardRunner executes one opaque experiment-shard payload; the
-// concrete implementation is internal/jobs.Runner.RunShardPayload.
-type ShardRunner = service.ShardRunner
-
-// ShardOutcome is Service.Shard's result: the runner's response payload
-// plus the request's cache outcome.
-type ShardOutcome = service.ShardOutcome
 
 // ---- Observability ----
 
@@ -673,43 +660,6 @@ var (
 // ErrorKind returns the taxonomy kind of err (one of the five Err*
 // sentinels above), or nil if err is nil or unclassified.
 func ErrorKind(err error) error { return resilience.KindOf(err) }
-
-// ---- Deprecated one-shot wrappers ----
-
-// Compile compiles minic source to MIR with default options.
-//
-// Deprecated: use CompileOpt.
-func Compile(src string) (*Program, error) {
-	return CompileOpt(src)
-}
-
-// CompileWithOptions compiles minic source with explicit options.
-//
-// Deprecated: use CompileOpt with WithCompileOptions.
-func CompileWithOptions(src string, opts CompileOptions) (*Program, error) {
-	return CompileOpt(src, WithCompileOptions(opts))
-}
-
-// Analyze runs the Ball-Larus analysis with paper-faithful options.
-//
-// Deprecated: use AnalyzeCtx.
-func Analyze(prog *Program) (*Analysis, error) {
-	return AnalyzeCtx(context.Background(), prog)
-}
-
-// AnalyzeWithOptions runs the analysis with explicit options.
-//
-// Deprecated: use AnalyzeCtx with WithAnalysisOptions.
-func AnalyzeWithOptions(prog *Program, opts AnalysisOptions) (*Analysis, error) {
-	return AnalyzeCtx(context.Background(), prog, WithAnalysisOptions(opts))
-}
-
-// Execute runs a program under the interpreter.
-//
-// Deprecated: use ExecuteCtx with WithRunConfig or the granular options.
-func Execute(prog *Program, cfg RunConfig) (*RunResult, error) {
-	return ExecuteCtx(context.Background(), prog, WithRunConfig(cfg))
-}
 
 // Score reports the dynamic miss rate of a prediction vector against a
 // profile, over all branches, in the paper's miss/perfect notation.

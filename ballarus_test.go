@@ -23,18 +23,18 @@ int main() {
 `
 
 func TestFacadePipeline(t *testing.T) {
-	prog, err := Compile(facadeSrc)
+	prog, err := CompileOpt(facadeSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Analyze(prog)
+	a, err := AnalyzeCtx(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(a.Branches) == 0 {
 		t.Fatal("no branches analyzed")
 	}
-	res, err := Execute(prog, RunConfig{CollectEvents: true})
+	res, err := ExecuteCtx(context.Background(), prog, WithRunConfig(RunConfig{CollectEvents: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,17 +61,17 @@ func TestFacadePipeline(t *testing.T) {
 }
 
 func TestFacadeCompileError(t *testing.T) {
-	if _, err := Compile("int main() { return x; }"); err == nil {
+	if _, err := CompileOpt("int main() { return x; }"); err == nil {
 		t.Error("expected compile error")
 	}
 }
 
 func TestFacadeOptions(t *testing.T) {
-	p1, err := CompileWithOptions(facadeSrc, CompileOptions{SpillLocals: true})
+	p1, err := CompileOpt(facadeSrc, WithCompileOptions(CompileOptions{SpillLocals: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := AnalyzeWithOptions(p1, AnalysisOptions{NoPostdom: true})
+	a, err := AnalyzeCtx(context.Background(), p1, WithAnalysisOptions(AnalysisOptions{NoPostdom: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,15 +79,15 @@ func TestFacadeOptions(t *testing.T) {
 		t.Fatal("no branches")
 	}
 	// Spilled compilation still computes the same program output.
-	p2, err := Compile(facadeSrc)
+	p2, err := CompileOpt(facadeSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := Execute(p1, RunConfig{})
+	r1, err := ExecuteCtx(context.Background(), p1, WithRunConfig(RunConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Execute(p2, RunConfig{})
+	r2, err := ExecuteCtx(context.Background(), p2, WithRunConfig(RunConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestFacadeConstants(t *testing.T) {
 }
 
 func TestFacadeCompare(t *testing.T) {
-	prog, err := Compile(facadeSrc)
+	prog, err := CompileOpt(facadeSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -380,7 +380,9 @@ func BenchmarkSubsetsSampled(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.SubsetsSampled(11, 1000, int64(i))
+		if _, err := s.SubsetsSampledCtx(context.Background(), 11, 1000, int64(i)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

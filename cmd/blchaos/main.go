@@ -27,14 +27,6 @@
 // only its ~1/N slice of the key space while surviving keys stay
 // cache-warm on their owners.
 //
-// With -jobs it drives the distributed-jobs scenario: a job
-// coordinator (blserve -jobs) dispatching the Section 5 ordering
-// experiments through a real blgate to two replicas. One replica is
-// SIGKILLed mid-job and the coordinator is SIGKILLed and restarted
-// mid-job — asserting the job resumes from its journal, re-runs only
-// the unfinished shards, and produces results bit-identical to a
-// single-process run with the exact trial count.
-//
 // On Linux every spawned server dies with blchaos, however it exits.
 //
 // Usage:
@@ -43,7 +35,6 @@
 //	blchaos -cluster [-bin PATH] [-gate-bin PATH] [-replicas 3]
 //	        [-seed 1] [-duration 30s] [-v]
 //	blchaos -tenants [-bin PATH] [-gate-bin PATH] [-seed 1] [-v]
-//	blchaos -jobs [-bin PATH] [-gate-bin PATH] [-seed 1] [-v]
 //
 // With no -bin (or -gate-bin in a gateway scenario), blchaos builds the
 // binaries from the enclosing module. The JSON report goes to stdout;
@@ -69,9 +60,8 @@ func main() {
 	duration := flag.Duration("duration", 30*time.Second, "soak length (drills run after)")
 	stateDir := flag.String("state-dir", "", "server state directory (default: a temp dir, removed afterwards)")
 	clusterMode := flag.Bool("cluster", false, "run the gateway cluster scenario instead of the durability soak")
-	jobsMode := flag.Bool("jobs", false, "run the distributed-jobs scenario instead of the durability soak")
 	tenantsMode := flag.Bool("tenants", false, "run the multi-tenant fairness scenario instead of the durability soak")
-	gateBin := flag.String("gate-bin", "", "blgate binary for -cluster/-jobs/-tenants (default: build cmd/blgate)")
+	gateBin := flag.String("gate-bin", "", "blgate binary for -cluster/-tenants (default: build cmd/blgate)")
 	replicas := flag.Int("replicas", 3, "cluster size for -cluster")
 	verbose := flag.Bool("v", false, "narrate the schedule and forward server stderr")
 	flag.Parse()
@@ -80,8 +70,6 @@ func main() {
 	switch {
 	case *tenantsMode:
 		scenario = chaos.Tenants
-	case *jobsMode:
-		scenario = chaos.Jobs
 	case *clusterMode:
 		scenario = chaos.Cluster
 	}

@@ -33,8 +33,6 @@
 //	POST /v1/predict     hedged, budgeted, deadline-bounded proxying
 //	POST /v1/compare     same treatment — the tournament is idempotent
 //	POST /v1/batch       same treatment — batches are per-item idempotent
-//	POST /v1/shard       same treatment — job shards are idempotent, so
-//	                     coordinators dispatch through the gateway
 //	GET  /v1/stats       passthrough to one routable replica
 //	GET  /healthz        200 while at least one replica is routable
 //	GET  /gateway/stats  per-replica health, ejections, budget, cache

@@ -8,8 +8,7 @@
 //	blorders -trials 50000   # a bigger sample
 //
 // Long runs report periodic progress (trials done, rate, ETA) on stderr
-// and exit promptly on SIGINT/SIGTERM. For a distributed, crash-
-// resumable version of the same experiments, see blserve -jobs.
+// and exit promptly on SIGINT/SIGTERM.
 package main
 
 import (

@@ -44,14 +44,13 @@
 //	                     archive; most recent first, with per-stage spans
 //
 // Every request runs under a distributed-tracing span: an incoming
-// Traceparent header (stamped by blgate attempts or a job
-// coordinator's shard dispatch) parents this process's trace, the
-// trace ID is echoed in X-Trace-Id, and completed traces that
-// errored, were hedged, tripped a breaker, or exceeded -trace-slow
-// are tail-sampled into a durable archive (-trace-archive entries,
-// plus a -trace-sample fraction of boring traces) that survives
-// restarts via -state-dir. Request-latency histogram buckets carry
-// the most recent trace ID as ballarus_*_exemplar gauges.
+// Traceparent header (stamped by blgate attempts) parents this
+// process's trace, the trace ID is echoed in X-Trace-Id, and completed
+// traces that errored, were hedged, tripped a breaker, or exceeded
+// -trace-slow are tail-sampled into a durable archive (-trace-archive
+// entries, plus a -trace-sample fraction of boring traces) that
+// survives restarts via -state-dir. Request-latency histogram buckets
+// carry the most recent trace ID as ballarus_*_exemplar gauges.
 //
 // Logs are structured (slog); -log-format json switches them to JSON
 // and -log-level debug additionally emits one event per completed
@@ -79,14 +78,11 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"runtime"
-	"strings"
 	"time"
 
 	"ballarus"
 	"ballarus/internal/cli"
-	"ballarus/internal/jobs"
 	"ballarus/internal/obs"
 )
 
@@ -118,12 +114,6 @@ func main() {
 	journalSync := flag.Duration("journal-sync", 100*time.Millisecond, "journal fsync batching interval (with -state-dir)")
 	watchdog := flag.Duration("watchdog", 0, "restart the worker pool when saturated with no progress for this long (0 = off)")
 	chaosAdmin := flag.Bool("chaos-admin", false, "expose /debug fault-injection, snapshot, and pprof endpoints (test harnesses and trusted operators only)")
-	jobsOn := flag.Bool("jobs", false, "enable the batch-job coordinator (/v1/jobs endpoints); /v1/shard execution is always on")
-	jobsExecutor := flag.String("jobs-executor", "", "base URL shards are dispatched to (a replica or the blgate gateway); empty runs shards in-process through the service")
-	jobsParallel := flag.Int("jobs-parallel", 4, "max concurrently leased shards (with -jobs)")
-	jobsLease := flag.Duration("jobs-lease", 45*time.Second, "per-shard lease (execution deadline) before the shard is stolen (with -jobs)")
-	jobsShardOrders := flag.Int("jobs-shard-orders", 336, "order indices per sweep shard (with -jobs)")
-	jobsShardMasks := flag.Int("jobs-shard-masks", 128, "low masks per subsets shard (with -jobs)")
 	tenants := flag.Bool("tenants", false, "enable per-tenant quotas and fairness (X-Tenant-Id header identity)")
 	tenantRate := flag.Float64("tenant-rate", 50, "default per-tenant sustained rate in requests/s (0 = unlimited, with -tenants)")
 	tenantBurst := flag.Float64("tenant-burst", 0, "default per-tenant burst capacity (0 = max(rate,1), with -tenants)")
@@ -154,7 +144,6 @@ func main() {
 	}
 
 	opts := []ballarus.ServiceOption{
-		ballarus.WithShardRunner(jobs.NewRunner(jobs.SuiteBenchProvider())),
 		ballarus.WithWorkers(*workers),
 		ballarus.WithRequestTimeout(*timeout),
 		ballarus.WithQueueDepth(*queue),
@@ -197,56 +186,12 @@ func main() {
 	ctx, stop := cli.SignalContext()
 	defer stop()
 
-	// The job coordinator registers its durable section before Recover so
-	// checkpointed jobs restore with the rest of the snapshot; its own
-	// journal (replayed by Resume below) covers shards completed after
-	// the last checkpoint.
-	if *jobsOn {
-		var exec jobs.Executor
-		if *jobsExecutor != "" {
-			exec = &jobs.HTTPExecutor{Base: strings.TrimRight(*jobsExecutor, "/")}
-		} else {
-			exec = &jobs.ServiceExecutor{Svc: svc}
-		}
-		cfg := jobs.Config{
-			Executor:    exec,
-			Parallelism: *jobsParallel,
-			LeaseTTL:    *jobsLease,
-			Defaults: jobs.Defaults{
-				Benches:        jobs.DefaultBenches(),
-				SweepShardSize: *jobsShardOrders,
-				MaskShardSize:  *jobsShardMasks,
-			},
-			Registry: svc.Metrics(),
-			Logger:   logger,
-		}
-		if *stateDir != "" {
-			cfg.JournalPath = filepath.Join(*stateDir, "jobs.bljrnl")
-			cfg.Checkpoint = svc.SnapshotNow
-		}
-		eng, err := jobs.New(cfg)
-		if err != nil {
-			cli.Exit("blserve", err)
-		}
-		app.eng = eng
-		svc.RegisterDurableSection(jobs.SectionJobs, ballarus.DurableSection{
-			Collect: eng.CollectEntries,
-			Restore: eng.RestoreEntry,
-		})
-	}
-
 	var rs ballarus.RecoveryStats
 	if *stateDir != "" {
 		rs, err = svc.Recover(ctx)
 		if err != nil {
 			cli.Exit("blserve", err)
 		}
-	}
-	if app.eng != nil {
-		if _, err := app.eng.Resume(ctx); err != nil {
-			cli.Exit("blserve", err)
-		}
-		app.eng.Start()
 	}
 
 	// Listen before serving so -addr :0 reports the bound port — the
@@ -278,7 +223,6 @@ func main() {
 			slog.Duration("watchdog", *watchdog),
 			slog.String("state_dir", *stateDir),
 			slog.Bool("chaos_admin", *chaosAdmin),
-			slog.Bool("jobs", *jobsOn),
 			slog.Bool("tenants", *tenants),
 			slog.Group("recovered",
 				slog.Int64("snapshot_entries", rs.SnapshotEntries),
@@ -311,13 +255,6 @@ func main() {
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		cli.Exit("blserve", err)
-	}
-	// Stop the coordinator before the service so its completed-shard
-	// state is final when the closing snapshot collects it.
-	if app.eng != nil {
-		if err := app.eng.Close(); err != nil {
-			cli.Exit("blserve", err)
-		}
 	}
 	// Close writes the final snapshot; with -state-dir the next boot
 	// starts warm.

@@ -20,10 +20,6 @@ func endpointLabel(r *http.Request) string {
 		return "compare"
 	case r.URL.Path == "/v1/batch":
 		return "batch"
-	case r.URL.Path == "/v1/shard":
-		return "shard"
-	case r.URL.Path == "/v1/jobs" || strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
-		return "jobs"
 	case r.URL.Path == "/v1/stats":
 		return "stats"
 	case r.URL.Path == "/healthz":
@@ -53,9 +49,9 @@ func (s *statusRecorder) WriteHeader(code int) {
 // service), an HTTP request counter by endpoint and status code, and a
 // per-endpoint latency histogram whose buckets carry trace-ID
 // exemplars. An incoming Traceparent header (stamped by the gateway's
-// attempt spans or a job coordinator's shard executor) makes this
-// process's trace a child of the remote span, so GET /v1/trace/{id} on
-// the gateway can stitch the hops back together.
+// attempt spans) makes this process's trace a child of the remote span,
+// so GET /v1/trace/{id} on the gateway can stitch the hops back
+// together.
 func (s *server) instrument(next http.Handler) http.Handler {
 	reg := s.svc.Metrics()
 	tracer := s.svc.Tracer()

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"ballarus"
-	"ballarus/internal/jobs"
 	"ballarus/internal/obs"
 	"ballarus/internal/profile"
 )
@@ -129,10 +128,7 @@ type server struct {
 	// archive tail-samples completed request traces (always-keep for
 	// errors/hedges/breakers/slow requests) and rides the durable
 	// snapshot, so the interesting traces survive a crash.
-	archive *obs.Archive
-	// eng is the batch-job coordinator; nil unless -jobs is set. The
-	// /v1/shard execution endpoint works either way.
-	eng        *jobs.Engine
+	archive    *obs.Archive
 	instanceID string
 	// draining flips once at shutdown: new API requests are refused
 	// with 503 + Connection: close so load balancers fail this replica
@@ -201,11 +197,6 @@ func (s *server) handler(admin bool) http.Handler {
 	mux.HandleFunc("POST /v1/predict", s.handlePredict)
 	mux.HandleFunc("POST /v1/compare", s.handleCompare)
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	mux.HandleFunc("POST /v1/shard", s.handleShard)
-	mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleJobList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)

@@ -1,12 +1,12 @@
 // Package chaos is a deterministic chaos harness for the serving stack.
 // One fleet owns every process a drill starts — blserve replicas by
-// index, the blgate gateway, the jobs coordinator — and boots,
-// SIGKILLs, restarts (on the same address), and tears them down. A
-// Scenario is its servers' flag lists plus an ordered list of phases,
-// each holding only its own checks; Run boots the fleet, runs the
-// phases, and records every broken invariant in the Report.
+// index and the blgate gateway — and boots, SIGKILLs, restarts (on the
+// same address), and tears them down. A Scenario is its servers' flag
+// lists plus an ordered list of phases, each holding only its own
+// checks; Run boots the fleet, runs the phases, and records every
+// broken invariant in the Report.
 //
-// The four scenarios:
+// The three scenarios:
 //
 //   - Soak: one blserve with durable state, driven through seeded
 //     traffic, fault episodes, overload bursts, and SIGKILL-restart
@@ -18,10 +18,6 @@
 //     distributed trace, and a full-cluster brownout. No client sees a
 //     5xx while any replica is healthy, hedges win against a stall, and
 //     the brownout degrades to cached answers instead of dropping.
-//   - Jobs: a coordinator dispatching the Section 5 experiments through
-//     blgate, with a replica and the coordinator SIGKILLed mid-job. The
-//     resumed job re-runs only unfinished shards and comes back
-//     bit-identical to a single-process run.
 //   - Tenants: a hog tenant flooding at 10x its quota next to polite
 //     tenants, then a replica SIGKILL under rendezvous routing. Polite
 //     tenants keep their baseline, the hog is shed, and only the dead
@@ -58,7 +54,6 @@ type Scenario string
 const (
 	Soak    Scenario = "soak"
 	Cluster Scenario = "cluster"
-	Jobs    Scenario = "jobs"
 	Tenants Scenario = "tenants"
 )
 
@@ -103,7 +98,6 @@ type Report struct {
 	MetricsScraped bool           `json:"metrics_scraped"`
 	Soak           *SoakReport    `json:"soak,omitempty"`
 	Cluster        *ClusterReport `json:"cluster,omitempty"`
-	Jobs           *JobsReport    `json:"jobs,omitempty"`
 	Tenants        *TenantsReport `json:"tenants,omitempty"`
 	Violations     []string       `json:"violations,omitempty"`
 }
@@ -205,8 +199,6 @@ func Run(ctx context.Context, s Scenario, cfg Config) (*Report, error) {
 		p = soakPlan(f)
 	case Cluster:
 		p = clusterPlan(f)
-	case Jobs:
-		p = jobsPlan(ctx, f)
 	case Tenants:
 		p = tenantsPlan(f)
 	default:

@@ -21,11 +21,9 @@ type fakeReplica struct {
 	id      string
 	predict atomic.Value // func(w http.ResponseWriter, r *http.Request)
 	compare atomic.Value // func(w http.ResponseWriter, r *http.Request)
-	shard   atomic.Value // func(w http.ResponseWriter, r *http.Request)
 	healthy atomic.Bool
 	hits    atomic.Int64
 	cmpHits atomic.Int64
-	shdHits atomic.Int64
 }
 
 // okPredict answers like a healthy blserve.
@@ -46,22 +44,11 @@ func okCompare(id string) func(http.ResponseWriter, *http.Request) {
 	}
 }
 
-// okShard answers a shard request the way a replica's shard stage does:
-// a JSON result carrying the shard identity.
-func okShard(id string) func(http.ResponseWriter, *http.Request) {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-Instance-Id", id)
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"job_hash":"fake","lo":0,"hi":1,"trials":1}`)
-	}
-}
-
 func newFakeReplica(t *testing.T, id string) *fakeReplica {
 	t.Helper()
 	f := &fakeReplica{id: id}
 	f.predict.Store(okPredict(id))
 	f.compare.Store(okCompare(id))
-	f.shard.Store(okShard(id))
 	f.healthy.Store(true)
 	f.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
@@ -77,9 +64,6 @@ func newFakeReplica(t *testing.T, id string) *fakeReplica {
 		case "/v1/compare":
 			f.cmpHits.Add(1)
 			f.compare.Load().(func(http.ResponseWriter, *http.Request))(w, r)
-		case "/v1/shard":
-			f.shdHits.Add(1)
-			f.shard.Load().(func(http.ResponseWriter, *http.Request))(w, r)
 		case "/v1/stats":
 			w.Header().Set("Content-Type", "application/json")
 			fmt.Fprintf(w, `{"replica":%q}`, f.id)

@@ -53,9 +53,7 @@ func (u upstream) quota() bool {
 //
 //	POST /v1/predict     hedged, budgeted, deadline-bounded proxying
 //	POST /v1/compare     same treatment — the tournament is idempotent
-//	POST /v1/shard       same treatment — shards are idempotent by job
-//	                     hash and range, so a job coordinator can point
-//	                     its executor here and inherit hedging
+//	POST /v1/batch       same treatment — batches are per-item idempotent
 //	GET  /v1/stats       passthrough to one routable replica
 //	GET  /v1/trace/{id}  assembled cross-process trace (gateway + replicas)
 //	GET  /v1/trace/slowest  worst archived traces by duration
@@ -68,7 +66,6 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/predict", g.handleProxy)
 	mux.HandleFunc("POST /v1/compare", g.handleProxy)
 	mux.HandleFunc("POST /v1/batch", g.handleProxy)
-	mux.HandleFunc("POST /v1/shard", g.handleProxy)
 	mux.HandleFunc("GET /v1/stats", g.handlePassthrough)
 	mux.HandleFunc("GET /v1/trace/slowest", g.handleTraceSlowest)
 	mux.HandleFunc("GET /v1/trace/{id}", g.handleTraceGet)

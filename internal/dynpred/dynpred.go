@@ -177,35 +177,3 @@ func StaticResult(p *profile.Profile, taken []bool) Result {
 	}
 	return r
 }
-
-// ---- Deprecated one-shot wrappers ----
-//
-// The pre-registry API materialized the whole trace and returned
-// aggregate counts. Each function below is a thin wrapper over the
-// streaming Predictor registry and behaves identically.
-
-// OneBit replays a last-direction predictor: each branch predicts
-// whatever it last did. The first execution of a branch predicts
-// not-taken (forward-not-taken reset state).
-//
-// Deprecated: use Replay with New(NameOneBit, nBranches).
-func OneBit(events []interp.Event, nBranches int) Result {
-	return Replay(events, nBranches, NewOneBit(nBranches))
-}
-
-// TwoBit replays the classic two-bit saturating counter per branch
-// (states 0-3; predict taken at 2 and 3), initialized weakly-not-taken.
-//
-// Deprecated: use Replay with New(NameTwoBit, nBranches).
-func TwoBit(events []interp.Event, nBranches int) Result {
-	return Replay(events, nBranches, NewTwoBit(nBranches))
-}
-
-// Static replays a fixed prediction vector over the trace (the same
-// numbers the edge profile yields; provided for uniform comparison).
-//
-// Deprecated: use Replay with NewStatic, or StaticResult when the run's
-// edge profile is at hand (no replay needed).
-func Static(events []interp.Event, taken []bool) Result {
-	return Replay(events, len(taken), NewStatic(taken))
-}

@@ -27,14 +27,14 @@ func TestRegistryNames(t *testing.T) {
 	}
 }
 
-func TestWrappersMatchRegistry(t *testing.T) {
+func TestConstructorsMatchRegistry(t *testing.T) {
 	events := seq(true, true, false, true, false, false, true, true, true, false)
 	for _, tc := range []struct {
 		name string
 		old  Result
 	}{
-		{NameOneBit, OneBit(events, 1)},
-		{NameTwoBit, TwoBit(events, 1)},
+		{NameOneBit, Replay(events, 1, NewOneBit(1))},
+		{NameTwoBit, Replay(events, 1, NewTwoBit(1))},
 	} {
 		p, err := New(tc.name, 1)
 		if err != nil {
@@ -42,7 +42,7 @@ func TestWrappersMatchRegistry(t *testing.T) {
 		}
 		got := Replay(events, 1, p)
 		if got.Branches != tc.old.Branches || got.Miss != tc.old.Miss {
-			t.Errorf("%s: wrapper %+v != registry replay %+v", tc.name, tc.old, got)
+			t.Errorf("%s: constructor replay %+v != registry replay %+v", tc.name, tc.old, got)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -128,7 +129,10 @@ func TestSubsetExperimentExactLongMode(t *testing.T) {
 	if d := res.DistinctOrders(); d < 2 || d > 2000 {
 		t.Errorf("distinct orders %d out of plausible range", d)
 	}
-	sampled := s.SubsetsSampled(11, 5000, 7)
+	sampled, err := s.SubsetsSampledCtx(context.Background(), 11, 5000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Ranked()[0] != sampled.Ranked()[0] {
 		t.Errorf("exact and sampled experiments disagree on the top order: %v vs %v",
 			s.Orders[res.Ranked()[0]], s.Orders[sampled.Ranked()[0]])

@@ -196,8 +196,6 @@ func (e *Evaluator) benchDataAllCtx(ctx context.Context) ([]*orders.BenchData, [
 
 // BenchData returns the 22 collapsed benchmark populations (matrix300
 // excluded) the ordering experiments run over, in canonical suite order.
-// Shard runners use this as the deterministic input every replica agrees
-// on.
 func (e *Evaluator) BenchData(ctx context.Context) ([]*orders.BenchData, error) {
 	bd, _, err := e.benchDataAllCtx(ctx)
 	return bd, err

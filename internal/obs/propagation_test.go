@@ -103,30 +103,6 @@ func TestSpanParentLinks(t *testing.T) {
 	}
 }
 
-func TestSpanContextFrom(t *testing.T) {
-	if _, ok := SpanContextFrom(context.Background()); ok {
-		t.Fatal("empty context yielded a span context")
-	}
-	remote := SpanContext{TraceID: "00000000000000aa", SpanID: "00000000000000bb", Flags: 1}
-	rctx := ContextWithRemote(context.Background(), remote)
-	if sc, ok := SpanContextFrom(rctx); !ok || sc != remote {
-		t.Fatalf("remote-only context = %+v ok=%v", sc, ok)
-	}
-
-	tr := NewTracer(8, nil)
-	ctx, act := tr.Start(context.Background(), "req")
-	sc, ok := SpanContextFrom(ctx)
-	if !ok || sc.TraceID != act.ID() || sc.SpanID != act.SpanContext().SpanID {
-		t.Fatalf("active context = %+v", sc)
-	}
-	sctx, sp := StartSpanCtx(ctx, "stage")
-	if sc, _ := SpanContextFrom(sctx); sc.SpanID != sp.SpanContext().SpanID {
-		t.Fatalf("span context %q does not track innermost span %q", sc.SpanID, sp.SpanContext().SpanID)
-	}
-	sp.End(nil)
-	act.End(nil)
-}
-
 func TestSpanStatusCanceledVsError(t *testing.T) {
 	tr := NewTracer(8, nil)
 	ctx, act := tr.Start(context.Background(), "req")

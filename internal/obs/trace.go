@@ -228,9 +228,8 @@ type Active struct {
 
 // ContextWithRemote attaches a remote parent span context to ctx.
 // Tracer.Start adopts it (same trace ID, parented at the remote span),
-// and SpanContextFrom returns it when no local trace is active — which
-// is how a job coordinator carries the submitting request's identity
-// into shard executions long after that request finished.
+// which is how blserve and blgate continue a trace whose Traceparent
+// header arrived with the request.
 func ContextWithRemote(ctx context.Context, sc SpanContext) context.Context {
 	if !sc.Valid() {
 		return ctx
@@ -381,23 +380,6 @@ func TraceID(ctx context.Context) string {
 func ActiveFrom(ctx context.Context) *Active {
 	a, _ := ctx.Value(activeKey{}).(*Active)
 	return a
-}
-
-// SpanContextFrom returns the propagation identity current at ctx: the
-// active trace and its innermost context-linked span when one exists,
-// else a remote span context attached via ContextWithRemote.
-func SpanContextFrom(ctx context.Context) (SpanContext, bool) {
-	if a, _ := ctx.Value(activeKey{}).(*Active); a != nil {
-		sc := a.SpanContext()
-		if parent, _ := ctx.Value(parentKey{}).(string); parent != "" {
-			sc.SpanID = parent
-		}
-		return sc, true
-	}
-	if sc, ok := ctx.Value(remoteKey{}).(SpanContext); ok {
-		return sc, true
-	}
-	return SpanContext{}, false
 }
 
 // Span is an in-progress span handle. A nil Span (no active trace in

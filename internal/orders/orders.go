@@ -10,13 +10,11 @@
 // on all branches whose applicable set is exactly m. An order's miss count
 // is then a sum over at most 127 masks instead of all branches.
 //
-// Both experiments decompose into contiguous shards — order-index ranges
-// for the sweep, low-mask ranges for the subset experiment — that merge
-// back bit-identically to the single-process result. ShardOrders and
-// ShardMasks carve the spaces; SweepRange and SubsetScorer.Range evaluate
-// one shard; MergeSubsetResults recombines. The single-process entry
-// points are thin parallel drivers over the same shard primitives, so a
-// distributed run and a local run share one code path.
+// Both experiments run in-process, parallel over GOMAXPROCS goroutines:
+// the sweep over contiguous order-index ranges, the subset experiment
+// over low masks. Every matrix cell and trial outcome is a deterministic
+// function of its inputs alone, so the results do not depend on how the
+// work is split.
 package orders
 
 import (
@@ -115,10 +113,9 @@ var (
 	allPerms []core.Order
 )
 
-// All enumerates every order, lexicographically over heuristic IDs. The
-// sequence is deterministic so order indices are stable and canonical
-// across processes — the property the distributed sweep's shard merge
-// relies on. The returned slice is a fresh copy each call.
+// All enumerates every order, lexicographically over heuristic IDs, so
+// an order index names the same order in every run and every table. The
+// returned slice is a fresh copy each call.
 func All() []core.Order {
 	allOnce.Do(func() {
 		perms := make([]core.Order, 0, NumOrders)
@@ -156,33 +153,6 @@ func All() []core.Order {
 	return out
 }
 
-// ShardOrders returns the canonical orders with indices in [lo, hi) — one
-// contiguous shard of the 5040-order sweep. Shards [0,a), [a,b), ...,
-// [z,NumOrders) form an exact partition of All().
-func ShardOrders(lo, hi int) ([]core.Order, error) {
-	if lo < 0 || hi > NumOrders || lo > hi {
-		return nil, fmt.Errorf("orders: shard range [%d,%d) outside [0,%d)", lo, hi, NumOrders)
-	}
-	return All()[lo:hi:hi], nil
-}
-
-// ShardMasks returns the masks in [lo, hi) over a bits-wide mask space —
-// one contiguous shard of the subset experiment's low-mask enumeration.
-// Masks are their own indices, so shards partition [0, 1<<bits) exactly.
-func ShardMasks(lo, hi, bits int) ([]int, error) {
-	if bits < 0 || bits > 30 {
-		return nil, fmt.Errorf("orders: mask width %d outside [0,30]", bits)
-	}
-	if lo < 0 || hi > 1<<bits || lo > hi {
-		return nil, fmt.Errorf("orders: mask range [%d,%d) outside [0,%d)", lo, hi, 1<<bits)
-	}
-	out := make([]int, hi-lo)
-	for i := range out {
-		out[i] = lo + i
-	}
-	return out, nil
-}
-
 // Binomial returns C(n, k), or 0 when k is out of range.
 func Binomial(n, k int) int64 {
 	if k < 0 || k > n {
@@ -205,34 +175,10 @@ type Sweep struct {
 	M       [][]float64 // [order][bench], percent
 }
 
-// SweepRange evaluates the orders with indices [lo, hi) on every
-// benchmark and returns their matrix rows. Rows are deterministic
-// functions of (benches, order index) alone, so ranges computed on
-// different machines concatenate bit-identically to NewSweep's matrix.
-// Cancellation is checked every checkEvery orders.
-func SweepRange(ctx context.Context, benches []*BenchData, lo, hi int) ([][]float64, error) {
-	ords, err := ShardOrders(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([][]float64, len(ords))
-	for i, ord := range ords {
-		if i%checkEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		row := make([]float64, len(benches))
-		for b, bd := range benches {
-			row[b] = bd.MissRate(ord)
-		}
-		rows[i] = row
-	}
-	return rows, nil
-}
-
 // NewSweepCtx evaluates every order on every benchmark, parallel over
-// contiguous order ranges via SweepRange.
+// contiguous order ranges. Each cell is the benchmark's MissRate under
+// the order, whichever goroutine computes it. Cancellation is checked
+// every checkEvery orders.
 func NewSweepCtx(ctx context.Context, benches []*BenchData) (*Sweep, error) {
 	s := &Sweep{Orders: All(), Benches: benches}
 	s.M = make([][]float64, len(s.Orders))
@@ -249,12 +195,19 @@ func NewSweepCtx(ctx context.Context, benches []*BenchData) (*Sweep, error) {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			rows, err := SweepRange(ctx, benches, lo, hi)
-			if err != nil {
-				errs[w] = err
-				return
+			for o := lo; o < hi; o++ {
+				if (o-lo)%checkEvery == 0 {
+					if err := ctx.Err(); err != nil {
+						errs[w] = err
+						return
+					}
+				}
+				row := make([]float64, len(benches))
+				for b, bd := range benches {
+					row[b] = bd.MissRate(s.Orders[o])
+				}
+				s.M[o] = row
 			}
-			copy(s.M[lo:hi], rows)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -264,14 +217,6 @@ func NewSweepCtx(ctx context.Context, benches []*BenchData) (*Sweep, error) {
 		}
 	}
 	return s, nil
-}
-
-// NewSweep evaluates every order on every benchmark.
-//
-// Deprecated: use NewSweepCtx, which supports cancellation.
-func NewSweep(benches []*BenchData) *Sweep {
-	s, _ := NewSweepCtx(context.Background(), benches)
-	return s
 }
 
 // Avg returns each order's average miss rate over the benchmarks whose
@@ -356,31 +301,11 @@ func (r *SubsetResult) Ranked() []int {
 	return idx
 }
 
-// MergeSubsetResults sums partial results from disjoint shards. Trials
-// and per-order counts are integers, so the merge is exact and
-// order-independent: any partition of the trial space recombines to the
-// same totals as a single-process run.
-func MergeSubsetResults(parts ...*SubsetResult) *SubsetResult {
-	out := &SubsetResult{BestCount: make([]int, NumOrders)}
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		out.Trials += p.Trials
-		for o, c := range p.BestCount {
-			if c != 0 {
-				out.BestCount[o] += c
-			}
-		}
-	}
-	return out
-}
-
 // SubsetScorer scores k-subset trials by meeting in the middle: per-order
 // partial sums over every subset of each benchmark half are precomputed,
-// so scoring one subset is a vector add + argmin. A scorer built from the
-// same sweep produces identical trial outcomes on any machine, which is
-// what lets the subset experiment shard by low-mask range.
+// so scoring one subset is a vector add + argmin. A trial's outcome
+// depends only on the sweep and its two half-masks, so low masks can be
+// scored in any order on any goroutine.
 type SubsetScorer struct {
 	s      *Sweep
 	k      int
@@ -403,10 +328,6 @@ func (s *Sweep) NewSubsetScorer(k int) (*SubsetScorer, error) {
 	sc.hiSum = buildHalf(s, sc.loBits, sc.hiBits)
 	return sc, nil
 }
-
-// LowMasks returns the size of the low-mask space, 1 << (n/2). Subset
-// shards are contiguous ranges of [0, LowMasks()).
-func (sc *SubsetScorer) LowMasks() int { return 1 << sc.loBits }
 
 // TotalTrials returns C(n, k) — the exact experiment's trial count.
 func (sc *SubsetScorer) TotalTrials() int64 {
@@ -439,24 +360,6 @@ func (sc *SubsetScorer) scoreLowMask(lm int, counts []int) int {
 	return trials
 }
 
-// Range scores the trials whose low mask falls in [lo, hi) — one
-// contiguous shard of the exact experiment. Shards partitioning
-// [0, LowMasks()) merge (MergeSubsetResults) to exactly Subsets' result.
-// Cancellation is checked per low mask.
-func (sc *SubsetScorer) Range(ctx context.Context, lo, hi int) (*SubsetResult, error) {
-	if _, err := ShardMasks(lo, hi, sc.loBits); err != nil {
-		return nil, err
-	}
-	res := &SubsetResult{BestCount: make([]int, len(sc.s.Orders))}
-	for lm := lo; lm < hi; lm++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res.Trials += sc.scoreLowMask(lm, res.BestCount)
-	}
-	return res, nil
-}
-
 // SubsetOpts tunes the exact and sampled experiment drivers.
 type SubsetOpts struct {
 	// Progress, when set, is called with the cumulative and total trial
@@ -466,7 +369,8 @@ type SubsetOpts struct {
 }
 
 // SubsetsOpts runs the experiment exactly over every k-subset of the
-// sweep's benchmarks, parallel over low masks via the shared scorer.
+// sweep's benchmarks, parallel over low masks. Per-order counts are
+// integers, so summing the goroutines' tallies is exact in any order.
 func (s *Sweep) SubsetsOpts(ctx context.Context, k int, opts SubsetOpts) (*SubsetResult, error) {
 	sc, err := s.NewSubsetScorer(k)
 	if err != nil {
@@ -498,7 +402,7 @@ func (s *Sweep) SubsetsOpts(ctx context.Context, k int, opts SubsetOpts) (*Subse
 			}
 		}(w)
 	}
-	for lm := 0; lm < sc.LowMasks(); lm++ {
+	for lm := 0; lm < 1<<sc.loBits; lm++ {
 		work <- lm
 	}
 	close(work)
@@ -508,25 +412,19 @@ func (s *Sweep) SubsetsOpts(ctx context.Context, k int, opts SubsetOpts) (*Subse
 			return nil, err
 		}
 	}
-	parts := make([]*SubsetResult, nw)
+	res := &SubsetResult{BestCount: make([]int, len(s.Orders))}
 	for w := 0; w < nw; w++ {
-		parts[w] = &SubsetResult{Trials: trials[w], BestCount: counts[w]}
+		res.Trials += trials[w]
+		for o, c := range counts[w] {
+			res.BestCount[o] += c
+		}
 	}
-	return MergeSubsetResults(parts...), nil
+	return res, nil
 }
 
 // SubsetsCtx runs the exact experiment with default options.
 func (s *Sweep) SubsetsCtx(ctx context.Context, k int) (*SubsetResult, error) {
 	return s.SubsetsOpts(ctx, k, SubsetOpts{})
-}
-
-// Subsets runs the experiment exactly over every k-subset of the sweep's
-// benchmarks.
-//
-// Deprecated: use SubsetsCtx, which supports cancellation and progress.
-func (s *Sweep) Subsets(k int) *SubsetResult {
-	res, _ := s.SubsetsCtx(context.Background(), k)
-	return res
 }
 
 // buildHalf precomputes, for every subset mask of benches
@@ -551,7 +449,7 @@ func buildHalf(s *Sweep, base, width int) [][]float64 {
 // SubsetsSampledOpts runs the experiment over `trials` random k-subsets —
 // the quick mode used in tests and short benchmark runs. The trial stream
 // is a deterministic function of (sweep, k, trials, seed): the single rng
-// stream is inherently serial, so the sampled mode does not shard.
+// stream is inherently serial, so the sampled mode runs on one goroutine.
 // Cancellation is checked every checkEvery trials.
 func (s *Sweep) SubsetsSampledOpts(ctx context.Context, k, trials int, seed int64, opts SubsetOpts) (*SubsetResult, error) {
 	n := len(s.Benches)
@@ -593,14 +491,6 @@ func (s *Sweep) SubsetsSampledOpts(ctx context.Context, k, trials int, seed int6
 // SubsetsSampledCtx runs the sampled experiment with default options.
 func (s *Sweep) SubsetsSampledCtx(ctx context.Context, k, trials int, seed int64) (*SubsetResult, error) {
 	return s.SubsetsSampledOpts(ctx, k, trials, seed, SubsetOpts{})
-}
-
-// SubsetsSampled runs the experiment over `trials` random k-subsets.
-//
-// Deprecated: use SubsetsSampledCtx, which supports cancellation.
-func (s *Sweep) SubsetsSampled(k, trials int, seed int64) *SubsetResult {
-	res, _ := s.SubsetsSampledCtx(context.Background(), k, trials, seed)
-	return res
 }
 
 // masksWithPopcount enumerates all masks over `width` bits with exactly

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -50,6 +51,16 @@ func orderLess(a, b core.Order) bool {
 		}
 	}
 	return false
+}
+
+// newSweep runs NewSweepCtx under a background context.
+func newSweep(t *testing.T, benches []*BenchData) *Sweep {
+	t.Helper()
+	s, err := NewSweepCtx(context.Background(), benches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // realBench compiles and runs a small program, returning its analysis and
@@ -158,7 +169,7 @@ func TestSweepAndBestOrder(t *testing.T) {
 	// miss rate is the same under every order (no overlap), so the sweep
 	// must be flat.
 	flat := syntheticBench("flat", [core.NumHeuristics]int64{10, 10, 10, 10, 10, 10, 10})
-	s := NewSweep([]*BenchData{flat})
+	s := newSweep(t, []*BenchData{flat})
 	avg := s.Avg(nil)
 	for _, v := range avg {
 		if math.Abs(v-10) > 1e-9 {
@@ -172,7 +183,7 @@ func TestSweepAndBestOrder(t *testing.T) {
 	d.Dyn[mask] = 100
 	d.Miss[mask][core.Opcode] = 0
 	d.Miss[mask][core.Guard] = 100
-	s2 := NewSweep([]*BenchData{d})
+	s2 := newSweep(t, []*BenchData{d})
 	best := s2.BestOrder(nil)
 	o := s2.Orders[best]
 	for _, h := range o {
@@ -189,6 +200,44 @@ func TestSweepAndBestOrder(t *testing.T) {
 	}
 }
 
+// workerCounts are the GOMAXPROCS settings under which the parallel
+// drivers are checked against serial evaluation. Each one cuts the work
+// into a different set of ranges, whose results the driver merges.
+var workerCounts = []int{1, 3, 4}
+
+// withWorkers runs f with GOMAXPROCS set to n, restoring it afterwards.
+func withWorkers(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
+// TestSweepRangeMergeBitIdentical pins the sweep's merge invariant: the
+// matrix NewSweepCtx assembles from its per-goroutine order ranges is bit
+// for bit a serial MissRate evaluation, cell by cell, however the range
+// [0, NumOrders) is cut.
+func TestSweepRangeMergeBitIdentical(t *testing.T) {
+	benches := mixedBenches(5)
+	orders := All()
+	for _, nw := range workerCounts {
+		withWorkers(nw, func() {
+			s := newSweep(t, benches)
+			if len(s.M) != NumOrders {
+				t.Fatalf("workers=%d: sweep has %d rows, want %d", nw, len(s.M), NumOrders)
+			}
+			for o, ord := range orders {
+				if s.Orders[o] != ord {
+					t.Fatalf("workers=%d order %d: sweep has %v, All has %v", nw, o, s.Orders[o], ord)
+				}
+				for b, bd := range benches {
+					if want := bd.MissRate(ord); s.M[o][b] != want { // exact, not approximate
+						t.Fatalf("workers=%d cell [%d][%d]: sweep %v, serial MissRate %v", nw, o, b, s.M[o][b], want)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestSubsetsExactSmall(t *testing.T) {
 	// 4 synthetic benchmarks, subsets of size 2: C(4,2)=6 trials; verify
 	// against direct enumeration.
@@ -202,30 +251,67 @@ func TestSubsetsExactSmall(t *testing.T) {
 	for i, m := range misses {
 		benches = append(benches, syntheticBench(string(rune('a'+i)), m))
 	}
-	s := NewSweep(benches)
-	res := s.Subsets(2)
+	s := newSweep(t, benches)
+	res, err := s.SubsetsCtx(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Trials != 6 {
 		t.Fatalf("trials %d, want 6", res.Trials)
 	}
-	// Oracle: enumerate subsets and argmin directly.
+	checkBruteSubsets(t, s, 2, res)
+}
+
+// TestSubsetsRangeMergeExact pins the subset experiment's merge
+// invariant: the per-goroutine tallies SubsetsCtx sums over the low-mask
+// space give exactly the brute-force counts. Over 8 benchmarks the
+// meet-in-the-middle halves hold 4 each: C(8,4) = 70 trials.
+func TestSubsetsRangeMergeExact(t *testing.T) {
+	s := newSweep(t, mixedBenches(8))
+	const k = 4
+	for _, nw := range workerCounts {
+		withWorkers(nw, func() {
+			res, err := s.SubsetsCtx(context.Background(), k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Trials != int(Binomial(8, k)) {
+				t.Fatalf("workers=%d: exact trials %d, want %d", nw, res.Trials, Binomial(8, k))
+			}
+			checkBruteSubsets(t, s, k, res)
+		})
+	}
+}
+
+// checkBruteSubsets enumerates every k-subset of the sweep's benchmarks,
+// takes the argmin order of each (lowest index wins ties), and requires
+// res to hold exactly those counts.
+func checkBruteSubsets(t *testing.T, s *Sweep, k int, res *SubsetResult) {
+	t.Helper()
 	want := make([]int, len(s.Orders))
-	n := len(benches)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			best, bv := 0, math.Inf(1)
-			for o := range s.Orders {
-				v := s.M[o][i] + s.M[o][j]
-				if v < bv {
-					bv = v
-					best = o
+	n := len(s.Benches)
+	for m := 0; m < 1<<n; m++ {
+		if bits.OnesCount(uint(m)) != k {
+			continue
+		}
+		best, bv := 0, math.Inf(1)
+		for o := range s.Orders {
+			v := 0.0
+			for b := 0; b < n; b++ {
+				if m&(1<<b) != 0 {
+					v += s.M[o][b]
 				}
 			}
-			want[best]++
+			if v < bv {
+				bv = v
+				best = o
+			}
 		}
+		want[best]++
 	}
 	for o := range want {
 		if want[o] != res.BestCount[o] {
-			t.Fatalf("order %d: count %d, want %d", o, res.BestCount[o], want[o])
+			t.Fatalf("k=%d order %d: count %d, want %d", k, o, res.BestCount[o], want[o])
 		}
 	}
 }
@@ -236,9 +322,15 @@ func TestSubsetsSampledDeterministic(t *testing.T) {
 		syntheticBench("b", [core.NumHeuristics]int64{60, 50, 40, 30, 20, 10, 0}),
 		syntheticBench("c", [core.NumHeuristics]int64{5, 5, 5, 5, 5, 5, 5}),
 	}
-	s := NewSweep(benches)
-	r1 := s.SubsetsSampled(2, 100, 42)
-	r2 := s.SubsetsSampled(2, 100, 42)
+	s := newSweep(t, benches)
+	r1, err := s.SubsetsSampledCtx(context.Background(), 2, 100, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := s.SubsetsSampledCtx(context.Background(), 2, 100, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r1.Trials != 100 || r2.Trials != 100 {
 		t.Fatal("wrong trial count")
 	}
@@ -289,9 +381,9 @@ func TestMasksWithPopcount(t *testing.T) {
 	}
 }
 
-// shardTestBenches returns a small deterministic benchmark set exercising
+// mixedBenches returns a small deterministic benchmark set exercising
 // distinct per-order behavior.
-func shardTestBenches(n int) []*BenchData {
+func mixedBenches(n int) []*BenchData {
 	benches := make([]*BenchData, n)
 	for i := range benches {
 		var m [core.NumHeuristics]int64
@@ -311,62 +403,6 @@ func shardTestBenches(n int) []*BenchData {
 	return benches
 }
 
-func TestShardOrdersExactPartition(t *testing.T) {
-	all := All()
-	cuts := []int{0, 1, 17, 512, 513, 2048, 5039, NumOrders}
-	var joined []core.Order
-	for i := 1; i < len(cuts); i++ {
-		part, err := ShardOrders(cuts[i-1], cuts[i])
-		if err != nil {
-			t.Fatalf("ShardOrders(%d,%d): %v", cuts[i-1], cuts[i], err)
-		}
-		if len(part) != cuts[i]-cuts[i-1] {
-			t.Fatalf("shard [%d,%d) has %d orders", cuts[i-1], cuts[i], len(part))
-		}
-		joined = append(joined, part...)
-	}
-	if !reflect.DeepEqual(joined, all) {
-		t.Fatal("concatenated shards differ from All()")
-	}
-	for _, bad := range [][2]int{{-1, 3}, {3, 2}, {0, NumOrders + 1}} {
-		if _, err := ShardOrders(bad[0], bad[1]); err == nil {
-			t.Errorf("ShardOrders(%d,%d) accepted invalid range", bad[0], bad[1])
-		}
-	}
-	// Empty shards are allowed (a planner edge, not an error).
-	if part, err := ShardOrders(10, 10); err != nil || len(part) != 0 {
-		t.Errorf("empty shard: %v, %v", part, err)
-	}
-}
-
-func TestShardMasksExactPartition(t *testing.T) {
-	const width = 6
-	cuts := []int{0, 1, 7, 32, 33, 64}
-	seen := make([]bool, 1<<width)
-	for i := 1; i < len(cuts); i++ {
-		part, err := ShardMasks(cuts[i-1], cuts[i], width)
-		if err != nil {
-			t.Fatalf("ShardMasks(%d,%d,%d): %v", cuts[i-1], cuts[i], width, err)
-		}
-		for _, m := range part {
-			if seen[m] {
-				t.Fatalf("mask %d appears in two shards", m)
-			}
-			seen[m] = true
-		}
-	}
-	for m, ok := range seen {
-		if !ok {
-			t.Fatalf("mask %d missing from partition", m)
-		}
-	}
-	for _, bad := range [][3]int{{-1, 3, 6}, {3, 2, 6}, {0, 65, 6}, {0, 1, -1}, {0, 1, 31}} {
-		if _, err := ShardMasks(bad[0], bad[1], bad[2]); err == nil {
-			t.Errorf("ShardMasks(%d,%d,%d) accepted invalid input", bad[0], bad[1], bad[2])
-		}
-	}
-}
-
 func TestBinomial(t *testing.T) {
 	cases := map[[2]int]int64{
 		{0, 0}: 1, {5, 0}: 1, {5, 5}: 1, {5, 2}: 10,
@@ -379,78 +415,13 @@ func TestBinomial(t *testing.T) {
 	}
 }
 
-// TestSweepRangeMergeBitIdentical pins the job engine's sweep shard-merge
-// invariant: rows computed range-by-range are bit-identical to NewSweep's
-// matrix, for any partition of [0, NumOrders).
-func TestSweepRangeMergeBitIdentical(t *testing.T) {
-	benches := shardTestBenches(5)
-	want := NewSweep(benches)
-	cuts := []int{0, 100, 101, 1234, 4000, NumOrders}
-	got := make([][]float64, 0, NumOrders)
-	for i := 1; i < len(cuts); i++ {
-		rows, err := SweepRange(context.Background(), benches, cuts[i-1], cuts[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, rows...)
-	}
-	if len(got) != len(want.M) {
-		t.Fatalf("merged %d rows, want %d", len(got), len(want.M))
-	}
-	for o := range got {
-		for b := range got[o] {
-			if got[o][b] != want.M[o][b] { // exact, not approximate
-				t.Fatalf("cell [%d][%d]: merged %v, single-process %v", o, b, got[o][b], want.M[o][b])
-			}
-		}
-	}
-}
-
-// TestSubsetsRangeMergeExact pins the subset shard-merge invariant:
-// scorer ranges over any partition of the low-mask space merge to exactly
-// the single-process exact result.
-func TestSubsetsRangeMergeExact(t *testing.T) {
-	benches := shardTestBenches(8)
-	s := NewSweep(benches)
-	const k = 4
-	want, err := s.SubsetsCtx(context.Background(), k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Trials != int(Binomial(8, k)) {
-		t.Fatalf("exact trials %d, want %d", want.Trials, Binomial(8, k))
-	}
-	sc, err := s.NewSubsetScorer(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cuts := []int{0, 3, 4, 9, sc.LowMasks()}
-	var parts []*SubsetResult
-	for i := 1; i < len(cuts); i++ {
-		p, err := sc.Range(context.Background(), cuts[i-1], cuts[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, p)
-	}
-	got := MergeSubsetResults(parts...)
-	if got.Trials != want.Trials {
-		t.Fatalf("merged trials %d, want %d", got.Trials, want.Trials)
-	}
-	for o := range want.BestCount {
-		if got.BestCount[o] != want.BestCount[o] {
-			t.Fatalf("order %d: merged count %d, want %d", o, got.BestCount[o], want.BestCount[o])
-		}
-	}
-}
-
 // TestSubsetsSampledAgreesWithExact checks the sampled mode against the
 // exact experiment on a small k: every order the sample ranks must also
 // be chosen by some exact trial (sampled subsets are drawn from the same
 // space), and with this fixed seed the top-ranked orders agree.
 func TestSubsetsSampledAgreesWithExact(t *testing.T) {
-	benches := shardTestBenches(8)
-	s := NewSweep(benches)
+	benches := mixedBenches(8)
+	s := newSweep(t, benches)
 	const k = 4
 	exact, err := s.SubsetsCtx(context.Background(), k)
 	if err != nil {
@@ -475,8 +446,8 @@ func TestSubsetsSampledAgreesWithExact(t *testing.T) {
 }
 
 func TestSubsetsSampledCrossSeedDeterminism(t *testing.T) {
-	benches := shardTestBenches(6)
-	s := NewSweep(benches)
+	benches := mixedBenches(6)
+	s := newSweep(t, benches)
 	for _, seed := range []int64{1, 42, 1993} {
 		a, err := s.SubsetsSampledCtx(context.Background(), 3, 200, seed)
 		if err != nil {
@@ -493,34 +464,24 @@ func TestSubsetsSampledCrossSeedDeterminism(t *testing.T) {
 }
 
 func TestContextCancellation(t *testing.T) {
-	benches := shardTestBenches(6)
+	benches := mixedBenches(6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SweepRange(ctx, benches, 0, NumOrders); err == nil {
-		t.Error("SweepRange ignored cancelled context")
-	}
 	if _, err := NewSweepCtx(ctx, benches); err == nil {
 		t.Error("NewSweepCtx ignored cancelled context")
 	}
-	s := NewSweep(benches)
+	s := newSweep(t, benches)
 	if _, err := s.SubsetsCtx(ctx, 3); err == nil {
 		t.Error("SubsetsCtx ignored cancelled context")
 	}
 	if _, err := s.SubsetsSampledCtx(ctx, 3, 1000, 1); err == nil {
 		t.Error("SubsetsSampledCtx ignored cancelled context")
 	}
-	sc, err := s.NewSubsetScorer(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sc.Range(ctx, 0, sc.LowMasks()); err == nil {
-		t.Error("SubsetScorer.Range ignored cancelled context")
-	}
 }
 
 func TestSubsetsProgress(t *testing.T) {
-	benches := shardTestBenches(6)
-	s := NewSweep(benches)
+	benches := mixedBenches(6)
+	s := newSweep(t, benches)
 	var mu sync.Mutex
 	var last, total int64
 	res, err := s.SubsetsOpts(context.Background(), 3, SubsetOpts{

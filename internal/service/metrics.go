@@ -23,11 +23,10 @@ const (
 	stageExecute  = "execute"
 	stageScore    = "score"
 	stageCompare  = "compare"
-	stageShard    = "shard"
 )
 
 var stageOrder = []string{
-	stageCompile, stageOptimize, stageAnalyze, stagePredict, stageExecute, stageScore, stageCompare, stageShard,
+	stageCompile, stageOptimize, stageAnalyze, stagePredict, stageExecute, stageScore, stageCompare,
 }
 
 // Predictor labels for the aggregate miss counters, in the paper's
@@ -331,8 +330,6 @@ func stageSpanName(name string) string {
 		return "stage." + stageScore
 	case stageCompare:
 		return "stage." + stageCompare
-	case stageShard:
-		return "stage." + stageShard
 	}
 	return "stage." + name
 }
@@ -355,8 +352,6 @@ func stageFaultName(name string) string {
 		return "service." + stageScore
 	case stageCompare:
 		return "service." + stageCompare
-	case stageShard:
-		return "service." + stageShard
 	}
 	return "service." + name
 }
@@ -417,9 +412,8 @@ func newMetrics(start time.Time) *metrics {
 	m.stages[stageAnalyze].cacheable = true
 	m.stages[stageExecute].cacheable = true
 	m.stages[stageCompare].cacheable = true
-	m.stages[stageShard].cacheable = true
 
-	for _, stage := range []string{stageCompile, stageAnalyze, stageExecute, stageCompare, stageShard} {
+	for _, stage := range []string{stageCompile, stageAnalyze, stageExecute, stageCompare} {
 		for _, st := range breakerStates {
 			m.breakerTransitions[stage+"\xff"+stateLabel(st)] = reg.Counter(
 				"ballarus_breaker_transitions_total", "Circuit breaker state transitions.",

@@ -59,7 +59,6 @@ type config struct {
 	journalSync time.Duration
 	watchdog    time.Duration
 	tracer      *obs.Tracer
-	shardRunner ShardRunner
 	tenants     *tenant.Registry
 }
 
@@ -110,7 +109,6 @@ type Service struct {
 	analyses *flightCache[*core.Analysis]
 	runs     *flightCache[*interp.Result]
 	compares *flightCache[*CompareResult]
-	shards   *flightCache[[]byte]
 	met      *metrics
 	tracer   *obs.Tracer
 	retry    resilience.RetryPolicy
@@ -152,7 +150,6 @@ func New(opts ...Option) *Service {
 		analyses:   newFlightCache[*core.Analysis](cfg.cacheSize),
 		runs:       newFlightCache[*interp.Result](cfg.cacheSize),
 		compares:   newFlightCache[*CompareResult](cfg.cacheSize),
-		shards:     newFlightCache[[]byte](cfg.cacheSize),
 		met:        newMetrics(time.Now()),
 		tracer:     cfg.tracer,
 	}
@@ -174,7 +171,6 @@ func New(opts ...Option) *Service {
 		stageAnalyze: resilience.NewBreaker(stageAnalyze, bp),
 		stageExecute: resilience.NewBreaker(stageExecute, bp),
 		stageCompare: resilience.NewBreaker(stageCompare, bp),
-		stageShard:   resilience.NewBreaker(stageShard, bp),
 	}
 	s.retry = cfg.retry
 	onRetry := cfg.retry.OnRetry
@@ -212,7 +208,6 @@ func (s *Service) wireFuncMetrics() {
 		{"analyses", s.analyses.stats},
 		{"runs", s.runs.stats},
 		{"compares", s.compares.stats},
-		{"shards", s.shards.stats},
 	} {
 		st := c.stats
 		reg.GaugeFunc("ballarus_cache_entries", "Entries currently held per result cache.",
@@ -222,7 +217,7 @@ func (s *Service) wireFuncMetrics() {
 		reg.CounterFunc("ballarus_cache_evictions_total", "LRU evictions per result cache.",
 			func() float64 { return float64(st().evictions) }, "cache", c.name)
 	}
-	for _, stage := range []string{stageCompile, stageAnalyze, stageExecute, stageCompare, stageShard} {
+	for _, stage := range []string{stageCompile, stageAnalyze, stageExecute, stageCompare} {
 		b := s.breakers[stage]
 		reg.GaugeFunc("ballarus_breaker_state", "Circuit breaker state (0 closed, 1 open, 2 half-open).",
 			func() float64 { return float64(b.State()) }, "stage", stage)
@@ -372,19 +367,14 @@ func (s *Service) Stats() Stats {
 	if s.dur != nil {
 		dur.WarmEntries = s.dur.warm.len()
 	}
-	st := s.met.snapshot(
+	return s.met.snapshot(
 		s.programs.stats(), s.analyses.stats(), s.runs.stats(), s.compares.stats(),
 		[]resilience.BreakerStats{
 			s.breakers[stageCompile].Stats(),
 			s.breakers[stageAnalyze].Stats(),
 			s.breakers[stageExecute].Stats(),
 			s.breakers[stageCompare].Stats(),
-			s.breakers[stageShard].Stats(),
 		}, wd, dur)
-	sh := s.shards.stats()
-	st.Caches = append(st.Caches, CacheStats{Name: "shards", Entries: sh.entries, Evictions: sh.evictions, Capacity: sh.capacity})
-	st.Evictions += sh.evictions
-	return st
 }
 
 // resolve normalizes a request: benchmark lookup, defaulted input,

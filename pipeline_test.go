@@ -1,6 +1,7 @@
 package ballarus
 
 import (
+	"context"
 	"testing"
 
 	"ballarus/internal/asm"
@@ -19,7 +20,7 @@ func TestFullPipelineComposition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseline, err := Execute(prog, RunConfig{Input: b.Data[0].Input, Budget: b.Budget})
+			baseline, err := ExecuteCtx(context.Background(), prog, WithRunConfig(RunConfig{Input: b.Data[0].Input, Budget: b.Budget}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -27,7 +28,7 @@ func TestFullPipelineComposition(t *testing.T) {
 			// compile -> optimize
 			opt := Optimize(prog)
 			// optimize -> analyze + layout
-			a, err := Analyze(opt)
+			a, err := AnalyzeCtx(context.Background(), opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,7 +41,7 @@ func TestFullPipelineComposition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Execute(back, RunConfig{Input: b.Data[0].Input, Budget: 2 * b.Budget})
+			res, err := ExecuteCtx(context.Background(), back, WithRunConfig(RunConfig{Input: b.Data[0].Input, Budget: 2 * b.Budget}))
 			if err != nil {
 				t.Fatalf("end of pipeline faulted: %v", err)
 			}
@@ -71,7 +72,7 @@ func TestOptimizedProgramsStillAnalyzable(t *testing.T) {
 			t.Fatal(err)
 		}
 		op := Optimize(prog)
-		a, err := Analyze(op)
+		a, err := AnalyzeCtx(context.Background(), op)
 		if err != nil {
 			t.Fatalf("%s: analysis of optimized program failed: %v", b.Name, err)
 		}
