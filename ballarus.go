@@ -596,7 +596,7 @@ type RecoveryStats = service.RecoveryStats
 type DurableEntry = durable.Entry
 
 // DurableSection lets a layer above the service (e.g. an HTTP server's
-// response cache) persist its own state inside the service snapshot.
+// trace archive) persist its own state inside the service snapshot.
 // Register with Service.RegisterDurableSection before Service.Recover.
 type DurableSection = service.DurableSection
 

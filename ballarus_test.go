@@ -174,9 +174,12 @@ func TestFacadeCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range names {
-		if got, want := sres.Score(name).Misses, c.Score(name).Misses; got != want {
-			t.Errorf("%s: service %d misses, facade %d", name, got, want)
+	if len(sres.Predictors) != len(names) {
+		t.Fatalf("service raced %d entrants, want %d", len(sres.Predictors), len(names))
+	}
+	for _, p := range sres.Predictors {
+		if want := c.Score(p.Name).Misses; p.Misses != want {
+			t.Errorf("%s: service %d misses, facade %d", p.Name, p.Misses, want)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -49,16 +48,11 @@ type batchResponse struct {
 // against the tenant's quota as a unit (all N tokens or none — a quota
 // rejection is a single 429 with X-RateLimit-* headers and no work
 // done), then items fan through the same single-flight caches as
-// single requests with per-item error reporting. Batch results bypass
-// the stale-response brownout cache: degradation stays a single-
-// request affordance.
+// single requests with per-item error reporting. A shed batch is a
+// 429; brownout answers come from the gateway's cache.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid_input", fmt.Errorf("bad request body: %w", err))
+	if !s.decode(w, r, &req) {
 		return
 	}
 	if len(req.Items) == 0 {
@@ -97,12 +91,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	out, err := s.svc.Batch(r.Context(), items)
 	if err != nil {
-		status, code := statusFor(r, err)
-		if !setQuotaHeaders(w, err) &&
-			(status == http.StatusTooManyRequests || status == http.StatusGatewayTimeout) {
-			w.Header().Set("Retry-After", "1")
-		}
-		httpError(w, status, code, err)
+		serviceError(w, r, err)
 		return
 	}
 

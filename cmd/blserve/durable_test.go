@@ -25,38 +25,35 @@ func openAnalyzeBreaker(t *testing.T, ts *httptest.Server) {
 		if r.StatusCode != http.StatusInternalServerError {
 			t.Fatalf("breaker-opening request %d: status = %d (body %s)", i, r.StatusCode, data)
 		}
+		if e := decodeError(t, data); e.Code != "internal" {
+			t.Fatalf("breaker-opening request %d: code = %q, want internal", i, e.Code)
+		}
 	}
 }
 
-// TestStaleKeyNormalizesEquivalentRequests: the stale cache is keyed by
-// the service's canonical content hash, so a benchmark named in one
-// request and spelled out as explicit source/input/budget in another
-// share one last-known-good entry.
-func TestStaleKeyNormalizesEquivalentRequests(t *testing.T) {
-	defer resilience.ClearFaults()
-	ts, _ := newTestServer(t,
-		ballarus.WithBreakerPolicy(ballarus.BreakerPolicy{Threshold: 2, Cooldown: time.Minute}))
+// TestEquivalentRequestsShareRunCache: the service keys its caches by
+// canonical content, so a benchmark named in one request and spelled
+// out as explicit source/input/budget in another are one request — the
+// second spelling is a run-cache hit with the same answer.
+func TestEquivalentRequestsShareRunCache(t *testing.T) {
+	ts, _ := newTestServer(t)
 	b := ballarus.Benchmarks()[0]
 
 	resp, first := postPredict(t, ts, predictRequest{Benchmark: b.Name})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("priming request status = %d", resp.StatusCode)
 	}
-	openAnalyzeBreaker(t, ts)
-
-	// The explicit spelling of the same job must hit the entry the
-	// benchmark-name spelling primed.
 	resp, out := postPredict(t, ts, predictRequest{
 		Source: b.Source, Input: b.Data[0].Input, Budget: b.Budget,
 	})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("equivalent request status = %d, want degraded 200", resp.StatusCode)
+		t.Fatalf("equivalent request status = %d, want 200", resp.StatusCode)
 	}
-	if !out.Degraded {
-		t.Fatal("equivalent request missed the stale entry (key not normalized)")
+	if !out.RunCached {
+		t.Fatal("equivalent request missed the run cache (key not normalized)")
 	}
 	if out.Steps != first.Steps || out.Heuristic != first.Heuristic {
-		t.Fatalf("degraded response %+v differs from original %+v", out, first)
+		t.Fatalf("cached response %+v differs from original %+v", out, first)
 	}
 }
 
@@ -79,11 +76,11 @@ func TestTimeoutRetryAfter(t *testing.T) {
 	}
 }
 
-// TestServerDurableRoundTrip: the stale response cache survives a crash
-// via its snapshot section — after recovery a brand-new process serves
-// a degraded answer for a request only the dead process ever computed.
+// TestServerDurableRoundTrip: the warm request set survives a crash via
+// the durable snapshot — after recovery a brand-new process answers the
+// request only the dead process ever computed straight from its
+// rewarmed caches.
 func TestServerDurableRoundTrip(t *testing.T) {
-	defer resilience.ClearFaults()
 	dir := t.TempDir()
 	ctx := context.Background()
 
@@ -103,17 +100,15 @@ func TestServerDurableRoundTrip(t *testing.T) {
 
 	svc2 := ballarus.NewService(
 		ballarus.WithDurableStore(dir),
-		ballarus.WithSnapshotInterval(time.Hour),
-		ballarus.WithBreakerPolicy(ballarus.BreakerPolicy{Threshold: 2, Cooldown: time.Minute}))
+		ballarus.WithSnapshotInterval(time.Hour))
 	defer svc2.Close()
-	app := newServer(svc2) // registers the stale section before recovery
+	app := newServer(svc2) // registers the trace section before recovery
 	rs, err := svc2.Recover(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Warmed < 1 || rs.SnapshotEntries < 2 {
-		// One request recipe + one stale response entry.
-		t.Fatalf("recovery stats %+v, want a recipe and a stale entry", rs)
+	if rs.Warmed < 1 || rs.SnapshotEntries < 1 {
+		t.Fatalf("recovery stats %+v, want a rewarmed request recipe", rs)
 	}
 	ts2 := httptest.NewServer(app.handler(false))
 	defer ts2.Close()
@@ -125,15 +120,7 @@ func TestServerDurableRoundTrip(t *testing.T) {
 		t.Fatalf("post-recovery request: status %d, cached %v; want warm 200",
 			resp.StatusCode, out.RunCached)
 	}
-
-	// Degraded serving works from the restored stale cache alone.
-	openAnalyzeBreaker(t, ts2)
-	resp, out = postPredict(t, ts2, predictRequest{Source: testSrc})
-	if resp.StatusCode != http.StatusOK || !out.Degraded {
-		t.Fatalf("restored stale entry not served: status %d, degraded %v",
-			resp.StatusCode, out.Degraded)
-	}
-	if out.Steps != first.Steps {
+	if out.Steps != first.Steps || out.Heuristic != first.Heuristic {
 		t.Fatalf("restored response %+v differs from original %+v", out, first)
 	}
 }

@@ -58,10 +58,14 @@
 // and net/http/pprof profiling are exposed too.
 //
 // With -state-dir, the server persists its warm state (request recipes
-// and the last-known-good response cache) as a checksummed snapshot
-// plus an append-only journal, recovers it at boot — tolerating
-// per-entry corruption — and replays it to rewarm the caches, so a
-// crashed or killed server restarts warm.
+// and the trace archive) as a checksummed snapshot plus an append-only
+// journal, recovers it at boot — tolerating per-entry corruption — and
+// replays it to rewarm the caches, so a crashed or killed server
+// restarts warm.
+//
+// A shed request (full queue, open breaker) is answered 429 with
+// Retry-After; brownout answers for requests seen before come from the
+// blgate gateway's last-known-good cache, not from the replica.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: new requests are
 // refused with 503 + Connection: close (so load-balancer health checks
@@ -87,7 +91,7 @@ import (
 )
 
 // version identifies the build in the startup record.
-const version = "0.9.0"
+const version = "0.10.0"
 
 // defaultInstanceID derives an instance identity when -instance-id is
 // not set: host-pid is unique enough to tell replicas apart in traces
@@ -176,7 +180,7 @@ func main() {
 		SlowThreshold: *traceSlow,
 		SampleRate:    *traceSample,
 	})
-	// Registers the stale cache's and trace archive's durable sections.
+	// Registers the trace archive's durable section.
 	app := newServerWithArchive(svc, archive)
 	app.instanceID = *instanceID
 	if *batchMax > 0 {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"strings"
 	"testing"
@@ -149,5 +150,21 @@ func TestLoggerFlagValidation(t *testing.T) {
 	}
 	if _, err := cli.NewLogger(io.Discard, "info", "xml"); err == nil {
 		t.Error("bad format accepted")
+	}
+}
+
+// TestAPIDocStartupVersion: the sample startup record in docs/API.md
+// names the version blserve's own record reports.
+func TestAPIDocStartupVersion(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`msg=listening .*\bversion=(\S+)`).FindSubmatch(doc)
+	if m == nil {
+		t.Fatal("docs/API.md has no sample startup record with version=")
+	}
+	if got := string(m[1]); got != version {
+		t.Fatalf("docs/API.md sample says version=%s, blserve reports %s", got, version)
 	}
 }

@@ -62,12 +62,8 @@ type predictResponse struct {
 	ProgramCached   bool     `json:"program_cached"`
 	AnalysisCached  bool     `json:"analysis_cached"`
 	RunCached       bool     `json:"run_cached"`
-	// Degraded marks a stale result served from the server's last-known-
-	// good cache because the service is currently shedding this request
-	// (open circuit breaker or full queue).
-	Degraded      bool    `json:"degraded,omitempty"`
-	ElapsedMillis float64 `json:"elapsed_ms"`
-	Output        string  `json:"output,omitempty"`
+	ElapsedMillis   float64  `json:"elapsed_ms"`
+	Output          string   `json:"output,omitempty"`
 }
 
 // compareRequest is the POST /v1/compare body: the predict inputs plus
@@ -124,7 +120,6 @@ type server struct {
 	maxBody int64
 	// batchMax bounds POST /v1/batch item counts.
 	batchMax int
-	stale    *staleCache
 	// archive tail-samples completed request traces (always-keep for
 	// errors/hedges/breakers/slow requests) and rides the durable
 	// snapshot, so the interesting traces survive a crash.
@@ -135,10 +130,6 @@ type server struct {
 	// fast while in-flight work finishes.
 	draining atomic.Bool
 }
-
-// staleSection is the snapshot section holding the server's
-// last-known-good response cache.
-const staleSection = "stale"
 
 // traceSection is the snapshot section holding the tail-sampled trace
 // archive.
@@ -152,17 +143,12 @@ func newServer(svc *ballarus.Service) *server {
 
 // newServerWithArchive builds the blserve server over a prediction
 // service, attaches the trace archive to the service tracer, and
-// registers the stale-response cache and the archive as durable
-// snapshot sections (no-ops when the service has no durable store).
+// registers the archive as a durable snapshot section (a no-op when
+// the service has no durable store).
 func newServerWithArchive(svc *ballarus.Service, archive *obs.Archive) *server {
-	s := &server{svc: svc, maxBody: 4 << 20, batchMax: defaultBatchMax,
-		stale: newStaleCache(256), archive: archive}
+	s := &server{svc: svc, maxBody: 4 << 20, batchMax: defaultBatchMax, archive: archive}
 	svc.Tracer().Attach(archive)
 	archive.Register(svc.Metrics())
-	svc.RegisterDurableSection(staleSection, ballarus.DurableSection{
-		Collect: s.stale.collect,
-		Restore: s.stale.restore,
-	})
 	svc.RegisterDurableSection(traceSection, ballarus.DurableSection{
 		Collect: s.collectTraces,
 		Restore: s.restoreTrace,
@@ -263,19 +249,13 @@ func (s *server) withDeadline(next http.Handler) http.Handler {
 	})
 }
 
-// newHandler builds the public blserve HTTP API over a prediction
-// service.
-func newHandler(svc *ballarus.Service) http.Handler {
-	return newServer(svc).handler(false)
-}
-
+// handlePredict serves the Ball-Larus prediction pipeline. Identical
+// requests are deduplicated and cached inside the service; shed
+// requests surface as 429 for the gateway to retry or answer from its
+// brownout cache.
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req predictRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid_input", fmt.Errorf("bad request body: %w", err))
+	if !s.decode(w, r, &req) {
 		return
 	}
 	preq, err := toPredictReq(req)
@@ -283,60 +263,19 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "invalid_input", err)
 		return
 	}
-	// The stale cache is keyed by the service's canonical content hash,
-	// so equivalent requests share one entry. A request that fails to
-	// resolve has no key (and Predict will report the same failure).
-	key, keyErr := s.svc.RequestKey(preq)
 	res, err := s.svc.Predict(r.Context(), preq)
 	if err != nil {
-		status, code := statusFor(r, err)
-		// A per-tenant quota rejection is deterministic for this tenant:
-		// answer with its backoff headers, and never mask it with a stale
-		// result — the tenant must see that it is over quota.
-		if setQuotaHeaders(w, err) {
-			httpError(w, status, code, err)
-			return
-		}
-		// Graceful degradation: while the service is shedding (open
-		// breaker, full queue), a previously computed result for the
-		// identical request is better than a 429.
-		if status == http.StatusTooManyRequests && keyErr == nil {
-			if cached, ok := s.stale.get(key); ok {
-				cached.Degraded = true
-				if !req.IncludeOutput {
-					cached.Output = ""
-				}
-				writeJSON(w, http.StatusOK, cached)
-				return
-			}
-		}
-		if status == http.StatusTooManyRequests || status == http.StatusGatewayTimeout {
-			w.Header().Set("Retry-After", "1")
-		}
-		httpError(w, status, code, err)
+		serviceError(w, r, err)
 		return
 	}
-	resp := toPredictResp(res, true)
-	if keyErr == nil {
-		s.stale.put(key, resp)
-	}
-	if !req.IncludeOutput {
-		resp.Output = ""
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, toPredictResp(res, req.IncludeOutput))
 }
 
-// handleCompare serves the static-vs-dynamic tournament. Identical
-// requests are deduplicated and cached inside the service (the compare
-// stage's content-hash cache), so no stale-response layer is needed
-// here; shed requests surface as 429 for the gateway to hedge or retry.
+// handleCompare serves the static-vs-dynamic tournament, cached and
+// shed exactly like handlePredict.
 func (s *server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	var req compareRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid_input", fmt.Errorf("bad request body: %w", err))
+	if !s.decode(w, r, &req) {
 		return
 	}
 	creq, err := toCompareReq(req)
@@ -346,15 +285,34 @@ func (s *server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.svc.Compare(r.Context(), creq)
 	if err != nil {
-		status, code := statusFor(r, err)
-		if !setQuotaHeaders(w, err) &&
-			(status == http.StatusTooManyRequests || status == http.StatusGatewayTimeout) {
-			w.Header().Set("Retry-After", "1")
-		}
-		httpError(w, status, code, err)
+		serviceError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, toCompareResp(res, req.IncludePerBranch))
+}
+
+// decode reads a size-capped JSON request body into v, rejecting
+// unknown fields; on failure it has already answered 400.
+func (s *server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		httpError(w, http.StatusBadRequest, "invalid_input", fmt.Errorf("bad request body: %w", err))
+		return false
+	}
+	return true
+}
+
+// serviceError answers a failed service call with its documented
+// status. A quota rejection carries the tenant's backoff headers;
+// shed load and timeouts carry a generic Retry-After.
+func serviceError(w http.ResponseWriter, r *http.Request, err error) {
+	status, code := statusFor(r, err)
+	if !setQuotaHeaders(w, err) &&
+		(status == http.StatusTooManyRequests || status == http.StatusGatewayTimeout) {
+		w.Header().Set("Retry-After", "1")
+	}
+	httpError(w, status, code, err)
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -31,7 +31,7 @@ int main() {
 func newTestServer(t *testing.T, opts ...ballarus.ServiceOption) (*httptest.Server, *ballarus.Service) {
 	t.Helper()
 	svc := ballarus.NewService(opts...)
-	ts := httptest.NewServer(newHandler(svc))
+	ts := httptest.NewServer(newServer(svc).handler(false))
 	t.Cleanup(ts.Close)
 	return ts, svc
 }
@@ -111,8 +111,8 @@ func TestPredictSourceAndCacheHit(t *testing.T) {
 		t.Fatalf("stats = completed %d, run hits %d, misses %d; want 2/1/1",
 			stats.Completed, stats.RunHits, stats.RunMisses)
 	}
-	if st := stats.Stage("compile"); st.CacheHits != 1 || st.CacheMisses != 1 {
-		t.Fatalf("compile stage cache = %+v; want 1 hit, 1 miss", st)
+	if st := stats.Stages[0]; st.Name != "compile" || st.CacheHits != 1 || st.CacheMisses != 1 {
+		t.Fatalf("first stage = %+v; want compile with 1 cache hit, 1 miss", st)
 	}
 }
 
@@ -238,56 +238,34 @@ func TestPredictBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestDegradedServingWhenBreakerOpen: with a stage breaker open, a
-// request the server has answered before gets its stale result marked
-// degraded, and an unseen request gets 429 with Retry-After.
-func TestDegradedServingWhenBreakerOpen(t *testing.T) {
+// TestBreakerOpenShedsPredict: with a stage breaker open, every
+// predict is shed with 429 overload and Retry-After — a request the
+// server has answered before as much as an unseen one. Brownout
+// answers come from the gateway's cache, not from the replica.
+func TestBreakerOpenShedsPredict(t *testing.T) {
 	defer resilience.ClearFaults()
 	ts, _ := newTestServer(t,
 		ballarus.WithBreakerPolicy(ballarus.BreakerPolicy{Threshold: 2, Cooldown: time.Minute}))
 	primed := predictRequest{Source: testSrc}
-
-	resp, first := postPredict(t, ts, primed)
-	if resp.StatusCode != http.StatusOK {
+	if resp, _ := postPredict(t, ts, primed); resp.StatusCode != http.StatusOK {
 		t.Fatalf("priming request status = %d", resp.StatusCode)
 	}
+	openAnalyzeBreaker(t, ts)
 
-	// Two panics at the analyze stage open its breaker.
-	resilience.InjectFault("service.analyze", resilience.Fault{Panic: "injected"})
-	for i := 0; i < 2; i++ {
-		src := fmt.Sprintf("int main() { printi(%d); return 0; }", i)
-		r, data := postRaw(t, ts, predictRequest{Source: src})
-		if r.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("panic request %d: status = %d, want 500 (body %s)", i, r.StatusCode, data)
+	for name, req := range map[string]predictRequest{
+		"answered": primed,
+		"unseen":   {Source: "int main() { printi(99); return 0; }"},
+	} {
+		r, data := postRaw(t, ts, req)
+		if r.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%s request status = %d, want 429 (body %s)", name, r.StatusCode, data)
 		}
-		if e := decodeError(t, data); e.Code != "internal" {
-			t.Fatalf("panic request %d: code = %q, want internal", i, e.Code)
+		if r.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s request: 429 missing Retry-After header", name)
 		}
-	}
-
-	// The primed request is shed by the open breaker, but the server
-	// still has its last good answer.
-	resp, out := postPredict(t, ts, primed)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("degraded request status = %d, want 200", resp.StatusCode)
-	}
-	if !out.Degraded {
-		t.Fatal("stale response not marked degraded")
-	}
-	if out.Steps != first.Steps || out.Heuristic != first.Heuristic {
-		t.Fatalf("degraded response %+v differs from original %+v", out, first)
-	}
-
-	// An unseen request has nothing to fall back on: 429 + Retry-After.
-	r, data := postRaw(t, ts, predictRequest{Source: "int main() { printi(99); return 0; }"})
-	if r.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("unseen request status = %d, want 429 (body %s)", r.StatusCode, data)
-	}
-	if r.Header.Get("Retry-After") == "" {
-		t.Fatal("429 response missing Retry-After header")
-	}
-	if e := decodeError(t, data); e.Code != "overload" {
-		t.Fatalf("code = %q, want overload", e.Code)
+		if e := decodeError(t, data); e.Code != "overload" {
+			t.Fatalf("%s request: code = %q, want overload", name, e.Code)
+		}
 	}
 }
 

@@ -78,13 +78,12 @@ func TestTenantQuota429(t *testing.T) {
 	if resp := tenantPost(t, ts, "/v1/predict", body, map[string]string{"X-Tenant-Id": "other"}, nil); resp.StatusCode != http.StatusOK {
 		t.Errorf("unrelated tenant status = %d, want 200", resp.StatusCode)
 	}
-	// A global-overload shed never carries X-RateLimit-Limit; quota
-	// rejections must never be served stale either — re-ask as metered:
-	// the earlier 200 populated the stale cache for this exact body, yet
-	// the tenant still sees its 429.
+	// A quota rejection is deterministic for this tenant: re-asking the
+	// exact body it was answered before, and that the service has
+	// cached, still gets the 429 rather than the cached answer.
 	resp = tenantPost(t, ts, "/v1/predict", body, hdr, &e)
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("metered retry status = %d, want 429 (stale cache must not mask quota)", resp.StatusCode)
+		t.Fatalf("metered retry status = %d, want 429 (a cached answer must not mask quota)", resp.StatusCode)
 	}
 }
 

@@ -407,9 +407,6 @@ func (g *Graph) Postdominates(a, b int) bool {
 	return false
 }
 
-// Idom returns the immediate dominator of b, or -1.
-func (g *Graph) Idom(b int) int { return g.idom[b] }
-
 // findLoops identifies backedges (u->v with v dominating u), builds the
 // natural loop of each head (merging loops sharing a head), and records
 // exit edges: edges v->w with v inside some loop and w outside that loop.
@@ -500,9 +497,6 @@ func (g *Graph) IsExitEdge(from, to int) bool { return g.exitEdges[[2]int{from, 
 
 // IsLoopHead reports whether block b is the head of a natural loop.
 func (g *Graph) IsLoopHead(b int) bool { return g.loopHead[b] }
-
-// Loops returns all natural loops, innermost (smallest) first.
-func (g *Graph) Loops() []*Loop { return g.loops }
 
 // LoopsContaining returns the loops containing block b, innermost first.
 func (g *Graph) LoopsContaining(b int) []*Loop { return g.loopsAt[b] }

@@ -70,7 +70,7 @@ func TestFigure1Loops(t *testing.T) {
 	if !g.IsLoopHead(1) {
 		t.Error("B should be a loop head")
 	}
-	loops := g.Loops()
+	loops := g.loops
 	if len(loops) != 1 {
 		t.Fatalf("want 1 loop, got %d", len(loops))
 	}
@@ -161,7 +161,7 @@ func TestDiamond(t *testing.T) {
 	if g.Postdominates(1, 0) || g.Postdominates(2, 0) {
 		t.Error("arms do not postdominate the split")
 	}
-	if len(g.Loops()) != 0 {
+	if len(g.loops) != 0 {
 		t.Error("diamond has no loops")
 	}
 }
@@ -178,7 +178,7 @@ func TestSelfLoop(t *testing.T) {
 	if !g.IsExitEdge(1, 2) {
 		t.Error("1->2 should be an exit edge")
 	}
-	if got := g.Loops()[0].Size; got != 1 {
+	if got := g.loops[0].Size; got != 1 {
 		t.Errorf("self loop size = %d, want 1", got)
 	}
 }
@@ -186,7 +186,7 @@ func TestSelfLoop(t *testing.T) {
 func TestNestedLoops(t *testing.T) {
 	// 0 -> 1; 1 -> 2; 2 -> 2(back),3; 3 -> 1(back),4; 4 exit.
 	g := buildProc(t, [][]int{{1}, {2}, {2, 3}, {1, 4}, {}})
-	loops := g.Loops()
+	loops := g.loops
 	if len(loops) != 2 {
 		t.Fatalf("want 2 loops, got %d", len(loops))
 	}
@@ -411,7 +411,7 @@ func TestNaturalLoopPropertiesRandom(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 3+rng.Intn(12))
-		for _, l := range g.Loops() {
+		for _, l := range g.loops {
 			for b := range g.Blocks {
 				if !l.Contains(b) {
 					continue
@@ -463,7 +463,7 @@ func TestExitEdgePropertyRandom(t *testing.T) {
 		for b := range g.Blocks {
 			for _, s := range g.Blocks[b].Succs {
 				want := false
-				for _, l := range g.Loops() {
+				for _, l := range g.loops {
 					if l.Contains(b) && !l.Contains(s) {
 						want = true
 					}
@@ -522,14 +522,14 @@ func TestAccessorsAndEdgeCases(t *testing.T) {
 		// branch blocks, returns -1 when there is no second successor.
 		t.Errorf("FallSucc(exit) = %d, want -1", g.FallSucc(5))
 	}
-	l := g.Loops()[0]
+	l := g.loops[0]
 	if l.Contains(-1) || l.Contains(99) {
 		t.Error("Contains must be false out of range")
 	}
 	if g.BlockOf(0) != 0 {
 		t.Errorf("BlockOf(0) = %d", g.BlockOf(0))
 	}
-	if g.Idom(0) != -1 {
-		t.Errorf("entry idom = %d, want -1", g.Idom(0))
+	if g.idom[0] != -1 {
+		t.Errorf("entry idom = %d, want -1", g.idom[0])
 	}
 }

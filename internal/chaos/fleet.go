@@ -94,7 +94,7 @@ type Report struct {
 	Kills    int      `json:"kills"`
 	Restarts int      `json:"restarts"`
 	// MetricsScraped marks a successful /metrics scrape, lint, and
-	// cross-check at the end of the drill.
+	// cross-check during the drill.
 	MetricsScraped bool           `json:"metrics_scraped"`
 	Soak           *SoakReport    `json:"soak,omitempty"`
 	Cluster        *ClusterReport `json:"cluster,omitempty"`

@@ -54,7 +54,10 @@ const hogQuota = 5
 //     within 10% of baseline with zero errors (isolation), the hog is
 //     actually shed with 429 quota_exceeded pass-throughs carrying
 //     X-RateLimit-* headers, and no client ever sees a 5xx;
-//  3. rendezvous: ~60 distinct keys are each sent twice — the second
+//  3. metrics: every replica's /metrics lints clean, and the quota
+//     sheds the replicas counted for the hog equal the quota 429s the
+//     drill saw;
+//  4. rendezvous: ~60 distinct keys are each sent twice — the second
 //     pass must be run-cache hits on a stable replica (the key's
 //     rendezvous owner). Then r0 is SIGKILLed and every key resent —
 //     keys it owned remap (no more than ~45%, the ~1/N rendezvous
@@ -92,6 +95,7 @@ func tenantsPlan(f *fleet) plan {
 		phases: []phase{
 			{"baseline", d.baseline},
 			{"flood", d.flood},
+			{"metrics", d.metrics},
 			{"rendezvous", d.rendezvous},
 		},
 	}
@@ -235,6 +239,31 @@ func (d *tenantsDrill) flood(ctx context.Context) error {
 	if hogOK > hogShed {
 		d.violate("flood phase: hog mostly admitted (%d ok vs %d shed) at 10x quota", hogOK, hogShed)
 	}
+	return nil
+}
+
+// metrics scrapes r0-r2 after the flood, before r0 is killed. Summed
+// over the replicas, ballarus_tenant_shed_total for the hog's quota
+// reasons must equal the quota 429s the hog saw: the gateway passes a
+// quota 429 through as terminal, never retrying it, and hedging is off,
+// so each one is exactly one replica-side shed.
+func (d *tenantsDrill) metrics(context.Context) error {
+	var shed float64
+	for _, name := range []string{"r0", "r1", "r2"} {
+		exp := d.scrape(name)
+		if exp == nil {
+			return nil
+		}
+		for _, reason := range []string{"rate", "concurrency"} {
+			v, _ := exp.Value("ballarus_tenant_shed_total", map[string]string{"tenant": "hog", "reason": reason})
+			shed += v
+		}
+	}
+	if int(shed) != d.r.HogShed {
+		d.violate("metrics: replicas counted %.0f hog quota sheds, the hog saw %d quota 429s", shed, d.r.HogShed)
+	}
+	d.rep.MetricsScraped = true
+	d.logf("metrics check: %.0f hog quota sheds across 3 replicas", shed)
 	return nil
 }
 

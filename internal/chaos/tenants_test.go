@@ -46,4 +46,7 @@ func TestTenantsDrill(t *testing.T) {
 	if rep.Kills != 1 || rep.Tenants.Remapped == 0 {
 		t.Fatalf("kill drill did not remap anything: %+v", rep)
 	}
+	if !rep.MetricsScraped {
+		t.Fatalf("replica /metrics never scraped and cross-checked: %+v", rep)
+	}
 }

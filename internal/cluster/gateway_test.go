@@ -208,51 +208,68 @@ func TestGatewayPassiveEjection(t *testing.T) {
 	}
 }
 
-// TestGatewayBrownout: with every replica failing, answered requests
-// come back stale and degraded; unseen ones get a JSON error with
+// TestGatewayBrownout: with every replica failing — erroring with 500,
+// or shedding with a bare overload 429 (no X-RateLimit-Limit, so not a
+// quota rejection) — answered requests come back stale and degraded
+// from the gateway's cache; unseen ones get a JSON error with
 // Retry-After, never a transport failure.
 func TestGatewayBrownout(t *testing.T) {
-	a := newFakeReplica(t, "a")
-	b := newFakeReplica(t, "b")
-	g, ts := newTestGateway(t, Config{MaxAttempts: 2}, a, b)
+	for _, tc := range []struct {
+		name string
+		fail func(http.ResponseWriter, *http.Request)
+		// unseen is the status an unseen request must get; 0 means any 5xx.
+		unseen int
+	}{
+		{"error", func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "down", http.StatusInternalServerError)
+		}, 0},
+		{"overload", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusTooManyRequests)
+			fmt.Fprint(w, `{"error":"shed","code":"overload"}`)
+		}, http.StatusTooManyRequests},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newFakeReplica(t, "a")
+			b := newFakeReplica(t, "b")
+			g, ts := newTestGateway(t, Config{MaxAttempts: 2}, a, b)
 
-	// Prime the last-known-good cache; field order must not matter.
-	resp, data := postBody(t, ts.URL, `{"source":"x","dataset":1}`, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("prime status = %d (body %s)", resp.StatusCode, data)
-	}
+			// Prime the last-known-good cache; field order must not matter.
+			resp, data := postBody(t, ts.URL, `{"source":"x","dataset":1}`, nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("prime status = %d (body %s)", resp.StatusCode, data)
+			}
+			a.predict.Store(tc.fail)
+			b.predict.Store(tc.fail)
 
-	fail := func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "down", http.StatusInternalServerError)
-	}
-	a.predict.Store(fail)
-	b.predict.Store(fail)
+			resp, data = postBody(t, ts.URL, `{"dataset":1,"source":"x"}`, nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("brownout status = %d, want 200 stale (body %s)", resp.StatusCode, data)
+			}
+			var out map[string]any
+			if err := json.Unmarshal(data, &out); err != nil {
+				t.Fatal(err)
+			}
+			if out["degraded"] != true {
+				t.Fatalf("stale response not marked degraded: %s", data)
+			}
+			if g.metrics.staleServed.Value() == 0 {
+				t.Fatal("stale_served counter not incremented")
+			}
 
-	resp, data = postBody(t, ts.URL, `{"dataset":1,"source":"x"}`, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("brownout status = %d, want 200 stale (body %s)", resp.StatusCode, data)
-	}
-	var out map[string]any
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out["degraded"] != true {
-		t.Fatalf("stale response not marked degraded: %s", data)
-	}
-	if g.metrics.staleServed.Value() == 0 {
-		t.Fatal("stale_served counter not incremented")
-	}
-
-	resp, data = postBody(t, ts.URL, `{"source":"never-seen"}`, nil)
-	if resp.StatusCode < 500 {
-		t.Fatalf("unseen brownout request: status = %d, want 5xx (body %s)", resp.StatusCode, data)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("brownout error missing Retry-After")
-	}
-	var e map[string]string
-	if err := json.Unmarshal(data, &e); err != nil || e["error"] == "" {
-		t.Fatalf("brownout error body %s is not the JSON error shape (err %v)", data, err)
+			resp, data = postBody(t, ts.URL, `{"source":"never-seen"}`, nil)
+			if tc.unseen == 0 && resp.StatusCode < 500 || tc.unseen != 0 && resp.StatusCode != tc.unseen {
+				t.Fatalf("unseen brownout request: status = %d, want %d (0 = any 5xx; body %s)",
+					resp.StatusCode, tc.unseen, data)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Fatal("brownout error missing Retry-After")
+			}
+			var e map[string]string
+			if err := json.Unmarshal(data, &e); err != nil || e["error"] == "" {
+				t.Fatalf("brownout error body %s is not the JSON error shape (err %v)", data, err)
+			}
+		})
 	}
 }
 

@@ -119,9 +119,8 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 		traceID = act.ID()
 	}
 	// The canonical content key doubles as the brownout cache key and
-	// the rendezvous routing key: it is the gateway-side analogue of
-	// Service.RequestKey, so equivalent request bodies land on (and
-	// warm) the same replica.
+	// the rendezvous routing key, so equivalent request bodies land on
+	// (and warm) the same replica.
 	key := staleKey(r.URL.Path, body)
 	res := g.do(ctx, proxyReq{
 		path:    r.URL.Path,

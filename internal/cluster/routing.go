@@ -14,13 +14,14 @@ const (
 	// idle replicas share traffic evenly. The default.
 	RoutingLeastInflight = "least-inflight"
 	// RoutingRendezvous routes by rendezvous (highest-random-weight)
-	// hashing on the request's canonical content key — the gateway-side
-	// analogue of Service.RequestKey — so each replica's caches
-	// specialize on a stable shard of the key space. N replicas become
-	// an N×-larger effective cache with no resharding step: when a
-	// replica dies only its ~1/N of keys remap (to the runner-up by
-	// hash weight), and they return when it comes back. Keyless
-	// requests (non-canonical bodies) fall back to least-inflight.
+	// hashing on the request's canonical content key (staleKey: the
+	// route plus a hash of the body insensitive to JSON field order),
+	// so each replica's caches specialize on a stable shard of the key
+	// space. N replicas become an N×-larger effective cache with no
+	// resharding step: when a replica dies only its ~1/N of keys remap
+	// (to the runner-up by hash weight), and they return when it comes
+	// back. Keyless requests (non-canonical bodies) fall back to
+	// least-inflight.
 	RoutingRendezvous = "rendezvous"
 )
 

@@ -33,7 +33,6 @@ type Journal struct {
 	w       *bufio.Writer
 	pending int
 	dirty   bool
-	appends int64
 	syncs   int64
 	opts    JournalOptions
 	stopc   chan struct{}
@@ -93,7 +92,6 @@ func (j *Journal) Append(payload []byte) error {
 		j.mu.Unlock()
 		return err
 	}
-	j.appends++
 	j.dirty = true
 	j.pending += journalHeaderLen + len(payload)
 	force := j.pending >= j.opts.SyncBytes
@@ -102,13 +100,6 @@ func (j *Journal) Append(payload []byte) error {
 		return j.Sync()
 	}
 	return nil
-}
-
-// Appends reports how many records have been appended since open.
-func (j *Journal) Appends() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.appends
 }
 
 // Syncs reports how many fsync batches have been written since open.

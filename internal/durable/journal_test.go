@@ -41,9 +41,6 @@ func TestJournalAppendReplay(t *testing.T) {
 			t.Fatalf("record %d: got %q, want %q", i, got[i], want[i])
 		}
 	}
-	if j.Appends() != 20 {
-		t.Fatalf("appends = %d, want 20", j.Appends())
-	}
 
 	// Reset empties the journal; subsequent appends land at offset 0.
 	if err := j.Reset(); err != nil {
@@ -166,8 +163,5 @@ func TestWatchdog(t *testing.T) {
 	case <-restarts:
 	case <-time.After(2 * time.Second):
 		t.Fatal("watchdog never fired on a wedged pool")
-	}
-	if w.Restarts() == 0 {
-		t.Fatal("restart count not recorded")
 	}
 }

@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"sync/atomic"
 	"time"
 )
 
@@ -16,9 +15,8 @@ type Watchdog struct {
 	probe    func() (progress int64, wedgeable bool)
 	restart  func()
 
-	restarts atomic.Int64
-	stopc    chan struct{}
-	donec    chan struct{}
+	stopc chan struct{}
+	donec chan struct{}
 }
 
 // WatchdogStats is a point-in-time watchdog snapshot.
@@ -58,9 +56,6 @@ func (w *Watchdog) Stop() {
 	<-w.donec
 }
 
-// Restarts reports how many times the restart callback has fired.
-func (w *Watchdog) Restarts() int64 { return w.restarts.Load() }
-
 func (w *Watchdog) loop() {
 	defer close(w.donec)
 	t := time.NewTicker(w.poll)
@@ -80,7 +75,6 @@ func (w *Watchdog) loop() {
 			continue
 		}
 		if time.Since(lastChange) >= w.deadline {
-			w.restarts.Add(1)
 			w.restart()
 			lastChange = time.Now()
 		}

@@ -250,11 +250,6 @@ func TestGraph12(t *testing.T) {
 }
 
 func TestGraph13(t *testing.T) {
-	rows, err := sharedEval.Graph13Rows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + rows)
 	g, err := sharedEval.Graph13()
 	if err != nil {
 		t.Fatal(err)

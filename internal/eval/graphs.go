@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"ballarus/internal/core"
@@ -266,26 +265,4 @@ func (e *Evaluator) Graph13() (*Graph, error) {
 		Series{Name: "Perfect", Pts: perfPts},
 	)
 	return g, nil
-}
-
-// Graph13Rows returns Graph 13 as printable rows (benchmark/dataset,
-// heuristic miss, perfect miss).
-func (e *Evaluator) Graph13Rows() (string, error) {
-	g, err := e.Graph13()
-	if err != nil {
-		return "", err
-	}
-	labels := strings.Split(g.Series[0].Note, ",")
-	var b strings.Builder
-	b.WriteString("Graph 13: miss rates for different datasets (all branches)\n")
-	for i := range g.Series[0].Pts {
-		fmt.Fprintf(&b, "  %-22s heuristic %5.1f%%  perfect %5.1f%%\n",
-			labels[i], g.Series[0].Pts[i].Y, g.Series[1].Pts[i].Y)
-	}
-	return b.String(), nil
-}
-
-// SortSeriesByX is a helper for tests.
-func SortSeriesByX(s *Series) {
-	sort.Slice(s.Pts, func(i, j int) bool { return s.Pts[i].X < s.Pts[j].X })
 }

@@ -171,12 +171,9 @@ func (e *Evaluator) Table3() (string, error) {
 	return t.String(), nil
 }
 
-// benchDataAll collapses the default runs for the ordering experiments,
-// excluding matrix300 (as the paper does, to get an even 22).
-func (e *Evaluator) benchDataAll() ([]*orders.BenchData, []*Run, error) {
-	return e.benchDataAllCtx(context.Background())
-}
-
+// benchDataAllCtx collapses the default runs for the ordering
+// experiments, excluding matrix300 (as the paper does, to get an even
+// 22).
 func (e *Evaluator) benchDataAllCtx(ctx context.Context) ([]*orders.BenchData, []*Run, error) {
 	runs, err := e.DefaultRunsCtx(ctx)
 	if err != nil {

@@ -186,18 +186,11 @@ func (op Op) String() string {
 // fixed target — the class of branches the paper predicts.
 func (op Op) IsCondBranch() bool { return op >= Beq && op <= FBge }
 
-// IsBranchOrJump reports whether op unconditionally or conditionally
-// transfers control (excluding calls and returns).
-func (op Op) IsBranchOrJump() bool { return op.IsCondBranch() || op == J || op == Jtab }
-
 // IsCall reports whether op is a call (direct or indirect).
 func (op Op) IsCall() bool { return op == Jal || op == Jalr }
 
 // IsStore reports whether op writes memory.
 func (op Op) IsStore() bool { return op == Sw || op == FSw }
-
-// IsLoad reports whether op reads memory.
-func (op Op) IsLoad() bool { return op == Lw || op == FLw }
 
 // EndsBlock reports whether op terminates a basic block.
 func (op Op) EndsBlock() bool {
@@ -312,10 +305,6 @@ type Proc struct {
 
 // FrameSize returns the procedure's frame size in words.
 func (p *Proc) FrameSize() int { return 1 + p.NLocals + p.NArgs }
-
-// ArgSlot returns the SP-relative word offset of argument i after the
-// prologue has dropped SP.
-func (p *Proc) ArgSlot(i int) int { return p.FrameSize() - 1 - i }
 
 // Program is a whole MIR program.
 type Program struct {

@@ -77,23 +77,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.sum.Add(int64(d)) // sumScale == nanoseconds exactly
 }
 
-// ObserveWithExemplar records a value and, when traceID is non-empty,
-// remembers it as the bucket's exemplar.
-func (h *Histogram) ObserveWithExemplar(v float64, traceID string) {
-	if h == nil {
-		return
-	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.sum.Add(int64(v * sumScale))
-	if traceID != "" {
-		h.exemplars[i].Store(&exemplar{traceID: traceID, value: v})
-	}
-}
-
 // ObserveDurationExemplar records a latency in seconds with an optional
 // trace-ID exemplar.
 func (h *Histogram) ObserveDurationExemplar(d time.Duration, traceID string) {
@@ -138,18 +121,6 @@ func (h *Histogram) writeExemplars(b *strings.Builder, name string, keys, vals [
 		fmt.Fprintf(b, "%s%s %s\n", name,
 			labelString(keys, vals, "le", le, "trace_id", e.traceID), formatValue(e.value))
 	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
 }
 
 // write renders the histogram's cumulative buckets, sum, and count.

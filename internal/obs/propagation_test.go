@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 var idRe = regexp.MustCompile(`^[0-9a-f]{16}$`)
@@ -203,9 +204,9 @@ func TestQueryTracesDedupsRingAndArchive(t *testing.T) {
 func TestExemplarExposition(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("ballarus_test_duration_seconds", "Test latency.", DurationBuckets, "endpoint", "predict")
-	h.ObserveWithExemplar(0.002, "0123456789abcdef")
-	h.ObserveWithExemplar(0.5, "fedcba9876543210")
-	h.ObserveWithExemplar(0.003, "") // no trace: counted, no exemplar
+	h.ObserveDurationExemplar(2*time.Millisecond, "0123456789abcdef")
+	h.ObserveDurationExemplar(500*time.Millisecond, "fedcba9876543210")
+	h.ObserveDurationExemplar(3*time.Millisecond, "") // no trace: counted, no exemplar
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {

@@ -370,12 +370,6 @@ func (t *Tracer) Find(id string) []*Trace {
 	return out
 }
 
-// TraceID returns the trace ID attached to ctx, or "".
-func TraceID(ctx context.Context) string {
-	a, _ := ctx.Value(activeKey{}).(*Active)
-	return a.ID()
-}
-
 // ActiveFrom returns the in-progress trace attached to ctx, or nil.
 func ActiveFrom(ctx context.Context) *Active {
 	a, _ := ctx.Value(activeKey{}).(*Active)

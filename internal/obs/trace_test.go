@@ -16,8 +16,8 @@ func TestTraceLifecycle(t *testing.T) {
 	if act.ID() == "" || len(act.ID()) != 16 {
 		t.Fatalf("bad trace id %q", act.ID())
 	}
-	if got := TraceID(ctx); got != act.ID() {
-		t.Fatalf("TraceID(ctx) = %q, want %q", got, act.ID())
+	if got := ActiveFrom(ctx).ID(); got != act.ID() {
+		t.Fatalf("ActiveFrom(ctx).ID() = %q, want %q", got, act.ID())
 	}
 	sp := StartSpan(ctx, "compile")
 	sp.Attr("cache", "miss")
@@ -70,7 +70,7 @@ func TestNilTracerAndSpanAreFree(t *testing.T) {
 	if act != nil {
 		t.Fatal("nil tracer produced an active trace")
 	}
-	if TraceID(ctx) != "" {
+	if ActiveFrom(ctx).ID() != "" {
 		t.Fatal("nil tracer attached a trace id")
 	}
 	sp := StartSpan(ctx, "y")

@@ -301,13 +301,12 @@ func (r *SubsetResult) Ranked() []int {
 	return idx
 }
 
-// SubsetScorer scores k-subset trials by meeting in the middle: per-order
+// subsetScorer scores k-subset trials by meeting in the middle: per-order
 // partial sums over every subset of each benchmark half are precomputed,
 // so scoring one subset is a vector add + argmin. A trial's outcome
 // depends only on the sweep and its two half-masks, so low masks can be
 // scored in any order on any goroutine.
-type SubsetScorer struct {
-	s      *Sweep
+type subsetScorer struct {
 	k      int
 	loBits int
 	hiBits int
@@ -315,28 +314,23 @@ type SubsetScorer struct {
 	hiSum  [][]float64
 }
 
-// NewSubsetScorer precomputes the half-mask partial sums for k-subsets of
+// newSubsetScorer precomputes the half-mask partial sums for k-subsets of
 // the sweep's benchmarks.
-func (s *Sweep) NewSubsetScorer(k int) (*SubsetScorer, error) {
+func (s *Sweep) newSubsetScorer(k int) (*subsetScorer, error) {
 	n := len(s.Benches)
 	if k < 0 || k > n {
 		return nil, fmt.Errorf("orders: subset size %d outside [0,%d]", k, n)
 	}
-	sc := &SubsetScorer{s: s, k: k, loBits: n / 2}
+	sc := &subsetScorer{k: k, loBits: n / 2}
 	sc.hiBits = n - sc.loBits
 	sc.loSum = buildHalf(s, 0, sc.loBits)
 	sc.hiSum = buildHalf(s, sc.loBits, sc.hiBits)
 	return sc, nil
 }
 
-// TotalTrials returns C(n, k) — the exact experiment's trial count.
-func (sc *SubsetScorer) TotalTrials() int64 {
-	return Binomial(len(sc.s.Benches), sc.k)
-}
-
 // scoreLowMask scores every k-subset whose low half is lm, accumulating
 // into counts. It returns the number of trials scored.
-func (sc *SubsetScorer) scoreLowMask(lm int, counts []int) int {
+func (sc *subsetScorer) scoreLowMask(lm int, counts []int) int {
 	need := sc.k - bits.OnesCount(uint(lm))
 	if need < 0 || need > sc.hiBits {
 		return 0
@@ -372,11 +366,11 @@ type SubsetOpts struct {
 // sweep's benchmarks, parallel over low masks. Per-order counts are
 // integers, so summing the goroutines' tallies is exact in any order.
 func (s *Sweep) SubsetsOpts(ctx context.Context, k int, opts SubsetOpts) (*SubsetResult, error) {
-	sc, err := s.NewSubsetScorer(k)
+	sc, err := s.newSubsetScorer(k)
 	if err != nil {
 		return nil, err
 	}
-	total := sc.TotalTrials()
+	total := Binomial(len(s.Benches), k)
 	nw := runtime.GOMAXPROCS(0)
 	counts := make([][]int, nw)
 	trials := make([]int, nw)

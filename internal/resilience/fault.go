@@ -31,7 +31,6 @@ var (
 	faultArmed atomic.Int32
 	faultMu    sync.Mutex
 	faultTab   = map[string]*faultEntry{}
-	faultFired = map[string]int64{}
 )
 
 type faultEntry struct {
@@ -48,21 +47,12 @@ func InjectFault(name string, f Fault) {
 	faultArmed.Store(int32(len(faultTab)))
 }
 
-// ClearFaults disarms every faultpoint and resets fire counts.
+// ClearFaults disarms every faultpoint.
 func ClearFaults() {
 	faultMu.Lock()
 	defer faultMu.Unlock()
 	faultTab = map[string]*faultEntry{}
-	faultFired = map[string]int64{}
 	faultArmed.Store(0)
-}
-
-// FaultFired reports how many times the named faultpoint has fired
-// since the last ClearFaults.
-func FaultFired(name string) int64 {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	return faultFired[name]
 }
 
 // Faultpoint is a named fault-injection hook. Production code threads
@@ -76,7 +66,6 @@ func Faultpoint(ctx context.Context, name string) error {
 	faultMu.Lock()
 	e, ok := faultTab[name]
 	if ok {
-		faultFired[name]++
 		if e.f.Times > 0 {
 			e.remaining--
 			if e.remaining <= 0 {

@@ -71,16 +71,6 @@ type CompareResult struct {
 	Elapsed        time.Duration `json:"elapsed_ns"`
 }
 
-// Score returns the named entrant's score, or a zero PredictorScore.
-func (r *CompareResult) Score(name string) PredictorScore {
-	for _, p := range r.Predictors {
-		if p.Name == name {
-			return p
-		}
-	}
-	return PredictorScore{}
-}
-
 // resolveCompare normalizes the tournament half of a request: backend
 // names default to the full registry and are validated and sorted.
 func resolveCompare(req *CompareRequest) error {
@@ -116,21 +106,6 @@ func (req *CompareRequest) compareKey(runKey string) string {
 		h.str(name)
 	}
 	return h.i64(req.H2PMinExecuted).sum()
-}
-
-// CompareKey returns the canonical content hash identifying the result
-// of req, for response caches layered above the service (the compare
-// analogue of RequestKey). Resolution failures classify as invalid
-// input.
-func (s *Service) CompareKey(req CompareRequest) (string, error) {
-	if err := s.resolve(&req.Request); err != nil {
-		return "", err
-	}
-	if err := resolveCompare(&req); err != nil {
-		return "", err
-	}
-	_, _, runKey := req.Request.keys()
-	return req.compareKey(runKey), nil
 }
 
 // Compare races the requested dynamic predictors against the Ball-Larus

@@ -28,6 +28,18 @@ int main() {
   return 0;
 }`
 
+// entrant returns the named tournament entrant's score.
+func entrant(t *testing.T, res *CompareResult, name string) PredictorScore {
+	t.Helper()
+	for _, p := range res.Predictors {
+		if p.Name == name {
+			return p
+		}
+	}
+	t.Fatalf("missing entrant %q", name)
+	return PredictorScore{}
+}
+
 func TestCompareBasics(t *testing.T) {
 	s := New()
 	ctx := context.Background()
@@ -49,11 +61,7 @@ func TestCompareBasics(t *testing.T) {
 		}
 	}
 	for _, name := range want {
-		sc := res.Score(name)
-		if sc.Name != name {
-			t.Errorf("missing entrant %q", name)
-			continue
-		}
+		sc := entrant(t, res, name)
 		if sc.Branches != res.DynamicBranches {
 			t.Errorf("%s raced %d branches, run had %d", name, sc.Branches, res.DynamicBranches)
 		}
@@ -62,7 +70,7 @@ func TestCompareBasics(t *testing.T) {
 		}
 	}
 	// Perfect is the floor for every static vector by construction.
-	if p, h := res.Score(ComparePerfect), res.Score(CompareStatic); p.Misses > h.Misses {
+	if p, h := entrant(t, res, ComparePerfect), entrant(t, res, CompareStatic); p.Misses > h.Misses {
 		t.Errorf("perfect (%d misses) worse than heuristics (%d)", p.Misses, h.Misses)
 	}
 	if res.CompareCached {
@@ -82,7 +90,7 @@ func TestCompareBasics(t *testing.T) {
 		t.Error("cached comparison differs from computed one")
 	}
 	st := s.Stats()
-	if got := st.Stage(stageCompare); got.CacheHits != 1 || got.CacheMisses != 1 {
+	if got := stageFor(t, st, stageCompare); got.CacheHits != 1 || got.CacheMisses != 1 {
 		t.Errorf("compare stage cache hits/misses = %d/%d, want 1/1", got.CacheHits, got.CacheMisses)
 	}
 }
@@ -150,14 +158,14 @@ func TestCompareAgreesWithOfflineReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := dynpred.Replay(run.Events, n, p)
-			got := res.Score(name)
+			got := entrant(t, res, name)
 			if got.Misses != want.Miss || got.Branches != want.Branches {
 				t.Errorf("%s/%s: served %d/%d misses/branches, offline replay %d/%d",
 					b.Name, name, got.Misses, got.Branches, want.Miss, want.Branches)
 			}
 		}
 		perfect := dynpred.StaticResult(run.Profile, trace.PerfectVector(run.Profile))
-		if got := res.Score(ComparePerfect); got.Misses != perfect.Miss {
+		if got := entrant(t, res, ComparePerfect); got.Misses != perfect.Miss {
 			t.Errorf("%s/perfect: served %d misses, offline %d", b.Name, got.Misses, perfect.Miss)
 		}
 	}
@@ -184,29 +192,32 @@ func TestCompareDeterministicAcrossServices(t *testing.T) {
 	}
 }
 
-func TestCompareKeyStable(t *testing.T) {
+// TestCompareBackendSetCaching: the compare cache keys the resolved
+// backend set, so a nil list and the full registry spelled out share
+// one entry, a subset does not, and an unknown backend is invalid.
+func TestCompareBackendSetCaching(t *testing.T) {
 	s := New()
-	k1, err := s.CompareKey(CompareRequest{Request: Request{Source: compareSrc}})
+	ctx := context.Background()
+	if _, err := s.Compare(ctx, CompareRequest{Request: Request{Source: compareSrc}}); err != nil {
+		t.Fatal(err)
+	}
+	full, err := s.Compare(ctx, CompareRequest{Request: Request{Source: compareSrc}, Predictors: dynpred.Names()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Explicit full backend list hashes like the defaulted nil list.
-	k2, err := s.CompareKey(CompareRequest{Request: Request{Source: compareSrc}, Predictors: dynpred.Names()})
+	if !full.CompareCached {
+		t.Error("explicit full backend list missed the defaulted list's cache entry")
+	}
+	sub, err := s.Compare(ctx, CompareRequest{Request: Request{Source: compareSrc}, Predictors: []string{dynpred.NameGshare}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k1 != k2 {
-		t.Error("defaulted and explicit backend lists hash differently")
+	if sub.CompareCached {
+		t.Error("a backend subset hit the full set's cache entry")
 	}
-	k3, err := s.CompareKey(CompareRequest{Request: Request{Source: compareSrc}, Predictors: []string{dynpred.NameGshare}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 == k3 {
-		t.Error("different backend sets hash identically")
-	}
-	if _, err := s.CompareKey(CompareRequest{Request: Request{Source: compareSrc}, Predictors: []string{"oracle"}}); err == nil {
-		t.Error("unknown backend should fail key derivation")
+	_, err = s.Compare(ctx, CompareRequest{Request: Request{Source: compareSrc}, Predictors: []string{"oracle"}})
+	if !errors.Is(err, resilience.ErrInvalidInput) {
+		t.Errorf("unknown backend = %v, want invalid input", err)
 	}
 }
 

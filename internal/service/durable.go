@@ -16,8 +16,8 @@ import (
 )
 
 // SectionRequests is the snapshot section holding the service's own
-// warm-set recipes. External layers (e.g. blserve's last-known-good
-// cache) register their own sections via RegisterDurableSection.
+// warm-set recipes. External layers (e.g. blserve's trace archive)
+// register their own sections via RegisterDurableSection.
 const SectionRequests = "request"
 
 // recipe is the durable form of a resolved request: everything needed
@@ -126,10 +126,10 @@ func (w *warmSet) entries() []durable.Entry {
 }
 
 // DurableSection lets a layer above the service persist its own state
-// inside the service snapshot (e.g. blserve's last-known-good response
-// cache). Collect is called at snapshot time; Restore once per entry of
-// the section during Recover. Restore errors skip the entry (counted),
-// never fail recovery.
+// inside the service snapshot (e.g. blserve's trace archive). Collect
+// is called at snapshot time; Restore once per entry of the section
+// during Recover. Restore errors skip the entry (counted), never fail
+// recovery.
 type DurableSection struct {
 	Collect func() []durable.Entry
 	Restore func(e durable.Entry) error

@@ -172,8 +172,10 @@ func TestSnapshotCorruptionSkipped(t *testing.T) {
 }
 
 // TestRecoverRegisteredSection: an external section (the shape blserve's
-// stale cache uses) round-trips through the snapshot, and entries of an
-// unregistered section are skipped, not fatal.
+// trace archive uses) round-trips through the snapshot, and entries of
+// an unregistered section are skipped, not fatal — which is how a state
+// dir holding the "stale" section older blserve builds wrote still
+// boots.
 func TestRecoverRegisteredSection(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()

@@ -24,6 +24,18 @@ func breakerFor(t *testing.T, st Stats, stage string) resilience.BreakerStats {
 	return resilience.BreakerStats{}
 }
 
+// stageFor extracts one stage's snapshot from a Stats.
+func stageFor(t *testing.T, st Stats, stage string) StageStats {
+	t.Helper()
+	for _, s := range st.Stages {
+		if s.Name == stage {
+			return s
+		}
+	}
+	t.Fatalf("no stage %q in stats", stage)
+	return StageStats{}
+}
+
 // TestFaultMatrix injects a failure, a panic, and a hang at every
 // failure-prone stage and asserts the documented typed error, that no
 // panic escapes, that the breaker records the failure, and that the
@@ -146,9 +158,6 @@ func TestRetryRecoversTransientFault(t *testing.T) {
 	}
 	if br := breakerFor(t, st, stageExecute); br.Failures != 0 || br.State != "closed" {
 		t.Fatalf("retried-away failure left breaker %+v", br)
-	}
-	if n := resilience.FaultFired("service." + stageExecute); n != 2 {
-		t.Fatalf("fault fired %d times, want 2", n)
 	}
 }
 

@@ -179,16 +179,6 @@ type Stats struct {
 	Durability DurabilityStats `json:"durability"`
 }
 
-// Stage returns the named stage snapshot, or a zero StageStats.
-func (s Stats) Stage(name string) StageStats {
-	for _, st := range s.Stages {
-		if st.Name == name {
-			return st
-		}
-	}
-	return StageStats{}
-}
-
 // metrics is the service-wide counter set, backed by an obs.Registry
 // so every counter is scrapeable as Prometheus text.
 type metrics struct {

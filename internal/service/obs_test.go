@@ -155,7 +155,7 @@ func TestServiceMetricsExposition(t *testing.T) {
 		t.Errorf("run_cache_total{hit} = %v, stats say %d", got, st.RunHits)
 	}
 	for _, stage := range stageOrder {
-		want := st.Stage(stage).Count
+		want := stageFor(t, st, stage).Count
 		if got := value("ballarus_stage_runs_total", map[string]string{"stage": stage}); int64(got) != want {
 			t.Errorf("stage_runs_total{%s} = %v, stats say %d", stage, got, want)
 		}

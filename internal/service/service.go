@@ -735,25 +735,6 @@ func (s *Service) analyzeStage(ctx context.Context, analysisKey string, prog *mi
 	})
 }
 
-// RequestKey returns the canonical content hash identifying the result
-// of req: the run key (program, options, input, budget, seed) extended
-// with the heuristic order, which shapes the prediction vector and
-// scores. Equivalent requests — benchmark name vs. its source, omitted
-// vs. explicit defaults — hash identically, so it is the right key for
-// any response cache layered above the service. Resolution failures
-// classify as invalid input.
-func (s *Service) RequestKey(req Request) (string, error) {
-	if err := s.resolve(&req); err != nil {
-		return "", err
-	}
-	_, _, runKey := req.keys()
-	h := newHasher().str(runKey).str("order")
-	for _, heur := range req.Order {
-		h.i64(int64(heur))
-	}
-	return h.sum(), nil
-}
-
 // score computes the all-branch miss rate of a prediction vector against
 // a profile, in the paper's miss/perfect notation.
 func score(_ *core.Analysis, preds []core.Prediction, p *profile.Profile) profile.Rate {

@@ -142,10 +142,10 @@ func TestConcurrentSameSource(t *testing.T) {
 	}
 	st := s.Stats()
 	// Single-flight: exactly one compile, one analysis, one execution.
-	if c := st.Stage(stageCompile); c.CacheMisses != 1 || c.CacheHits != n-1 {
+	if c := stageFor(t, st, stageCompile); c.CacheMisses != 1 || c.CacheHits != n-1 {
 		t.Errorf("compile cache = %d misses / %d hits, want 1/%d", c.CacheMisses, c.CacheHits, n-1)
 	}
-	if a := st.Stage(stageAnalyze); a.CacheMisses != 1 || a.CacheHits != n-1 {
+	if a := stageFor(t, st, stageAnalyze); a.CacheMisses != 1 || a.CacheHits != n-1 {
 		t.Errorf("analysis cache = %d misses / %d hits, want 1/%d", a.CacheMisses, a.CacheHits, n-1)
 	}
 	if st.RunMisses != 1 || st.RunHits != n-1 {
@@ -178,7 +178,7 @@ func TestConcurrentDistinctSources(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if c := st.Stage(stageCompile); c.CacheMisses != n || c.CacheHits != 0 {
+	if c := stageFor(t, st, stageCompile); c.CacheMisses != n || c.CacheHits != 0 {
 		t.Errorf("compile cache = %d misses / %d hits, want %d/0", c.CacheMisses, c.CacheHits, n)
 	}
 	if st.Programs != n || st.Analyses != n || st.Runs != n {

@@ -22,10 +22,6 @@ import (
 // they replace. nil disables tenancy.
 func WithTenants(r *tenant.Registry) Option { return func(c *config) { c.tenants = r } }
 
-// Tenants returns the service's tenant registry, or nil when tenancy
-// is disabled. The HTTP layer snapshots it for /v1/stats.
-func (s *Service) Tenants() *tenant.Registry { return s.cfg.tenants }
-
 // preadmitKey marks a context whose tenant rate tokens and in-flight
 // units were already charged by a batch admission; per-item calls
 // under it still take worker slots and answer to fairness, but must

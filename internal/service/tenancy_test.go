@@ -1,14 +1,34 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
 	"testing"
 
+	"ballarus/internal/obs"
 	"ballarus/internal/resilience"
 	"ballarus/internal/tenant"
 )
+
+// tenantInFlight scrapes the tenant's ballarus_tenant_inflight gauge.
+func tenantInFlight(t *testing.T, s *Service, id string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := obs.ParseExposition(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := exp.Value("ballarus_tenant_inflight", map[string]string{"tenant": id})
+	if !ok {
+		t.Fatalf("no ballarus_tenant_inflight series for tenant %q", id)
+	}
+	return v
+}
 
 func TestQuotaRejectionDistinctFromOverload(t *testing.T) {
 	reg := tenant.NewRegistry(tenant.Config{
@@ -124,11 +144,11 @@ func TestFairnessShedsHogNotPolite(t *testing.T) {
 		t.Errorf("hog outcomes = %d ok / %d err, want 5/1", hogOK, hogErr)
 	}
 	wg.Wait()
-	if got := reg.InFlight("hog"); got != 0 {
-		t.Errorf("hog leaked %d in-flight units", got)
+	if got := tenantInFlight(t, s, "hog"); got != 0 {
+		t.Errorf("hog leaked %v in-flight units", got)
 	}
-	if got := reg.InFlight("polite"); got != 0 {
-		t.Errorf("polite leaked %d in-flight units", got)
+	if got := tenantInFlight(t, s, "polite"); got != 0 {
+		t.Errorf("polite leaked %v in-flight units", got)
 	}
 }
 
@@ -195,7 +215,7 @@ func TestBatchQuotaAccounting(t *testing.T) {
 	if _, err := s.Predict(ctx, Request{Source: testSrc}); !errors.Is(err, resilience.ErrQuotaExceeded) {
 		t.Errorf("post-batch request = %v, want quota rejection (batch must have charged 5 tokens)", err)
 	}
-	if got := reg.InFlight("metered"); got != 0 {
-		t.Errorf("batch leaked %d in-flight units", got)
+	if got := tenantInFlight(t, s, "metered"); got != 0 {
+		t.Errorf("batch leaked %v in-flight units", got)
 	}
 }

@@ -30,25 +30,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// MeanStd returns both the mean and the population standard deviation.
-func MeanStd(xs []float64) (mean, std float64) {
-	return Mean(xs), StdDev(xs)
-}
-
-// WeightedMean returns the mean of xs weighted by ws. Zero total weight
-// yields 0.
-func WeightedMean(xs, ws []float64) float64 {
-	var sw, s float64
-	for i := range xs {
-		s += xs[i] * ws[i]
-		sw += ws[i]
-	}
-	if sw == 0 {
-		return 0
-	}
-	return s / sw
-}
-
 // Percent returns 100*num/den, or 0 when den is 0.
 func Percent(num, den int64) float64 {
 	if den == 0 {

@@ -28,22 +28,6 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestMeanStd(t *testing.T) {
-	m, s := MeanStd([]float64{1, 3})
-	if m != 2 || s != 1 {
-		t.Errorf("MeanStd = %f, %f", m, s)
-	}
-}
-
-func TestWeightedMean(t *testing.T) {
-	if got := WeightedMean([]float64{10, 20}, []float64{1, 3}); got != 17.5 {
-		t.Errorf("weighted mean = %f", got)
-	}
-	if WeightedMean([]float64{1}, []float64{0}) != 0 {
-		t.Error("zero weight must yield 0")
-	}
-}
-
 func TestPercent(t *testing.T) {
 	if Percent(1, 4) != 25 {
 		t.Error("25% expected")

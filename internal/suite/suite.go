@@ -120,12 +120,3 @@ func text(s string) []int64 {
 
 // nums builds an input stream from integers.
 func nums(vs ...int64) []int64 { return vs }
-
-// catInput concatenates input streams (e.g. parameters followed by text).
-func catInput(parts ...[]int64) []int64 {
-	var out []int64
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}

@@ -141,14 +141,12 @@ type state struct {
 
 // Registry tracks per-tenant quota and occupancy state, LRU-bounded.
 type Registry struct {
-	mu       sync.Mutex
-	cfg      Config
-	now      func() time.Time
-	tenants  map[string]*state
-	lru      *list.List // front = most recently used; pinned states excluded
-	max      int
-	evicted  uint64
-	rejected map[string]uint64 // by reason, for Stats
+	mu      sync.Mutex
+	cfg     Config
+	now     func() time.Time
+	tenants map[string]*state
+	lru     *list.List // front = most recently used; pinned states excluded
+	max     int
 }
 
 // NewRegistry builds a Registry from cfg.
@@ -162,12 +160,11 @@ func NewRegistry(cfg Config) *Registry {
 		max = 1024
 	}
 	return &Registry{
-		cfg:      cfg,
-		now:      now,
-		tenants:  make(map[string]*state),
-		lru:      list.New(),
-		max:      max,
-		rejected: make(map[string]uint64),
+		cfg:     cfg,
+		now:     now,
+		tenants: make(map[string]*state),
+		lru:     list.New(),
+		max:     max,
 	}
 }
 
@@ -199,7 +196,6 @@ func (r *Registry) get(id string) *state {
 			}
 			r.lru.Remove(victim.elem)
 			delete(r.tenants, victim.id)
-			r.evicted++
 		}
 	}
 	return s
@@ -243,7 +239,6 @@ func (r *Registry) Admit(id string, n int) (release func(), err *QuotaError) {
 	s.refill(now)
 
 	if s.limits.MaxInFlight > 0 && s.inflight+n > s.limits.MaxInFlight {
-		r.rejected["concurrency"]++
 		return nil, &QuotaError{
 			Tenant:    id,
 			Reason:    "concurrency",
@@ -252,7 +247,6 @@ func (r *Registry) Admit(id string, n int) (release func(), err *QuotaError) {
 		}
 	}
 	if s.limits.Rate > 0 && s.tokens < float64(n) {
-		r.rejected["rate"]++
 		need := float64(n) - s.tokens
 		return nil, &QuotaError{
 			Tenant:     id,
@@ -280,16 +274,6 @@ func (r *Registry) Admit(id string, n int) (release func(), err *QuotaError) {
 			}
 		})
 	}, nil
-}
-
-// InFlight returns the tenant's currently admitted request count.
-func (r *Registry) InFlight(id string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok := r.tenants[id]; ok {
-		return s.inflight
-	}
-	return 0
 }
 
 // OverShare reports whether the tenant currently occupies more than
@@ -368,71 +352,4 @@ type claim struct {
 	demand float64
 	weight float64
 	share  float64
-}
-
-// FairShare returns the tenant's current weighted max-min fair share
-// of capacity slots, for observability.
-func (r *Registry) FairShare(id string, capacity int) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.tenants[id]
-	if !ok {
-		return 0
-	}
-	active := make([]*claim, 0, 8)
-	var mine *claim
-	for _, t := range r.tenants {
-		if t.inflight == 0 && t != s {
-			continue
-		}
-		c := &claim{demand: float64(t.inflight), weight: t.limits.Weight}
-		active = append(active, c)
-		if t == s {
-			mine = c
-		}
-	}
-	waterFill(active, float64(capacity))
-	return mine.share
-}
-
-// Stats is a point-in-time registry snapshot for /v1/stats and tests.
-type Stats struct {
-	Tenants  int               `json:"tenants"`
-	Evicted  uint64            `json:"evicted"`
-	Rejected map[string]uint64 `json:"rejected,omitempty"`
-	InFlight map[string]int    `json:"in_flight,omitempty"`
-}
-
-// Snapshot returns current registry statistics.
-func (r *Registry) Snapshot() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := Stats{
-		Tenants:  len(r.tenants),
-		Evicted:  r.evicted,
-		Rejected: make(map[string]uint64, len(r.rejected)),
-		InFlight: make(map[string]int),
-	}
-	for k, v := range r.rejected {
-		st.Rejected[k] = v
-	}
-	for id, s := range r.tenants {
-		if s.inflight > 0 {
-			st.InFlight[id] = s.inflight
-		}
-	}
-	return st
-}
-
-// Limits returns the effective limits for a tenant (defaults applied).
-func (r *Registry) Limits(id string) Limits {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok := r.tenants[id]; ok {
-		return s.limits
-	}
-	if lim, ok := r.cfg.Overrides[id]; ok {
-		return lim.withDefaults()
-	}
-	return r.cfg.Defaults.withDefaults()
 }

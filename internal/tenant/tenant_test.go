@@ -104,7 +104,7 @@ func TestConcurrencyCapAndRelease(t *testing.T) {
 	}
 	rel1()
 	rel1() // double release must not double-credit
-	if got := r.InFlight("acme"); got != 1 {
+	if got := r.tenants["acme"].inflight; got != 1 {
 		t.Fatalf("in-flight after release = %d, want 1", got)
 	}
 	if _, qerr := r.Admit("acme", 1); qerr != nil {
@@ -125,11 +125,11 @@ func TestBatchAdmittedAsUnit(t *testing.T) {
 	if qerr != nil {
 		t.Fatalf("5-item batch should fit the untouched bucket: %v", qerr)
 	}
-	if got := r.InFlight("acme"); got != 5 {
+	if got := r.tenants["acme"].inflight; got != 5 {
 		t.Errorf("batch in-flight = %d, want 5", got)
 	}
 	rel()
-	if got := r.InFlight("acme"); got != 0 {
+	if got := r.tenants["acme"].inflight; got != 0 {
 		t.Errorf("in-flight after batch release = %d, want 0", got)
 	}
 }
@@ -152,10 +152,10 @@ func TestOverridesAndDefaults(t *testing.T) {
 			t.Fatalf("default-limit tenant rejected at %d: %v", i, qerr)
 		}
 	}
-	if lim := r.Limits("hog"); lim.Rate != 1 {
+	if lim := r.tenants["hog"].limits; lim.Rate != 1 {
 		t.Errorf("hog effective rate = %v, want 1", lim.Rate)
 	}
-	if lim := r.Limits("anyone"); lim.Rate != 100 {
+	if lim := r.tenants["other"].limits; lim.Rate != 100 {
 		t.Errorf("default effective rate = %v, want 100", lim.Rate)
 	}
 }
@@ -178,15 +178,14 @@ func TestLRUBoundSparesActiveAndPinned(t *testing.T) {
 		}
 		rel()
 	}
-	st := r.Snapshot()
-	if st.Evicted == 0 {
-		t.Fatal("10 transient tenants over a 3-tenant bound must evict")
+	if _, ok := r.tenants["a"]; ok {
+		t.Fatal("10 transient tenants over a 3-tenant bound must evict the coldest")
 	}
-	if got := r.InFlight("active"); got != 1 {
-		t.Errorf("active tenant must never be evicted while in flight; in-flight = %d", got)
+	if s, ok := r.tenants["active"]; !ok || s.inflight != 1 {
+		t.Errorf("active tenant must never be evicted while in flight; state = %+v", s)
 	}
-	if lim := r.Limits("pinned"); lim.Rate != 5 {
-		t.Errorf("pinned override lost: %+v", lim)
+	if s, ok := r.tenants["pinned"]; !ok || s.limits.Rate != 5 {
+		t.Errorf("pinned override lost: %+v", s)
 	}
 	relA()
 }
@@ -220,12 +219,20 @@ func TestOverShareWaterFilling(t *testing.T) {
 		t.Error("under-share tenants must never be flagged")
 	}
 	// Water-filling: t1/t2's slack flows to the hog, whose fair share
-	// is everything they leave behind: 10 - 1 - 1 = 8.
-	if got := r.FairShare("hog", capacity); got != 8 {
-		t.Errorf("hog fair share = %v, want 8 (slack redistributed)", got)
+	// is everything they leave behind: 10 - 1 - 1 = 8. With the
+	// one-slot grace it is over share at 10 and within it at 9; an
+	// equal three-way split (3.3) would flag it at 9 as well.
+	hogRels[0]()
+	hogRels[1]()
+	if !r.OverShare("hog", capacity) {
+		t.Error("hog at 10 must be over its fair share of 8")
+	}
+	hogRels[2]()
+	if r.OverShare("hog", capacity) {
+		t.Error("hog at 9 must be within its fair share of 8 plus grace (slack redistributed)")
 	}
 	// A tenant alone on the service is entitled to all of it.
-	for _, rel := range hogRels {
+	for _, rel := range hogRels[3:] {
 		rel()
 	}
 	if r.OverShare("t1", capacity) {
@@ -276,17 +283,14 @@ func TestRegistryRace(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				if rel, qerr := r.Admit(id, 1+i%3); qerr == nil {
 					r.OverShare(id, 16)
-					r.FairShare(id, 16)
 					rel()
 				}
-				r.Snapshot()
-				r.InFlight(id)
 			}
 		}(g)
 	}
 	wg.Wait()
 	for _, id := range []string{"a", "b", "c", "d"} {
-		if got := r.InFlight(id); got != 0 {
+		if got := r.tenants[id].inflight; got != 0 {
 			t.Errorf("tenant %s leaked %d in-flight units", id, got)
 		}
 	}
