@@ -351,6 +351,7 @@ func BenchmarkInterpXlisp(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	var steps int64
 	for i := 0; i < b.N; i++ {
@@ -361,6 +362,22 @@ func BenchmarkInterpXlisp(b *testing.B) {
 		steps = res.Steps
 	}
 	b.ReportMetric(float64(steps)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+}
+
+// BenchmarkInterpFixed measures the interpreter's fixed per-run cost: the
+// time and bytes a run of an empty program takes.
+func BenchmarkInterpFixed(b *testing.B) {
+	prog, err := minic.Compile("int main() { return 0; }", minic.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := interp.Run(prog, interp.Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkOrderSweep(b *testing.B) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ballarus"
+	"ballarus/internal/obs"
 )
 
 // newDrainableServer builds a test server exposing the underlying
@@ -13,7 +14,7 @@ import (
 func newDrainableServer(t *testing.T, admin bool) (*httptest.Server, *server) {
 	t.Helper()
 	svc := ballarus.NewService()
-	s := newServer(svc)
+	s := newServer(svc, obs.NewArchive(obs.ArchivePolicy{}))
 	s.instanceID = "test-instance"
 	ts := httptest.NewServer(s.handler(admin))
 	t.Cleanup(ts.Close)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ballarus"
+	"ballarus/internal/obs"
 	"ballarus/internal/resilience"
 )
 
@@ -87,7 +88,7 @@ func TestServerDurableRoundTrip(t *testing.T) {
 	svc1 := ballarus.NewService(
 		ballarus.WithDurableStore(dir),
 		ballarus.WithSnapshotInterval(time.Hour))
-	ts1 := httptest.NewServer(newServer(svc1).handler(false))
+	ts1 := httptest.NewServer(newServer(svc1, obs.NewArchive(obs.ArchivePolicy{})).handler(false))
 	resp, first := postPredict(t, ts1, predictRequest{Source: testSrc})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("priming request status = %d", resp.StatusCode)
@@ -102,7 +103,7 @@ func TestServerDurableRoundTrip(t *testing.T) {
 		ballarus.WithDurableStore(dir),
 		ballarus.WithSnapshotInterval(time.Hour))
 	defer svc2.Close()
-	app := newServer(svc2) // registers the trace section before recovery
+	app := newServer(svc2, obs.NewArchive(obs.ArchivePolicy{})) // registers the trace section before recovery
 	rs, err := svc2.Recover(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +133,7 @@ func TestAdminEndpointsGated(t *testing.T) {
 	defer resilience.ClearFaults()
 	svc := ballarus.NewService()
 	defer svc.Close()
-	app := newServer(svc)
+	app := newServer(svc, obs.NewArchive(obs.ArchivePolicy{}))
 	public := httptest.NewServer(app.handler(false))
 	defer public.Close()
 	admin := httptest.NewServer(app.handler(true))

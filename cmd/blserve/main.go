@@ -181,7 +181,7 @@ func main() {
 		SampleRate:    *traceSample,
 	})
 	// Registers the trace archive's durable section.
-	app := newServerWithArchive(svc, archive)
+	app := newServer(svc, archive)
 	app.instanceID = *instanceID
 	if *batchMax > 0 {
 		app.batchMax = *batchMax

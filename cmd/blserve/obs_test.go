@@ -118,9 +118,9 @@ func TestMetricsEndpoint(t *testing.T) {
 // admin handler.
 func TestPprofGatedBehindAdmin(t *testing.T) {
 	svc := ballarus.NewService()
-	public := httptest.NewServer(newServer(svc).handler(false))
+	public := httptest.NewServer(newServer(svc, obs.NewArchive(obs.ArchivePolicy{})).handler(false))
 	defer public.Close()
-	admin := httptest.NewServer(newServer(svc).handler(true))
+	admin := httptest.NewServer(newServer(svc, obs.NewArchive(obs.ArchivePolicy{})).handler(true))
 	defer admin.Close()
 
 	resp, err := http.Get(public.URL + "/debug/pprof/cmdline")

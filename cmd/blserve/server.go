@@ -135,17 +135,11 @@ type server struct {
 // archive.
 const traceSection = "traces"
 
-// newServer builds the blserve server over a prediction service with a
-// default-policy trace archive.
-func newServer(svc *ballarus.Service) *server {
-	return newServerWithArchive(svc, obs.NewArchive(obs.ArchivePolicy{}))
-}
-
-// newServerWithArchive builds the blserve server over a prediction
-// service, attaches the trace archive to the service tracer, and
-// registers the archive as a durable snapshot section (a no-op when
-// the service has no durable store).
-func newServerWithArchive(svc *ballarus.Service, archive *obs.Archive) *server {
+// newServer builds the blserve server over a prediction service,
+// attaches the trace archive to the service tracer, and registers the
+// archive as a durable snapshot section (a no-op when the service has no
+// durable store).
+func newServer(svc *ballarus.Service, archive *obs.Archive) *server {
 	s := &server{svc: svc, maxBody: 4 << 20, batchMax: defaultBatchMax, archive: archive}
 	svc.Tracer().Attach(archive)
 	archive.Register(svc.Metrics())

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ballarus"
+	"ballarus/internal/obs"
 	"ballarus/internal/resilience"
 )
 
@@ -31,7 +32,7 @@ int main() {
 func newTestServer(t *testing.T, opts ...ballarus.ServiceOption) (*httptest.Server, *ballarus.Service) {
 	t.Helper()
 	svc := ballarus.NewService(opts...)
-	ts := httptest.NewServer(newServer(svc).handler(false))
+	ts := httptest.NewServer(newServer(svc, obs.NewArchive(obs.ArchivePolicy{})).handler(false))
 	t.Cleanup(ts.Close)
 	return ts, svc
 }

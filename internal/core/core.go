@@ -143,16 +143,6 @@ type Branch struct {
 	BTFNT Prediction
 }
 
-// Covered reports whether any heuristic applies to the branch.
-func (b *Branch) Covered() bool {
-	for _, p := range b.Heur {
-		if p != PredNone {
-			return true
-		}
-	}
-	return false
-}
-
 // PredictWith returns the combined prediction under the given order along
 // with the heuristic that fired; ok is false if the Default was used.
 func (b *Branch) PredictWith(order Order) (pred Prediction, by Heuristic, ok bool) {

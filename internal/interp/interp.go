@@ -4,6 +4,11 @@
 // indirect jump, or indirect call, with the instruction count between
 // events — which is exactly the information Section 6 of the paper mines
 // for instructions-per-break-in-control.
+//
+// Every run starts from an all-zero memory holding only the program's
+// data. Default-size memories are reused across runs: a run that returns
+// zeroes every word it wrote before handing its memory back, and a run
+// that panics drops its memory, so no run can see another's stores.
 package interp
 
 import (
@@ -11,14 +16,26 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
+	"sync"
 
 	"ballarus/internal/mir"
 	"ballarus/internal/profile"
 )
 
+// defaultMemWords is the memory size of a run whose Config leaves
+// MemWords at 0: 16 MiB.
+const defaultMemWords = 1 << 21
+
 // Config controls one execution.
 type Config struct {
-	MemWords      int     // memory size in words; 0 means 1<<21
+	// MemWords is the memory size in words; 0 means 1<<21. The memory is
+	// all zero apart from the program's data when the run starts. A
+	// default-size memory is taken from the ones earlier runs handed back
+	// cleared, so a run pays to zero only what it wrote, not the whole
+	// size; any other size is allocated per run.
+	MemWords      int
 	Budget        int64   // instruction budget; 0 means 64M
 	Input         []int64 // input stream for readi/readc/readf
 	Seed          int64   // initial rand() seed
@@ -97,12 +114,13 @@ type machine struct {
 	set  *profile.Set
 	cfg  Config
 
-	mem []int64
-	sp  int64
-	ra  int64
-	rv  int64
-	frv float64
-	hp  int64 // heap bump pointer
+	mem     []int64
+	sp      int64
+	ra      int64
+	rv      int64
+	frv     float64
+	hp      int64 // heap bump pointer; it only grows
+	stackLo int64 // lowest address stored to at or above hp; len(mem) if none
 
 	// Per-activation virtual register files live in arenas; calls push a
 	// frame, returns pop it.
@@ -138,17 +156,63 @@ type frameMark struct {
 // data) even when err is non-nil.
 func Run(prog *mir.Program, cfg Config) (*Result, error) {
 	if cfg.MemWords == 0 {
-		cfg.MemWords = 1 << 21
+		cfg.MemWords = defaultMemWords
 	}
 	if cfg.Budget == 0 {
 		cfg.Budget = 64 << 20
 	}
+	if cfg.MemWords != defaultMemWords {
+		res, _, err := execute(prog, cfg, make([]int64, cfg.MemWords))
+		return res, err
+	}
+	mem := takeMem()
+	res, zeroed, err := execute(prog, cfg, mem)
+	if zeroed {
+		giveMem(mem)
+	}
+	return res, err
+}
+
+// held keeps cleared default-size memories between runs: at most
+// GOMAXPROCS of them, one for each run that can execute at once. Every
+// held memory is all zero.
+var held struct {
+	sync.Mutex
+	mems [][]int64
+}
+
+func takeMem() []int64 {
+	held.Lock()
+	if n := len(held.mems); n > 0 {
+		mem := held.mems[n-1]
+		held.mems[n-1] = nil
+		held.mems = held.mems[:n-1]
+		held.Unlock()
+		return mem
+	}
+	held.Unlock()
+	return make([]int64, defaultMemWords)
+}
+
+func giveMem(mem []int64) {
+	held.Lock()
+	if len(held.mems) < runtime.GOMAXPROCS(0) {
+		held.mems = append(held.mems, mem)
+	}
+	held.Unlock()
+}
+
+// execute runs prog on mem, which must be all zero, and reports whether
+// mem is all zero again afterwards. A run that returns, whether it halted,
+// faulted, ran out of budget or was interrupted, clears every word it
+// wrote; a run that panicked leaves mem as it stood.
+func execute(prog *mir.Program, cfg Config, mem []int64) (*Result, bool, error) {
 	set := profile.Index(prog)
 	m := &machine{
 		prog:    prog,
 		set:     set,
 		cfg:     cfg,
-		mem:     make([]int64, cfg.MemWords),
+		mem:     mem,
 		in:      cfg.Input,
 		seed:    cfg.Seed,
 		profile: profile.New(set),
@@ -157,7 +221,8 @@ func Run(prog *mir.Program, cfg Config) (*Result, error) {
 	// The heap starts just past the globals, but never at address 0: that
 	// is the null pointer, and alloc must never return it.
 	m.hp = int64(len(prog.Data)) + 1
-	m.sp = int64(cfg.MemWords)
+	m.sp = int64(len(mem))
+	m.stackLo = m.sp
 	if cfg.CollectInstrCounts {
 		m.counts = make([][]int64, len(prog.Procs))
 		for i, pr := range prog.Procs {
@@ -168,14 +233,19 @@ func Run(prog *mir.Program, cfg Config) (*Result, error) {
 	// caller: a panic in the dispatch loop (a malformed program that
 	// slipped past validation, an interpreter defect) surfaces as an
 	// error alongside whatever partial state the machine accumulated.
+	panicked := false
 	err := func() (rerr error) {
 		defer func() {
 			if v := recover(); v != nil {
+				panicked = true
 				rerr = fmt.Errorf("interp: internal panic: %v", v)
 			}
 		}()
 		return m.run()
 	}()
+	if !panicked {
+		m.clearMem()
+	}
 	res := &Result{
 		Output:      m.out.String(),
 		Steps:       m.icount,
@@ -185,7 +255,24 @@ func Run(prog *mir.Program, cfg Config) (*Result, error) {
 		TailLen:     m.icount - m.lastEvt,
 		InstrCounts: m.counts,
 	}
-	return res, err
+	return res, !panicked, err
+}
+
+// clearMem zeroes every word the run can have written. A store below the
+// heap pointer, which only grows, lies in mem[:hp]; a store at or above it
+// lowered stackLo, so mem[stackLo:] holds the rest: the stack, the
+// argument slots below SP and any wild store between heap and stack.
+func (m *machine) clearMem() {
+	clear(m.mem[:min(m.hp, int64(len(m.mem)))])
+	clear(m.mem[m.stackLo:])
+}
+
+// store writes v to address a, which addr has checked.
+func (m *machine) store(a, v int64) {
+	if a >= m.hp && a < m.stackLo {
+		m.stackLo = a
+	}
+	m.mem[a] = v
 }
 
 func (m *machine) fault(format string, args ...any) error {
@@ -264,12 +351,16 @@ func (m *machine) pushFrame(callee *mir.Proc) {
 	m.frames = append(m.frames, frameMark{iBase: m.iBase, fBase: m.fBase, proc: m.curProc, pc: m.pc})
 	m.iBase = len(m.iarena)
 	m.fBase = len(m.farena)
-	for i := 0; i < callee.NIRegs; i++ {
-		m.iarena = append(m.iarena, 0)
-	}
-	for i := 0; i < callee.NFRegs; i++ {
-		m.farena = append(m.farena, 0)
-	}
+	m.iarena = extend(m.iarena, callee.NIRegs)
+	m.farena = extend(m.farena, callee.NFRegs)
+}
+
+// extend grows s by n zeroed elements. Popped frames leave stale values
+// in the capacity past len(s), so the new elements are cleared.
+func extend[E any](s []E, n int) []E {
+	s = slices.Grow(s, n)[:len(s)+n]
+	clear(s[len(s)-n:])
+	return s
 }
 
 func (m *machine) popFrame() error {
@@ -483,7 +574,7 @@ func (m *machine) run() error {
 			if err != nil {
 				return err
 			}
-			m.mem[a] = m.getI(in.Rt)
+			m.store(a, m.getI(in.Rt))
 		case mir.FLw:
 			a, err := m.addr(in.Rs, in.Imm)
 			if err != nil {
@@ -495,7 +586,7 @@ func (m *machine) run() error {
 			if err != nil {
 				return err
 			}
-			m.mem[a] = int64(math.Float64bits(m.getF(in.Rt)))
+			m.store(a, int64(math.Float64bits(m.getF(in.Rt))))
 		case mir.Beq, mir.Bne, mir.Bltz, mir.Blez, mir.Bgtz, mir.Bgez,
 			mir.FBeq, mir.FBne, mir.FBlt, mir.FBle, mir.FBgt, mir.FBge:
 			taken := m.evalBranch(in)
@@ -642,7 +733,9 @@ func (m *machine) builtin(p *mir.Proc) error {
 		if n < 0 {
 			return m.fault("alloc(%d): negative size", n)
 		}
-		if m.hp+n >= m.sp {
+		// n >= sp-hp is hp+n >= sp without overflowing: a wrapped heap
+		// pointer would escape clearMem.
+		if n >= m.sp-m.hp {
 			return m.fault("alloc(%d): out of memory (heap %d, stack %d)", n, m.hp, m.sp)
 		}
 		m.rv = m.hp

@@ -249,6 +249,39 @@ func TestCallsAndFrames(t *testing.T) {
 	}
 }
 
+// TestNewFrameRegistersAreZero: a callee's registers start at zero even
+// where a returned frame left values in the arena.
+func TestNewFrameRegistersAreZero(t *testing.T) {
+	set := &mir.Proc{Name: "set", NIRegs: 2, NFRegs: 1, Code: []mir.Instr{
+		{Op: mir.Li, Rd: mir.Int(0), Imm: 7},
+		{Op: mir.Li, Rd: mir.Int(1), Imm: 8},
+		{Op: mir.FLi, Rd: mir.Float(0), FImm: 2.5},
+		{Op: mir.Jr, Rs: mir.RA},
+	}}
+	get := &mir.Proc{Name: "get", NIRegs: 2, NFRegs: 1, Code: []mir.Instr{
+		{Op: mir.Add, Rd: mir.RV, Rs: mir.Int(0), Rt: mir.Int(1)},
+		{Op: mir.CvtFI, Rd: mir.Int(0), Rs: mir.Float(0)},
+		{Op: mir.Add, Rd: mir.RV, Rs: mir.RV, Rt: mir.Int(0)},
+		{Op: mir.Jr, Rs: mir.RA},
+	}}
+	main := &mir.Proc{Name: "main", Code: []mir.Instr{
+		{Op: mir.Jal, Callee: 1},
+		{Op: mir.Jal, Callee: 2},
+		{Op: mir.Halt},
+	}}
+	prog := &mir.Program{Procs: []*mir.Proc{main, set, get}}
+	if err := prog.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(prog, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ExitCode != 0 {
+		t.Errorf("fresh frame read %d from its registers, want 0", res.ExitCode)
+	}
+}
+
 func TestBuiltins(t *testing.T) {
 	// Exercise alloc/printi/printc/prints/readi/rand/srand/exit through
 	// raw MIR: store the arg, call, check.

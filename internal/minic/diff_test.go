@@ -3,6 +3,8 @@ package minic
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,9 +13,9 @@ import (
 
 // Differential testing: generate random programs as a tiny statement AST,
 // render them to minic source, execute them on the reference evaluator
-// below AND through the compiler + interpreter, and compare results.
-// This pins the whole compile-execute pipeline against an independent
-// implementation of the semantics.
+// below AND through the compiler + interpreter, and compare results
+// (FuzzInterp). This pins the whole compile-execute pipeline against an
+// independent implementation of the semantics.
 
 type dExpr interface {
 	render(b *strings.Builder)
@@ -299,10 +301,44 @@ func refRun(nvars int, init []int64, body []dStmt) int64 {
 	return mix
 }
 
-func TestDifferentialRandomPrograms(t *testing.T) {
-	const trials = 300
-	const nvars = 8
-	for seed := int64(0); seed < trials; seed++ {
+// dirtySrc writes a heap, a deep stack and wild addresses between them,
+// so a run right after it shows whether any of that leaks into the next
+// run that reuses its memory.
+const dirtySrc = `
+int f(int n) {
+	int a[8];
+	a[n % 8] = n;
+	if (n == 0) { return 0; }
+	return f(n - 1) + a[n % 8];
+}
+int main() {
+	int *p = alloc(50000);
+	int *w = (int*)1000000;
+	int i;
+	for (i = 0; i < 50000; i += 101) { p[i] = i + 7; }
+	*w = 99;
+	w = (int*)1900000;
+	*w = 98;
+	return f(5000) % 256;
+}`
+
+// FuzzInterp generates a random program from a seed and runs it through
+// the compiler and the interpreter, with and without spilled locals. It
+// checks the output against the reference evaluator; that the event
+// deltas plus the tail add up to Steps; that the per-branch taken and
+// fall-through counts of the events equal the profile; and that a second
+// run, right after one that dirties memory, returns an identical Result.
+// The seed corpus is the first 300 seeds.
+func FuzzInterp(f *testing.F) {
+	for seed := int64(0); seed < 300; seed++ {
+		f.Add(seed)
+	}
+	dirty, err := Compile(dirtySrc, Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		const nvars = 8
 		g := &dGen{r: rand.New(rand.NewSource(seed)), nvars: nvars}
 		init := make([]int64, nvars)
 		for i := range init {
@@ -310,22 +346,56 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		}
 		body := g.stmts(3, 2+g.r.Intn(5), 0)
 		src := renderProgram(nvars, init, body)
-		want := refRun(nvars, init, body)
+		want := fmt.Sprintf("%d", refRun(nvars, init, body))
 
 		for _, opts := range []Options{{}, {SpillLocals: true}} {
 			prog, err := Compile(src, opts)
 			if err != nil {
-				t.Fatalf("seed %d opts %+v: compile: %v\n%s", seed, opts, err, src)
+				t.Fatalf("opts %+v: compile: %v\n%s", opts, err, src)
 			}
-			res, err := interp.Run(prog, interp.Config{Budget: 1 << 22})
+			cfg := interp.Config{Budget: 1 << 22, CollectEvents: true}
+			res, err := interp.Run(prog, cfg)
 			if err != nil {
-				t.Fatalf("seed %d opts %+v: run: %v\n%s", seed, opts, err, src)
+				t.Fatalf("opts %+v: run: %v\n%s", opts, err, src)
 			}
-			got := res.Output
-			wantStr := fmt.Sprintf("%d", want)
-			if got != wantStr {
-				t.Fatalf("seed %d opts %+v: got %s, want %s\nprogram:\n%s", seed, opts, got, wantStr, src)
+			if res.Output != want {
+				t.Fatalf("opts %+v: got %s, want %s\nprogram:\n%s", opts, res.Output, want, src)
+			}
+			checkEvents(t, res)
+			if _, err := interp.Run(dirty, interp.Config{}); err != nil {
+				t.Fatalf("dirtying run: %v", err)
+			}
+			again, err := interp.Run(prog, cfg)
+			if err != nil || !reflect.DeepEqual(again, res) {
+				t.Fatalf("opts %+v: rerun after a dirtying run differs (err %v)\nprogram:\n%s", opts, err, src)
 			}
 		}
+	})
+}
+
+// checkEvents requires the event stream to account for every executed
+// instruction and to agree with the edge profile branch by branch.
+func checkEvents(t *testing.T, res *interp.Result) {
+	t.Helper()
+	sum := res.TailLen
+	taken := make([]int64, len(res.Profile.Taken))
+	fall := make([]int64, len(res.Profile.Fall))
+	for _, ev := range res.Events {
+		sum += int64(ev.Delta)
+		if ev.Kind != interp.EvBranch {
+			continue
+		}
+		if ev.Taken {
+			taken[ev.Branch]++
+		} else {
+			fall[ev.Branch]++
+		}
+	}
+	if sum != res.Steps {
+		t.Errorf("event deltas plus tail = %d, steps = %d", sum, res.Steps)
+	}
+	if !slices.Equal(taken, res.Profile.Taken) || !slices.Equal(fall, res.Profile.Fall) {
+		t.Errorf("events count taken %v fall %v, profile taken %v fall %v",
+			taken, fall, res.Profile.Taken, res.Profile.Fall)
 	}
 }
