@@ -475,10 +475,6 @@ var (
 	// WithServiceBudget sets the default instruction budget for requests
 	// that don't carry one. (WithBudget is the per-run execution option.)
 	WithServiceBudget = service.WithBudget
-	// WithRetryPolicy replaces the per-stage transient-failure retry policy.
-	WithRetryPolicy = service.WithRetryPolicy
-	// WithBreakerPolicy replaces the per-stage circuit breaker policy.
-	WithBreakerPolicy = service.WithBreakerPolicy
 	// WithDurableStore persists the warm request set (snapshot + journal)
 	// under a directory; pair with Service.Recover at boot and
 	// Service.Close at shutdown.
@@ -539,11 +535,10 @@ func TenantContext(ctx context.Context, id string) context.Context { return tena
 
 // ---- Observability ----
 
-// Tracer records request traces (spans around every pipeline stage,
-// cache lookup, retry, and breaker decision) into a fixed-size ring
-// buffer, optionally exporting each as a structured slog event. Obtain
-// the service's tracer via Service.Tracer, or install your own with
-// WithTracer.
+// Tracer records request traces (spans around every pipeline stage
+// and cache lookup) into a fixed-size ring buffer, optionally exporting
+// each as a structured slog event. Obtain the service's tracer via
+// Service.Tracer, or install your own with WithTracer.
 type Tracer = obs.Tracer
 
 // TraceRecord is one completed request trace.
@@ -568,9 +563,9 @@ type SpanContext = obs.SpanContext
 var ParseTraceHeader = obs.ParseTraceHeader
 
 // TraceArchive is a size-bounded, tail-sampled store of completed
-// traces: errored, hedged, breaker-tripped, and slow traces are always
-// kept; the rest are sampled deterministically by trace ID. Attach one
-// to a tracer with Tracer.Attach; it persists through a DurableSection.
+// traces: errored, hedged, and slow traces are always kept; the rest
+// are sampled deterministically by trace ID. Attach one to a tracer
+// with Tracer.Attach; it persists through a DurableSection.
 type TraceArchive = obs.Archive
 
 // TraceArchivePolicy configures a TraceArchive.
@@ -619,18 +614,9 @@ var ErrServiceBusy = service.ErrBusy
 // into exactly one of the five kinds below; the original cause chain
 // (ErrBudget, context.DeadlineExceeded, ...) stays reachable.
 
-// Resilience types, re-exported for configuration and introspection.
-type (
-	// RetryPolicy is the per-stage retry/backoff configuration.
-	RetryPolicy = resilience.RetryPolicy
-	// BreakerPolicy is the per-stage circuit breaker configuration.
-	BreakerPolicy = resilience.BreakerPolicy
-	// BreakerStats is a point-in-time circuit breaker snapshot.
-	BreakerStats = resilience.BreakerStats
-	// PanicError is a pipeline panic recovered into an error; it
-	// classifies as ErrInternal and carries the captured stack.
-	PanicError = resilience.PanicError
-)
+// PanicError is a pipeline panic recovered into an error; it
+// classifies as ErrInternal and carries the captured stack.
+type PanicError = resilience.PanicError
 
 // Error kinds and related sentinels.
 var (
@@ -640,7 +626,7 @@ var (
 	// ErrResourceExhausted: the request exceeded a resource cap, e.g.
 	// the instruction budget.
 	ErrResourceExhausted = resilience.ErrResourceExhausted
-	// ErrOverload: the request was shed (full queue or open breaker).
+	// ErrOverload: the request was shed (full queue or tenant quota).
 	ErrOverload = resilience.ErrOverload
 	// ErrQuotaExceeded refines ErrOverload: the request's tenant is
 	// over its per-tenant quota. Matching errors also match ErrOverload.
@@ -649,9 +635,6 @@ var (
 	ErrTimeout = resilience.ErrTimeout
 	// ErrInternal: a service-side failure (bug, recovered panic).
 	ErrInternal = resilience.ErrInternal
-	// ErrCircuitOpen is wrapped into breaker rejections (which also
-	// classify as ErrOverload).
-	ErrCircuitOpen = resilience.ErrCircuitOpen
 	// ErrBudget is the interpreter's instruction-budget sentinel; it
 	// classifies as ErrResourceExhausted.
 	ErrBudget = interp.ErrBudget

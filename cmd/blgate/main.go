@@ -47,9 +47,9 @@
 // Every proxied request runs under a trace whose ID is echoed in
 // X-Trace-Id; each attempt (primary, hedge, retry) gets a child span
 // and stamps a Traceparent header so the replica's trace links back
-// to it. Traces that errored, hedged, tripped a breaker, or exceeded
-// -trace-slow are tail-sampled into a bounded archive, plus a
-// deterministic -trace-sample fraction of the rest.
+// to it. Traces that errored, hedged, or exceeded -trace-slow are
+// tail-sampled into a bounded archive, plus a deterministic
+// -trace-sample fraction of the rest.
 package main
 
 import (

@@ -22,8 +22,6 @@ type faultRequest struct {
 	Err   string `json:"err,omitempty"`
 	Panic string `json:"panic,omitempty"`
 	Hang  bool   `json:"hang,omitempty"`
-	// Transient marks Err retryable, exercising the retry path.
-	Transient bool `json:"transient,omitempty"`
 	// Times bounds how often the fault fires; 0 means until cleared.
 	Times int `json:"times,omitempty"`
 }
@@ -44,9 +42,6 @@ func (s *server) handleFault(w http.ResponseWriter, r *http.Request) {
 		f.Panic = req.Panic
 	case req.Err != "":
 		f.Err = errors.New(req.Err)
-		if req.Transient {
-			f.Err = resilience.MarkTransient(f.Err)
-		}
 	case !req.Hang:
 		httpError(w, http.StatusBadRequest, "invalid_input",
 			errors.New("fault needs one of err, panic, or hang"))

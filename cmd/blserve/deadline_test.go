@@ -80,6 +80,36 @@ func TestDeadlineHeaderSurfaces504(t *testing.T) {
 	}
 }
 
+// TestExpiredDeadlinesDoNotRefuseOthers: X-Deadline-Ms bounds only the
+// request that carries it. Eight requests whose deadline expires each
+// get 504; afterwards a benchmark answered before them still answers
+// from the run cache, and an unseen source still answers 200.
+func TestExpiredDeadlinesDoNotRefuseOthers(t *testing.T) {
+	ts, _ := newTestServer(t)
+	if resp, _ := postPredict(t, ts, predictRequest{Benchmark: "xlisp"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("priming xlisp: status = %d", resp.StatusCode)
+	}
+	for i := 1; i <= 8; i++ {
+		resp := postWithDeadline(t, ts.URL, predictRequest{Source: slowSrc, Budget: 1 << 40}, "30")
+		var e errorResponse
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusGatewayTimeout || e.Code != "timeout" {
+			t.Fatalf("call %d: status = %d, error %+v, want 504 timeout", i, resp.StatusCode, e)
+		}
+	}
+	resp, out := postPredict(t, ts, predictRequest{Benchmark: "xlisp"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cached xlisp after expired deadlines: status = %d", resp.StatusCode)
+	}
+	if !out.RunCached {
+		t.Fatal("cached xlisp after expired deadlines missed the run cache")
+	}
+	if resp, _ := postPredict(t, ts, predictRequest{Source: "int main() { printi(7); return 0; }"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("unseen source after expired deadlines: status = %d", resp.StatusCode)
+	}
+}
+
 // TestDeadlineHeaderGenerous: a deadline the work easily beats changes
 // nothing.
 func TestDeadlineHeaderGenerous(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -14,23 +13,6 @@ import (
 	"ballarus/internal/obs"
 	"ballarus/internal/resilience"
 )
-
-// openAnalyzeBreaker trips the analyze-stage breaker with two injected
-// panics on throwaway sources.
-func openAnalyzeBreaker(t *testing.T, ts *httptest.Server) {
-	t.Helper()
-	resilience.InjectFault("service.analyze", resilience.Fault{Panic: "injected"})
-	for i := 0; i < 2; i++ {
-		src := fmt.Sprintf("int main() { printi(%d); return 0; }", 1000+i)
-		r, data := postRaw(t, ts, predictRequest{Source: src})
-		if r.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("breaker-opening request %d: status = %d (body %s)", i, r.StatusCode, data)
-		}
-		if e := decodeError(t, data); e.Code != "internal" {
-			t.Fatalf("breaker-opening request %d: code = %q, want internal", i, e.Code)
-		}
-	}
-}
 
 // TestEquivalentRequestsShareRunCache: the service keys its caches by
 // canonical content, so a benchmark named in one request and spelled

@@ -36,7 +36,7 @@
 //	                     and cache hits
 //	GET  /healthz        liveness probe
 //	GET  /metrics        Prometheus text exposition: request/stage/cache/
-//	                     breaker/durability counters, latency histograms,
+//	                     durability counters, latency histograms,
 //	                     per-heuristic accuracy
 //	GET  /debug/traces   recent request traces (?last=N, clamped to the
 //	                     ring), ?id= exact-match collections of one
@@ -46,10 +46,10 @@
 // Every request runs under a distributed-tracing span: an incoming
 // Traceparent header (stamped by blgate attempts) parents this
 // process's trace, the trace ID is echoed in X-Trace-Id, and completed
-// traces that errored, were hedged, tripped a breaker, or exceeded
-// -trace-slow are tail-sampled into a durable archive (-trace-archive
-// entries, plus a -trace-sample fraction of boring traces) that
-// survives restarts via -state-dir. Request-latency histogram buckets
+// traces that errored, were hedged, or exceeded -trace-slow are
+// tail-sampled into a durable archive (-trace-archive entries, plus a
+// -trace-sample fraction of boring traces) that survives restarts via
+// -state-dir. Request-latency histogram buckets
 // carry the most recent trace ID as ballarus_*_exemplar gauges.
 //
 // Logs are structured (slog); -log-format json switches them to JSON
@@ -63,8 +63,8 @@
 // replays it to rewarm the caches, so a crashed or killed server
 // restarts warm.
 //
-// A shed request (full queue, open breaker) is answered 429 with
-// Retry-After; brownout answers for requests seen before come from the
+// A shed request (full queue, or a tenant over its fair share) is
+// answered 429 with Retry-After; brownout answers for requests seen before come from the
 // blgate gateway's last-known-good cache, not from the replica.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: new requests are
@@ -91,7 +91,7 @@ import (
 )
 
 // version identifies the build in the startup record.
-const version = "0.10.0"
+const version = "0.11.0"
 
 // defaultInstanceID derives an instance identity when -instance-id is
 // not set: host-pid is unique enough to tell replicas apart in traces

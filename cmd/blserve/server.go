@@ -121,7 +121,7 @@ type server struct {
 	// batchMax bounds POST /v1/batch item counts.
 	batchMax int
 	// archive tail-samples completed request traces (always-keep for
-	// errors/hedges/breakers/slow requests) and rides the durable
+	// errors/hedges/slow requests) and rides the durable
 	// snapshot, so the interesting traces survive a crash.
 	archive    *obs.Archive
 	instanceID string
@@ -325,8 +325,8 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 //	422 resource_exhausted  the instruction budget was blown
 //	429 quota_exceeded      THIS tenant is over its rate/concurrency
 //	                        quota (X-RateLimit-* headers attached)
-//	429 overload            shed load: full queue, open breaker, or a
-//	                        tenant over its fair share under saturation
+//	429 overload            shed load: full queue, or a tenant over its
+//	                        fair share under saturation
 //	504 timeout             the server-side deadline expired
 //	500 internal            bugs and recovered panics
 func statusFor(r *http.Request, err error) (int, string) {

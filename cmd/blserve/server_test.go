@@ -239,19 +239,44 @@ func TestPredictBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestBreakerOpenShedsPredict: with a stage breaker open, every
-// predict is shed with 429 overload and Retry-After — a request the
-// server has answered before as much as an unseen one. Brownout
-// answers come from the gateway's cache, not from the replica.
-func TestBreakerOpenShedsPredict(t *testing.T) {
+// TestFullQueueShedsPredict: with the only worker held and the queue
+// full, every predict is shed with 429 overload and Retry-After — a
+// request the server has answered before as much as an unseen one.
+// Brownout answers come from the gateway's cache, not from the replica.
+func TestFullQueueShedsPredict(t *testing.T) {
 	defer resilience.ClearFaults()
-	ts, _ := newTestServer(t,
-		ballarus.WithBreakerPolicy(ballarus.BreakerPolicy{Threshold: 2, Cooldown: time.Minute}))
+	ts, svc := newTestServer(t, ballarus.WithWorkers(1), ballarus.WithQueueDepth(1))
 	primed := predictRequest{Source: testSrc}
 	if resp, _ := postPredict(t, ts, primed); resp.StatusCode != http.StatusOK {
 		t.Fatalf("priming request status = %d", resp.StatusCode)
 	}
-	openAnalyzeBreaker(t, ts)
+
+	// The first held request hangs in compile until its deadline and
+	// keeps the worker; the second waits in the one-deep queue.
+	resilience.InjectFault("service.compile", resilience.Fault{Hang: true, Times: 1})
+	var wg sync.WaitGroup
+	hold := func(i int) {
+		defer wg.Done()
+		body, _ := json.Marshal(predictRequest{Source: fmt.Sprintf("int main() { printi(%d); return 0; }", 1000+i)})
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/predict", bytes.NewReader(body))
+		req.Header.Set("X-Deadline-Ms", "500")
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}
+	wait := func(what string, cond func(ballarus.ServiceStats) bool) {
+		t.Helper()
+		for end := time.Now().Add(5 * time.Second); !cond(svc.Stats()); time.Sleep(time.Millisecond) {
+			if time.Now().After(end) {
+				t.Fatalf("%s never happened: %+v", what, svc.Stats())
+			}
+		}
+	}
+	wg.Add(2)
+	go hold(0)
+	wait("worker held", func(st ballarus.ServiceStats) bool { return st.InFlight == 1 })
+	go hold(1)
+	wait("queue filled", func(st ballarus.ServiceStats) bool { return st.Queued == 1 })
 
 	for name, req := range map[string]predictRequest{
 		"answered": primed,
@@ -268,6 +293,7 @@ func TestBreakerOpenShedsPredict(t *testing.T) {
 			t.Fatalf("%s request: code = %q, want overload", name, e.Code)
 		}
 	}
+	wg.Wait()
 }
 
 func TestPredictTimeout(t *testing.T) {

@@ -10,8 +10,8 @@
 //
 //   - Soak: one blserve with durable state, driven through seeded
 //     traffic, fault episodes, overload bursts, and SIGKILL-restart
-//     rounds, then a snapshot corruption drill, a breaker drill, and a
-//     /metrics cross-check. Snapshots are never torn, restarts are warm,
+//     rounds, then a snapshot corruption drill and a /metrics
+//     cross-check. Snapshots are never torn, restarts are warm,
 //     every response is exclusive (answered or refused, never both),
 //     and corruption is counted data loss, not an outage.
 //   - Cluster: replicas behind blgate with kills, stalls, a hedged

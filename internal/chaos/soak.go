@@ -24,20 +24,11 @@ type SoakReport struct {
 	WarmHitRate float64 `json:"warm_hit_rate"` // of the last warm check
 	Recovered   int64   `json:"recovered"`     // warmed requests, summed over restarts
 	Skipped     int64   `json:"skipped"`       // corrupt entries skipped at the drill boot
-	// BreakerOpens is the execute breaker's open count after the
-	// scripted breaker drill.
-	BreakerOpens int64 `json:"breaker_opens"`
 }
 
 // statsView is the slice of /v1/stats the soak asserts on.
 type statsView struct {
-	Completed int64 `json:"completed"`
-	Breakers  []struct {
-		Name     string `json:"name"`
-		State    string `json:"state"`
-		Opens    int64  `json:"opens"`
-		Rejected int64  `json:"rejected"`
-	} `json:"breakers"`
+	Completed  int64 `json:"completed"`
 	Durability struct {
 		SnapshotSkipped int64 `json:"snapshot_skipped"`
 		Warmed          int64 `json:"warmed"`
@@ -63,9 +54,8 @@ type soak struct {
 //     cache at hitFloor or better;
 //  2. corruption: flip a bit inside one snapshot entry — the next boot
 //     must skip and count it, never fail;
-//  3. breaker: open the execute-stage breaker with scripted faults;
-//  4. metrics: /metrics must lint clean and its breaker-open,
-//     corruption-skip, and completion counters must match /v1/stats.
+//  3. metrics: /metrics must lint clean and its corruption-skip and
+//     completion counters must match /v1/stats.
 //
 // Every response, throughout, is exclusive (answered or refused, never
 // both) and every 429 and 504 carries Retry-After.
@@ -90,7 +80,6 @@ func soakPlan(f *fleet) plan {
 		phases: []phase{
 			{"soak", s.soak},
 			{"corruption", s.corruption},
-			{"breaker", s.breaker},
 			{"metrics", s.metrics},
 		},
 		shutdown: "r0",
@@ -183,12 +172,10 @@ func (s *soak) traffic(n int) {
 func (s *soak) faultEpisode() {
 	stage := []string{"service.compile", "service.analyze", "service.execute"}[s.rng.Intn(3)]
 	var f map[string]any
-	switch s.rng.Intn(4) {
+	switch s.rng.Intn(3) {
 	case 0:
 		f = map[string]any{"point": stage, "err": "chaos-injected", "times": 1 + s.rng.Intn(3)}
 	case 1:
-		f = map[string]any{"point": stage, "err": "chaos-transient", "transient": true, "times": 1 + s.rng.Intn(3)}
-	case 2:
 		f = map[string]any{"point": stage, "panic": "chaos-panic", "times": 1 + s.rng.Intn(2)}
 	default:
 		f = map[string]any{"point": stage, "hang": true, "times": 1}
@@ -331,46 +318,9 @@ func (s *soak) corruption(context.Context) error {
 	return nil
 }
 
-// breaker opens the execute-stage circuit breaker with a scripted
-// burst of non-transient faults (past the consecutive-failure
-// threshold) so the metrics phase can assert the episode is visible in
-// both /v1/stats and /metrics.
-func (s *soak) breaker(context.Context) error {
-	payload, _ := json.Marshal(map[string]any{
-		"point": "service.execute", "err": "chaos-breaker", "times": 32,
-	})
-	if !s.post("r0", "/debug/fault", payload) {
-		s.violate("breaker drill: fault injection failed")
-		return nil
-	}
-	// Distinct jobs so every request reaches the faulted execute stage
-	// (no run-cache hits) until the breaker opens and sheds the rest.
-	for i := 0; i < 10; i++ {
-		s.send(s.newJob(0))
-	}
-	s.post("r0", "/debug/clearfaults", nil)
-	var st statsView
-	if err := s.getJSON("r0", "/v1/stats", &st); err != nil {
-		s.violate("breaker drill: no stats: %v", err)
-		return nil
-	}
-	for _, b := range st.Breakers {
-		if b.Name == "execute" {
-			s.r.BreakerOpens = b.Opens
-			if b.Opens < 1 {
-				s.violate("breaker drill: execute breaker never opened (state %s, rejected %d)",
-					b.State, b.Rejected)
-			}
-			return nil
-		}
-	}
-	s.violate("breaker drill: no execute breaker in stats")
-	return nil
-}
-
 // metrics asserts the exported counters agree with /v1/stats: every
-// breaker-open episode and every corruption skip observed by the
-// harness must be visible to a Prometheus scraper.
+// corruption skip and completion observed by the harness must be
+// visible to a Prometheus scraper.
 func (s *soak) metrics(context.Context) error {
 	exp := s.scrape("r0")
 	if exp == nil {
@@ -381,17 +331,6 @@ func (s *soak) metrics(context.Context) error {
 		s.violate("metrics: no stats for cross-check: %v", err)
 		return nil
 	}
-	for _, b := range st.Breakers {
-		s.expect(exp, "ballarus_breaker_opens_total", map[string]string{"stage": b.Name}, float64(b.Opens))
-		if b.Opens > 0 {
-			t, _ := exp.Value("ballarus_breaker_transitions_total",
-				map[string]string{"stage": b.Name, "to": "open"})
-			if int64(t) < b.Opens {
-				s.violate("metrics: breaker_transitions_total{stage=%q,to=open} = %v < %d opens",
-					b.Name, t, b.Opens)
-			}
-		}
-	}
 	s.expect(exp, "ballarus_recovered_snapshot_skipped", nil, float64(st.Durability.SnapshotSkipped))
 	s.expect(exp, "ballarus_requests_completed_total", nil, float64(st.Completed))
 	if v, found := exp.Value("ballarus_stage_duration_seconds_count",
@@ -399,7 +338,7 @@ func (s *soak) metrics(context.Context) error {
 		s.violate("metrics: no execute-stage latency histogram samples (found %v, %v)", found, v)
 	}
 	s.rep.MetricsScraped = true
-	s.logf("metrics check: %d samples, breaker opens %d, skipped %d",
-		len(exp.Samples), s.r.BreakerOpens, st.Durability.SnapshotSkipped)
+	s.logf("metrics check: %d samples, skipped %d",
+		len(exp.Samples), st.Durability.SnapshotSkipped)
 	return nil
 }

@@ -12,7 +12,8 @@
 //   - Passive outlier ejection: EjectAfter consecutive 5xx/transport
 //     failures on live traffic ejects a replica for an exponentially
 //     growing cool-off (EjectBase doubling up to EjectMax), so a sick
-//     replica stops hurting clients between probe ticks.
+//     replica stops hurting clients between probe ticks. A 504 never
+//     counts: it means the client's propagated deadline ran out.
 //   - Hedged requests: POST /v1/predict is idempotent (the service is
 //     deterministic and content-hash cached), so after the observed
 //     latency quantile elapses the gateway fires one hedge at a
@@ -60,8 +61,9 @@ type Config struct {
 	// (default 2).
 	Fall int
 
-	// EjectAfter is the consecutive live-traffic failures (5xx or
-	// transport error) that passively eject a replica (default 3).
+	// EjectAfter is the consecutive live-traffic failures (5xx other
+	// than 504, or transport error) that passively eject a replica
+	// (default 3).
 	EjectAfter int
 	// EjectBase is the first ejection's cool-off, doubling per repeat
 	// ejection up to EjectMax (defaults 1s and 30s).
@@ -111,8 +113,8 @@ type Config struct {
 	// 256-entry tracer so /debug/traces and trace assembly always work.
 	Tracer *obs.Tracer
 	// TraceArchive tail-samples completed traces; nil builds one with
-	// obs.ArchivePolicy defaults. Errored, hedged, breaker-tripped, and
-	// slow traces are always kept.
+	// obs.ArchivePolicy defaults. Errored, hedged, and slow traces are
+	// always kept.
 	TraceArchive *obs.Archive
 
 	// Transport overrides the upstream round tripper (tests).

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -51,6 +52,10 @@ func newFakeReplica(t *testing.T, id string) *fakeReplica {
 	f.compare.Store(okCompare(id))
 	f.healthy.Store(true)
 	f.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Reading the body to EOF lets net/http notice a client that
+		// hangs up and cancel r.Context(), so a stalled handler that
+		// watches it ends when the gateway abandons the attempt.
+		io.Copy(io.Discard, r.Body)
 		switch r.URL.Path {
 		case "/healthz":
 			if f.healthy.Load() {
@@ -161,6 +166,39 @@ func TestGatewayRetriesPastFailure(t *testing.T) {
 	}
 	if got := g.metrics.attempts[attemptRetry].Value() + g.metrics.attempts[attemptHedge].Value(); got == 0 {
 		t.Fatal("no retries or hedges recorded despite a failing replica")
+	}
+}
+
+// TestClientDeadlineDoesNotEject: a replica answers 504 when the
+// deadline the gateway propagated runs out. That is the client's
+// budget, not the replica's health, so it moves neither failures nor
+// ejections.
+func TestClientDeadlineDoesNotEject(t *testing.T) {
+	timeout := func(w http.ResponseWriter, r *http.Request) {
+		ms, _ := strconv.Atoi(r.Header.Get("X-Deadline-Ms"))
+		time.Sleep(time.Duration(ms) * time.Millisecond * 9 / 10)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusGatewayTimeout)
+		fmt.Fprint(w, `{"error":"context deadline exceeded","code":"timeout"}`)
+	}
+	a := newFakeReplica(t, "a")
+	b := newFakeReplica(t, "b")
+	a.predict.Store(timeout)
+	b.predict.Store(timeout)
+	g, ts := newTestGateway(t, Config{EjectAfter: 2, EjectBase: time.Minute, EjectMax: time.Minute}, a, b)
+
+	for i := 0; i < 6; i++ {
+		resp, data := postBody(t, ts.URL, fmt.Sprintf(`{"source":"req%d"}`, i),
+			map[string]string{"X-Deadline-Ms": "40"})
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("request %d: status = %d (body %s), want 504", i, resp.StatusCode, data)
+		}
+	}
+	for _, rs := range g.Stats().Replicas {
+		if rs.Failures != 0 || rs.Ejections != 0 {
+			t.Errorf("replica %s after client deadlines: %+v, want no failures and no ejections", rs.ID, rs)
+		}
 	}
 }
 

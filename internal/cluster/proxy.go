@@ -348,6 +348,12 @@ func (g *Gateway) attempt(ctx context.Context, rep *replica, kind string, sp *ob
 	}
 	sp.Attr("status", strconv.Itoa(resp.StatusCode))
 	switch {
+	case resp.StatusCode == http.StatusGatewayTimeout:
+		// The replica ran out of the deadline this gateway propagated:
+		// that is the client's budget, not the replica's health, so it
+		// is neither a failure (no ejection) nor a success.
+		g.metrics.replicaErr[rep.id].Inc()
+		sp.End(fmt.Errorf("replica %s: status %d", rep.id, resp.StatusCode))
 	case resp.StatusCode >= 500:
 		g.noteFailure(rep)
 		sp.End(fmt.Errorf("replica %s: status %d", rep.id, resp.StatusCode))

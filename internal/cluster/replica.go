@@ -102,10 +102,10 @@ func (r *replica) noteSuccess(now time.Time) {
 	}
 }
 
-// noteFailure records a failed live request (5xx or transport error)
-// and, at ejectAfter consecutive failures, ejects the replica for an
-// exponentially growing cool-off. It returns the cool-off applied, or
-// zero when no ejection happened.
+// noteFailure records a failed live request (5xx other than 504, or
+// transport error) and, at ejectAfter consecutive failures, ejects the
+// replica for an exponentially growing cool-off. It returns the
+// cool-off applied, or zero when no ejection happened.
 func (r *replica) noteFailure(now time.Time, ejectAfter int, base, max time.Duration) time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"hash/fnv"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -15,12 +14,11 @@ import (
 const (
 	KeepError   = "error"
 	KeepHedge   = "hedge"
-	KeepBreaker = "breaker"
 	KeepSlow    = "slow"
 	KeepSampled = "sampled"
 )
 
-var archiveReasons = []string{KeepError, KeepHedge, KeepBreaker, KeepSlow, KeepSampled}
+var archiveReasons = []string{KeepError, KeepHedge, KeepSlow, KeepSampled}
 
 // ArchivePolicy configures tail-sampling for an Archive.
 type ArchivePolicy struct {
@@ -54,11 +52,11 @@ func (p ArchivePolicy) withDefaults() ArchivePolicy {
 }
 
 // Archive is a durable, size-bounded store of completed traces with a
-// tail-sampling admission policy: traces that errored, were hedged,
-// tripped a breaker, or ran slow are always kept; the rest are kept
-// with a deterministic seeded probability. It rides the service's
-// durable snapshot machinery via Snapshot/Load so interesting traces
-// survive a crash. A nil Archive drops everything.
+// tail-sampling admission policy: traces that errored, were hedged, or
+// ran slow are always kept; the rest are kept with a deterministic
+// seeded probability. It rides the service's durable snapshot machinery
+// via Snapshot/Load so interesting traces survive a crash. A nil
+// Archive drops everything.
 type Archive struct {
 	policy ArchivePolicy
 
@@ -102,9 +100,6 @@ func (a *Archive) Register(reg *Registry) {
 // returning "" for traces that should only be kept probabilistically.
 func (a *Archive) keepReason(tr *Trace) string {
 	if tr.Err != "" {
-		if strings.Contains(tr.Err, "breaker") {
-			return KeepBreaker
-		}
 		return KeepError
 	}
 	if tr.Attrs["hedged"] == "true" || tr.Attrs["attempt"] == "hedge" {
@@ -112,9 +107,6 @@ func (a *Archive) keepReason(tr *Trace) string {
 	}
 	for _, sp := range tr.Spans {
 		if sp.Status == StatusError {
-			if strings.Contains(sp.Err, "breaker") {
-				return KeepBreaker
-			}
 			return KeepError
 		}
 	}

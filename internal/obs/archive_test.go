@@ -20,7 +20,7 @@ func TestArchiveKeepsInterestingTraces(t *testing.T) {
 		keep bool
 	}{
 		{"error", &Trace{ID: "aaaaaaaaaaaaaaa1", SpanID: "1", Err: "boom", Duration: time.Millisecond}, true},
-		{"breaker", &Trace{ID: "aaaaaaaaaaaaaaa2", SpanID: "2", Err: "stage compile: breaker open", Duration: time.Millisecond}, true},
+		{"stage-error", &Trace{ID: "aaaaaaaaaaaaaaa2", SpanID: "2", Err: "service: compile: internal error: injected", Duration: time.Millisecond}, true},
 		{"hedged-attr", &Trace{ID: "aaaaaaaaaaaaaaa3", SpanID: "3", Attrs: map[string]string{"hedged": "true"}, Duration: time.Millisecond}, true},
 		{"hedge-attempt", &Trace{ID: "aaaaaaaaaaaaaaa4", SpanID: "4", Attrs: map[string]string{"attempt": "hedge"}, Duration: time.Millisecond}, true},
 		{"span-error", &Trace{ID: "aaaaaaaaaaaaaaa5", SpanID: "5", Spans: []SpanRecord{{Name: "x", Status: StatusError, Err: "bad"}}, Duration: time.Millisecond}, true},

@@ -212,7 +212,6 @@ func newSpanID() string {
 }
 
 type activeKey struct{}
-type parentKey struct{}
 type remoteKey struct{}
 
 // Active is an in-progress trace. Methods are safe for concurrent use
@@ -256,8 +255,7 @@ func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Acti
 		tr.ID = newID()
 	}
 	a := &Active{t: t, tr: tr}
-	ctx = context.WithValue(ctx, activeKey{}, a)
-	return context.WithValue(ctx, parentKey{}, tr.SpanID), a
+	return context.WithValue(ctx, activeKey{}, a), a
 }
 
 // ID returns the trace ID ("" on a nil Active).
@@ -389,30 +387,14 @@ type Span struct {
 }
 
 // StartSpan opens a span on the trace attached to ctx, returning nil
-// when there is none. The span's parent is the innermost span linked
-// into ctx (via StartSpanCtx), or the trace's root span. End publishes
-// it.
+// when there is none. The span's parent is the trace's root span. End
+// publishes it.
 func StartSpan(ctx context.Context, name string) *Span {
 	a, _ := ctx.Value(activeKey{}).(*Active)
 	if a == nil {
 		return nil
 	}
-	parent, _ := ctx.Value(parentKey{}).(string)
-	if parent == "" {
-		parent = a.tr.SpanID
-	}
-	return &Span{a: a, name: name, id: newSpanID(), parent: parent, start: time.Now()}
-}
-
-// StartSpanCtx opens a span like StartSpan and additionally links it
-// into the returned context as the current parent, so spans opened
-// under that context nest beneath it.
-func StartSpanCtx(ctx context.Context, name string) (context.Context, *Span) {
-	s := StartSpan(ctx, name)
-	if s == nil {
-		return ctx, nil
-	}
-	return context.WithValue(ctx, parentKey{}, s.id), s
+	return &Span{a: a, name: name, id: newSpanID(), parent: a.tr.SpanID, start: time.Now()}
 }
 
 // SpanContext returns the span's propagation identity, for stamping

@@ -1,10 +1,14 @@
-// Package resilience is the fault-tolerance layer of the prediction
+// Package resilience is the fault-isolation layer of the prediction
 // pipeline: a typed error taxonomy that classifies every failure into
 // one of five client-meaningful kinds, panic isolation that converts
-// escaped panics into errors with captured stacks, retry with
-// exponential backoff and jitter for transient failures, a per-stage
-// circuit breaker, and a deterministic fault-injection hook used by the
-// test matrix.
+// escaped panics into errors with captured stacks, and a deterministic
+// fault-injection hook used by the test matrix.
+//
+// Every pipeline stage is a pure function of its input, so a stage
+// fails because of its request, never because a shared dependency is
+// down. The package therefore holds no retry loop and no circuit
+// breaker: a failure belongs to the request that caused it, and load
+// is shed only by admission control (queue depth, tenant quotas).
 //
 // The taxonomy is the contract between the pipeline and its callers:
 // every error leaving internal/service satisfies errors.Is against
@@ -31,9 +35,9 @@ var (
 	// resource cap, most prominently the interpreter instruction budget
 	// (interp.ErrBudget). The request is well-formed but too expensive.
 	ErrResourceExhausted = errors.New("resource exhausted")
-	// ErrOverload marks load shedding: the queue is full or a circuit
-	// breaker is open. The request was rejected without being attempted
-	// and may succeed if retried later.
+	// ErrOverload marks load shedding: the queue is full, or a tenant
+	// is over its quota or its fair share. The request was rejected
+	// without being attempted and may succeed if retried later.
 	ErrOverload = errors.New("overloaded")
 	// ErrQuotaExceeded refines ErrOverload: the request was rejected
 	// because its tenant is over a per-tenant quota, not because the
@@ -53,11 +57,6 @@ var (
 	// faults. These are the service's fault, never the client's.
 	ErrInternal = errors.New("internal error")
 )
-
-// ErrTransient marks an error as plausibly transient: a retry of the
-// same operation may succeed. Wrap with MarkTransient; test with
-// IsTransient. Retry policies only retry transient errors by default.
-var ErrTransient = errors.New("transient failure")
 
 // kinds in classification priority order.
 var kinds = []error{ErrInvalidInput, ErrResourceExhausted, ErrOverload, ErrTimeout, ErrInternal}
@@ -116,24 +115,6 @@ func Timeout(err error) error { return as(ErrTimeout, err) }
 // Internal classifies err as ErrInternal. Nil stays nil.
 func Internal(err error) error { return as(ErrInternal, err) }
 
-// transient marks a cause as retryable without assigning a kind.
-type transient struct{ cause error }
-
-func (e *transient) Error() string        { return "transient: " + e.cause.Error() }
-func (e *transient) Unwrap() error        { return e.cause }
-func (e *transient) Is(target error) bool { return target == ErrTransient }
-
-// MarkTransient marks err as transient (see ErrTransient). Nil stays nil.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transient{cause: err}
-}
-
-// IsTransient reports whether err is marked transient.
-func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
-
 // KindOf returns the kind sentinel err is classified as, or nil if err
 // is nil or unclassified.
 func KindOf(err error) error {
@@ -168,15 +149,4 @@ func Classify(err error) error {
 	default:
 		return Internal(err)
 	}
-}
-
-// Trips reports whether err should count against a circuit breaker:
-// internal errors and timeouts do; client mistakes (invalid input,
-// exhausted budgets), shed load, and client-side cancellation do not.
-func Trips(err error) bool {
-	if err == nil || errors.Is(err, context.Canceled) {
-		return false
-	}
-	k := KindOf(err)
-	return k == ErrInternal || k == ErrTimeout
 }

@@ -9,9 +9,8 @@ import (
 // Fault describes one injected failure at a Faultpoint. Exactly one of
 // Err, Panic, or Hang should be set.
 type Fault struct {
-	// Err is returned from the faultpoint as the stage's failure. Wrap
-	// with MarkTransient to exercise retry, or leave it unclassified to
-	// have it surface as ErrInternal.
+	// Err is returned from the faultpoint as the stage's failure. Left
+	// unclassified, it surfaces as ErrInternal.
 	Err error
 	// Panic, when non-nil, is panicked with — exercising the Safely
 	// isolation layer.

@@ -37,10 +37,10 @@ func newFlightCache[V any](max int) *flightCache[V] {
 	return &flightCache[V]{max: max, m: map[string]*flight[V]{}, order: list.New()}
 }
 
-// isTransient reports whether err came from cancellation rather than from
+// isCanceled reports whether err came from cancellation rather than from
 // the computation itself, so a waiter with a live context should retry
 // instead of inheriting the leader's cancellation.
-func isTransient(err error) bool {
+func isCanceled(err error) bool {
 	return errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, interp.ErrInterrupted)
@@ -64,7 +64,7 @@ func (c *flightCache[V]) do(ctx context.Context, key string, fn func() (V, error
 				if f.err == nil {
 					return f.val, true, nil
 				}
-				if isTransient(f.err) && ctx.Err() == nil {
+				if isCanceled(f.err) && ctx.Err() == nil {
 					continue // the leader was cancelled, not the work; retry
 				}
 				return val, true, f.err

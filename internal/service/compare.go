@@ -113,7 +113,7 @@ func (req *CompareRequest) compareKey(runKey string) string {
 // interpreter run, streaming the branch-event trace into every entrant
 // with no materialization. It shares the compile and analysis caches
 // with Predict, caches whole tournament results by content hash, and is
-// admitted, breaker-guarded, retried, and metered exactly like Predict.
+// admitted, fault-isolated, and metered exactly like Predict.
 // Error classification follows the same taxonomy.
 func (s *Service) Compare(ctx context.Context, req CompareRequest) (*CompareResult, error) {
 	s.met.requests.Add(1)
@@ -135,7 +135,7 @@ func (s *Service) Compare(ctx context.Context, req CompareRequest) (*CompareResu
 	res, err := s.compare(ctx, req)
 	if err != nil {
 		s.met.errors.Add(1)
-		if isTransient(err) {
+		if isCanceled(err) {
 			s.met.canceled.Add(1)
 		}
 		return nil, err

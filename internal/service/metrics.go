@@ -10,7 +10,6 @@ import (
 	"ballarus/internal/dynpred"
 	"ballarus/internal/obs"
 	"ballarus/internal/profile"
-	"ballarus/internal/resilience"
 	"ballarus/internal/tenant"
 )
 
@@ -155,9 +154,8 @@ type Stats struct {
 	Completed int64         `json:"completed"`  // Predict calls that returned a Result
 	Errors    int64         `json:"errors"`     // Predict calls that returned an error
 	Canceled  int64         `json:"canceled"`   // errors that were cancellations/timeouts
-	Shed      int64         `json:"shed"`       // requests rejected by admission control or breakers
+	Shed      int64         `json:"shed"`       // requests rejected by admission control
 	Panics    int64         `json:"panics"`     // panics recovered inside pipeline stages
-	Retries   int64         `json:"retries"`    // stage attempts retried after transient failure
 	RunHits   int64         `json:"run_hits"`   // whole-pipeline result cache hits
 	RunMisses int64         `json:"run_misses"` // whole-pipeline executions
 	Programs  int           `json:"programs"`   // compiled programs cached
@@ -170,9 +168,6 @@ type Stats struct {
 	// Caches details the result caches (programs, analyses, runs,
 	// compares).
 	Caches []CacheStats `json:"caches"`
-	// Breakers reports the per-stage circuit breakers (compile, analyze,
-	// execute, compare) with their closed/open/half-open state.
-	Breakers []resilience.BreakerStats `json:"breakers"`
 	// Watchdog reports the worker-pool wedge detector.
 	Watchdog WatchdogStats `json:"watchdog"`
 	// Durability reports snapshot/journal/recovery state.
@@ -193,23 +188,21 @@ type metrics struct {
 	canceled  *obs.Counter
 	shed      *obs.Counter
 	panics    *obs.Counter
-	retries   *obs.Counter
 	runHits   *obs.Counter
 	runMisses *obs.Counter
 	deadline  *obs.Histogram // remaining deadline at admission
 	stages    map[string]*stageMetrics
 
-	// Resilience, watchdog, and durability counters.
-	breakerTransitions map[string]*obs.Counter // keyed stage + "\xff" + to-state
-	poolRestarts       *obs.Counter
-	snapshotWrites     *obs.Counter
-	snapshotErrors     *obs.Counter
-	journalAppends     *obs.Counter
-	recSnapEntries     *obs.Gauge
-	recSnapSkipped     *obs.Gauge
-	recJrnlReplayed    *obs.Gauge
-	recJrnlSkipped     *obs.Gauge
-	recWarmed          *obs.Gauge
+	// Watchdog and durability counters.
+	poolRestarts    *obs.Counter
+	snapshotWrites  *obs.Counter
+	snapshotErrors  *obs.Counter
+	journalAppends  *obs.Counter
+	recSnapEntries  *obs.Gauge
+	recSnapSkipped  *obs.Gauge
+	recJrnlReplayed *obs.Gauge
+	recJrnlSkipped  *obs.Gauge
+	recWarmed       *obs.Gauge
 
 	// Domain metrics, aggregated over every scored request: dynamic
 	// branch executions attributed to the rule that predicted them, and
@@ -268,20 +261,6 @@ func (m *metrics) recordRecovery(rs RecoveryStats) {
 	m.recJrnlReplayed.Set(rs.JournalReplayed)
 	m.recJrnlSkipped.Set(rs.JournalSkipped)
 	m.recWarmed.Set(rs.Warmed)
-}
-
-// breakerTransition counts one breaker state change.
-func (m *metrics) breakerTransition(stage string, to resilience.BreakerState) {
-	m.breakerTransitions[stage+"\xff"+stateLabel(to)].Inc()
-}
-
-// stateLabel is the metric label for a breaker state.
-func stateLabel(s resilience.BreakerState) string {
-	return strings.ReplaceAll(s.String(), "-", "_")
-}
-
-var breakerStates = []resilience.BreakerState{
-	resilience.BreakerClosed, resilience.BreakerOpen, resilience.BreakerHalfOpen,
 }
 
 // heuristicLabels[h] is the metric label for core.Heuristic(h),
@@ -357,9 +336,8 @@ func newMetrics(start time.Time) *metrics {
 		completed: reg.Counter("ballarus_requests_completed_total", "Predict calls that returned a result."),
 		errors:    reg.Counter("ballarus_request_errors_total", "Predict calls that returned an error."),
 		canceled:  reg.Counter("ballarus_requests_canceled_total", "Errors that were cancellations or timeouts."),
-		shed:      reg.Counter("ballarus_requests_shed_total", "Requests rejected by admission control or an open breaker."),
+		shed:      reg.Counter("ballarus_requests_shed_total", "Requests rejected by admission control."),
 		panics:    reg.Counter("ballarus_stage_panics_total", "Panics recovered inside pipeline stages."),
-		retries:   reg.Counter("ballarus_stage_retries_total", "Stage attempts retried after a transient failure."),
 		runHits:   reg.Counter("ballarus_run_cache_total", "Whole-pipeline run cache outcomes.", "result", "hit"),
 		runMisses: reg.Counter("ballarus_run_cache_total", "Whole-pipeline run cache outcomes.", "result", "miss"),
 		deadline: reg.Histogram("ballarus_request_deadline_seconds",
@@ -367,16 +345,15 @@ func newMetrics(start time.Time) *metrics {
 			obs.DurationBuckets),
 		stages: map[string]*stageMetrics{},
 
-		breakerTransitions: map[string]*obs.Counter{},
-		poolRestarts:       reg.Counter("ballarus_watchdog_restarts_total", "Worker-pool restarts after a detected wedge."),
-		snapshotWrites:     reg.Counter("ballarus_snapshot_writes_total", "Durable snapshots written."),
-		snapshotErrors:     reg.Counter("ballarus_snapshot_errors_total", "Durable snapshot writes that failed."),
-		journalAppends:     reg.Counter("ballarus_journal_appends_total", "Request recipes appended to the journal."),
-		recSnapEntries:     reg.Gauge("ballarus_recovered_snapshot_entries", "Intact snapshot entries at the last boot."),
-		recSnapSkipped:     reg.Gauge("ballarus_recovered_snapshot_skipped", "Snapshot entries dropped at the last boot (corruption, torn tail, unknown section, failed replay)."),
-		recJrnlReplayed:    reg.Gauge("ballarus_recovered_journal_records", "Journal records rewarmed at the last boot."),
-		recJrnlSkipped:     reg.Gauge("ballarus_recovered_journal_skipped", "Journal records dropped at the last boot."),
-		recWarmed:          reg.Gauge("ballarus_recovered_requests", "Requests replayed into the caches at the last boot."),
+		poolRestarts:    reg.Counter("ballarus_watchdog_restarts_total", "Worker-pool restarts after a detected wedge."),
+		snapshotWrites:  reg.Counter("ballarus_snapshot_writes_total", "Durable snapshots written."),
+		snapshotErrors:  reg.Counter("ballarus_snapshot_errors_total", "Durable snapshot writes that failed."),
+		journalAppends:  reg.Counter("ballarus_journal_appends_total", "Request recipes appended to the journal."),
+		recSnapEntries:  reg.Gauge("ballarus_recovered_snapshot_entries", "Intact snapshot entries at the last boot."),
+		recSnapSkipped:  reg.Gauge("ballarus_recovered_snapshot_skipped", "Snapshot entries dropped at the last boot (corruption, torn tail, unknown section, failed replay)."),
+		recJrnlReplayed: reg.Gauge("ballarus_recovered_journal_records", "Journal records rewarmed at the last boot."),
+		recJrnlSkipped:  reg.Gauge("ballarus_recovered_journal_skipped", "Journal records dropped at the last boot."),
+		recWarmed:       reg.Gauge("ballarus_recovered_requests", "Requests replayed into the caches at the last boot."),
 
 		attrPred: map[string]*obs.Counter{},
 		attrMiss: map[string]*obs.Counter{},
@@ -402,14 +379,6 @@ func newMetrics(start time.Time) *metrics {
 	m.stages[stageAnalyze].cacheable = true
 	m.stages[stageExecute].cacheable = true
 	m.stages[stageCompare].cacheable = true
-
-	for _, stage := range []string{stageCompile, stageAnalyze, stageExecute, stageCompare} {
-		for _, st := range breakerStates {
-			m.breakerTransitions[stage+"\xff"+stateLabel(st)] = reg.Counter(
-				"ballarus_breaker_transitions_total", "Circuit breaker state transitions.",
-				"stage", stage, "to", stateLabel(st))
-		}
-	}
 
 	for _, rule := range attributionLabels() {
 		m.attrPred[rule] = reg.Counter("ballarus_heuristic_predicted_total",
@@ -528,7 +497,7 @@ func timedCtx[V any](ctx context.Context, m *metrics, name string, fn func() (V,
 	return v, hit, err
 }
 
-func (m *metrics) snapshot(programs, analyses, runs, compares cacheSnapshot, breakers []resilience.BreakerStats, watchdog WatchdogStats, durability DurabilityStats) Stats {
+func (m *metrics) snapshot(programs, analyses, runs, compares cacheSnapshot, watchdog WatchdogStats, durability DurabilityStats) Stats {
 	s := Stats{
 		Requests:  m.requests.Value(),
 		InFlight:  m.inFlight.Value(),
@@ -538,7 +507,6 @@ func (m *metrics) snapshot(programs, analyses, runs, compares cacheSnapshot, bre
 		Canceled:  m.canceled.Value(),
 		Shed:      m.shed.Value(),
 		Panics:    m.panics.Value(),
-		Retries:   m.retries.Value(),
 		RunHits:   m.runHits.Value(),
 		RunMisses: m.runMisses.Value(),
 		Programs:  programs.entries,
@@ -553,7 +521,6 @@ func (m *metrics) snapshot(programs, analyses, runs, compares cacheSnapshot, bre
 			{Name: "runs", Entries: runs.entries, Evictions: runs.evictions, Capacity: runs.capacity},
 			{Name: "compares", Entries: compares.entries, Evictions: compares.evictions, Capacity: compares.capacity},
 		},
-		Breakers:   breakers,
 		Watchdog:   watchdog,
 		Durability: durability,
 	}

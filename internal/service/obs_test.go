@@ -190,9 +190,6 @@ func TestServiceMetricsExposition(t *testing.T) {
 	if pm > hm {
 		t.Errorf("perfect misses %v > heuristic misses %v", pm, hm)
 	}
-	if got := value("ballarus_breaker_state", map[string]string{"stage": "execute"}); got != 0 {
-		t.Errorf("breaker_state{execute} = %v, want 0 (closed)", got)
-	}
 }
 
 // TestFreshServiceExpositionGuards: a service that has served nothing

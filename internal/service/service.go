@@ -14,9 +14,11 @@
 //   - cancellation: context deadlines and cancellation are honored
 //     between stages and interrupt the interpreter mid-run;
 //   - resilience: every error is classified into the typed taxonomy of
-//     internal/resilience, each stage runs behind panic isolation, a
-//     retry policy for transient failures, and a circuit breaker, and
-//     admission control sheds load once the queue is full.
+//     internal/resilience, each stage runs behind panic isolation and a
+//     fault-injection point, and admission control sheds load once the
+//     queue is full. A failed stage fails only its own request: the
+//     stages are pure functions of their input, so nothing is retried
+//     and no failure refuses later requests.
 package service
 
 import (
@@ -24,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,8 +53,6 @@ type config struct {
 	queueDepth  int
 	cacheSize   int
 	budget      int64
-	retry       resilience.RetryPolicy
-	breaker     resilience.BreakerPolicy
 	durableDir  string
 	snapEvery   time.Duration
 	journalSync time.Duration
@@ -89,14 +88,6 @@ func WithCacheSize(n int) Option { return func(c *config) { c.cacheSize = n } }
 // own). n <= 0 keeps the interpreter default (64M instructions).
 func WithBudget(n int64) Option { return func(c *config) { c.budget = n } }
 
-// WithRetryPolicy replaces the per-stage retry policy for transient
-// failures. The zero policy disables retries.
-func WithRetryPolicy(p resilience.RetryPolicy) Option { return func(c *config) { c.retry = p } }
-
-// WithBreakerPolicy replaces the per-stage circuit breaker policy.
-// A Threshold <= 0 disables the breakers.
-func WithBreakerPolicy(p resilience.BreakerPolicy) Option { return func(c *config) { c.breaker = p } }
-
 // WithTracer replaces the service's tracer (the ring buffer behind
 // /debug/traces). nil restores the default 256-trace tracer.
 func WithTracer(t *obs.Tracer) Option { return func(c *config) { c.tracer = t } }
@@ -111,8 +102,6 @@ type Service struct {
 	compares *flightCache[*CompareResult]
 	met      *metrics
 	tracer   *obs.Tracer
-	retry    resilience.RetryPolicy
-	breakers map[string]*resilience.Breaker
 
 	// The worker pool is a buffered channel used as a counting
 	// semaphore. The watchdog can swap in a fresh pool when the current
@@ -131,11 +120,7 @@ type Service struct {
 
 // New creates a Service.
 func New(opts ...Option) *Service {
-	cfg := config{
-		workers: runtime.GOMAXPROCS(0),
-		retry:   resilience.DefaultRetry,
-		breaker: resilience.DefaultBreaker,
-	}
+	cfg := config{workers: runtime.GOMAXPROCS(0)}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -156,30 +141,6 @@ func New(opts ...Option) *Service {
 	if s.tracer == nil {
 		s.tracer = obs.NewTracer(256, nil)
 	}
-	// Breakers report every state transition into the metrics, chaining
-	// any hook the caller's policy already carries.
-	bp := cfg.breaker
-	userHook := bp.OnTransition
-	bp.OnTransition = func(name string, from, to resilience.BreakerState) {
-		s.met.breakerTransition(name, to)
-		if userHook != nil {
-			userHook(name, from, to)
-		}
-	}
-	s.breakers = map[string]*resilience.Breaker{
-		stageCompile: resilience.NewBreaker(stageCompile, bp),
-		stageAnalyze: resilience.NewBreaker(stageAnalyze, bp),
-		stageExecute: resilience.NewBreaker(stageExecute, bp),
-		stageCompare: resilience.NewBreaker(stageCompare, bp),
-	}
-	s.retry = cfg.retry
-	onRetry := cfg.retry.OnRetry
-	s.retry.OnRetry = func(attempt int, err error) {
-		s.met.retries.Inc()
-		if onRetry != nil {
-			onRetry(attempt, err)
-		}
-	}
 	if cfg.durableDir != "" {
 		s.durInitErr = s.initDurability()
 	}
@@ -195,9 +156,9 @@ func New(opts ...Option) *Service {
 }
 
 // wireFuncMetrics registers exposition-time closures over state that
-// lives outside the metrics struct: cache sizes, breaker states, the
-// journal's fsync count, and the warm set. Values are read when
-// /metrics is scraped, never on the hot path.
+// lives outside the metrics struct: cache sizes, the journal's fsync
+// count, and the warm set. Values are read when /metrics is scraped,
+// never on the hot path.
 func (s *Service) wireFuncMetrics() {
 	reg := s.met.reg
 	for _, c := range []struct {
@@ -216,15 +177,6 @@ func (s *Service) wireFuncMetrics() {
 			func() float64 { return float64(st().capacity) }, "cache", c.name)
 		reg.CounterFunc("ballarus_cache_evictions_total", "LRU evictions per result cache.",
 			func() float64 { return float64(st().evictions) }, "cache", c.name)
-	}
-	for _, stage := range []string{stageCompile, stageAnalyze, stageExecute, stageCompare} {
-		b := s.breakers[stage]
-		reg.GaugeFunc("ballarus_breaker_state", "Circuit breaker state (0 closed, 1 open, 2 half-open).",
-			func() float64 { return float64(b.State()) }, "stage", stage)
-		reg.CounterFunc("ballarus_breaker_opens_total", "Times the breaker opened.",
-			func() float64 { return float64(b.Stats().Opens) }, "stage", stage)
-		reg.CounterFunc("ballarus_breaker_rejected_total", "Requests rejected by the breaker.",
-			func() float64 { return float64(b.Stats().Rejected) }, "stage", stage)
 	}
 	reg.GaugeFunc("ballarus_workers", "Configured worker slots.",
 		func() float64 { return float64(s.cfg.workers) })
@@ -349,8 +301,8 @@ type Result struct {
 var ErrBusy = errors.New("service: request shed while queued")
 
 // Stats returns a point-in-time snapshot of the service counters,
-// including per-stage breaker states, cache eviction counts, watchdog
-// restarts, and durability/recovery state.
+// including cache eviction counts, watchdog restarts, and
+// durability/recovery state.
 func (s *Service) Stats() Stats {
 	wd := WatchdogStats{Enabled: s.watchdog != nil, Restarts: s.met.poolRestarts.Value()}
 	dur := DurabilityStats{
@@ -368,13 +320,7 @@ func (s *Service) Stats() Stats {
 		dur.WarmEntries = s.dur.warm.len()
 	}
 	return s.met.snapshot(
-		s.programs.stats(), s.analyses.stats(), s.runs.stats(), s.compares.stats(),
-		[]resilience.BreakerStats{
-			s.breakers[stageCompile].Stats(),
-			s.breakers[stageAnalyze].Stats(),
-			s.breakers[stageExecute].Stats(),
-			s.breakers[stageCompare].Stats(),
-		}, wd, dur)
+		s.programs.stats(), s.analyses.stats(), s.runs.stats(), s.compares.stats(), wd, dur)
 }
 
 // resolve normalizes a request: benchmark lookup, defaulted input,
@@ -448,7 +394,7 @@ func (s *Service) Predict(ctx context.Context, req Request) (*Result, error) {
 	res, err := s.predict(ctx, req)
 	if err != nil {
 		s.met.errors.Add(1)
-		if isTransient(err) {
+		if isCanceled(err) {
 			s.met.canceled.Add(1)
 		}
 		return nil, err
@@ -534,48 +480,28 @@ func (s *Service) admit(ctx context.Context, id string) (chan struct{}, error) {
 }
 
 // runStage runs one failure-prone pipeline stage behind the resilience
-// layer: the stage's circuit breaker decides admission, panics are
-// isolated into ErrInternal with captured stacks, transient failures
-// are retried per the service policy, a faultpoint named
-// "service.<stage>" allows deterministic fault injection, and the
-// outcome is classified into the typed taxonomy and recorded in the
-// stage metrics and the breaker.
+// layer: panics are isolated into ErrInternal with captured stacks, a
+// faultpoint named "service.<stage>" allows deterministic fault
+// injection, and the outcome is classified into the typed taxonomy and
+// recorded in the stage metrics. A failure fails this request only.
 func runStage[V any](s *Service, ctx context.Context, name string, fn func() (V, bool, error)) (V, bool, error) {
 	var val V
 	var hit bool
-	ctx, sp := obs.StartSpanCtx(ctx, stageSpanName(name))
-	done, err := s.breakers[name].Allow()
-	if err != nil {
-		s.met.shed.Add(1)
-		s.met.stages[name].record(0, false, err)
-		sp.Attr("breaker", "rejected").End(err)
-		return val, false, fmt.Errorf("service: %s: %w", name, err)
-	}
+	sp := obs.StartSpan(ctx, stageSpanName(name))
 	start := time.Now()
-	attempts := 0
 	fault := stageFaultName(name)
-	err = s.retry.Do(ctx, func() error {
-		attempts++
-		var rsp *obs.Span
-		if attempts > 1 {
-			rsp = obs.StartSpan(ctx, "retry."+name)
-		}
-		stageErr := resilience.Safely(fault, func() error {
-			if ferr := resilience.Faultpoint(ctx, fault); ferr != nil {
-				return ferr
-			}
-			var ferr error
-			val, hit, ferr = fn()
+	err := resilience.Safely(fault, func() error {
+		if ferr := resilience.Faultpoint(ctx, fault); ferr != nil {
 			return ferr
-		})
-		if resilience.IsPanic(stageErr) {
-			s.met.panics.Add(1)
 		}
-		rsp.End(stageErr)
-		return stageErr
+		var ferr error
+		val, hit, ferr = fn()
+		return ferr
 	})
+	if resilience.IsPanic(err) {
+		s.met.panics.Add(1)
+	}
 	err = resilience.Classify(err)
-	done(resilience.Trips(err))
 	s.met.stages[name].record(time.Since(start), hit, err)
 	if s.met.stages[name].cacheable && err == nil {
 		if hit {
@@ -583,9 +509,6 @@ func runStage[V any](s *Service, ctx context.Context, name string, fn func() (V,
 		} else {
 			sp.Attr("cache", "miss")
 		}
-	}
-	if attempts > 1 {
-		sp.Attr("attempts", strconv.Itoa(attempts))
 	}
 	sp.End(err)
 	if err != nil {
