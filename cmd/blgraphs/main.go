@@ -13,7 +13,6 @@ import (
 
 	"ballarus"
 	"ballarus/internal/cli"
-	"ballarus/internal/eval"
 )
 
 func main() {
@@ -25,24 +24,8 @@ func main() {
 
 	e := ballarus.NewEvaluator()
 	t := cli.Trials(*trials, *exact)
-	get := func(n int) (*eval.Graph, error) {
-		switch n {
-		case 1:
-			return e.Graph1()
-		case 2:
-			return e.Graph2(t)
-		case 3:
-			return e.Graph3(t)
-		case 12:
-			return e.Graph12(), nil
-		case 13:
-			return e.Graph13()
-		default:
-			return e.GraphSeq(n)
-		}
-	}
 	emit := func(n int, summaryOnly bool) {
-		g, err := get(n)
+		g, err := e.Graph(n, t)
 		if err != nil {
 			fatal(fmt.Errorf("graph %d: %w", n, err))
 		}

@@ -1,7 +1,10 @@
 // blreport regenerates every artifact of the reproduction into a
-// directory: all tables (1-7 plus the extension tables) as text and every
-// graph (1-13) as TSV. One command to rebuild everything a reader needs
-// to check the paper-vs-measured claims in EXPERIMENTS.md.
+// directory: all tables (1-7 plus the extension tables) as text, every
+// graph (1-13) as TSV, and RESULTS.txt, the snapshot committed as
+// docs/RESULTS.txt (whatever the flags; they shape only the table and
+// graph files). One command to rebuild everything a reader needs to check
+// the paper-vs-measured claims in EXPERIMENTS.md. Wall-clock timings go
+// to stderr.
 //
 // Usage:
 //
@@ -62,28 +65,18 @@ func main() {
 	}
 
 	for n := 1; n <= 13; n++ {
-		var g interface{ TSV() string }
-		var err error
-		switch n {
-		case 1:
-			g, err = e.Graph1()
-		case 2:
-			g, err = e.Graph2(t)
-		case 3:
-			g, err = e.Graph3(t)
-		case 12:
-			g, err = e.Graph12(), nil
-		case 13:
-			g, err = e.Graph13()
-		default:
-			g, err = e.GraphSeq(n)
-		}
+		g, err := e.Graph(n, t)
 		if err != nil {
 			fatal(fmt.Errorf("graph %d: %w", n, err))
 		}
 		write(fmt.Sprintf("graph%02d.tsv", n), g.TSV())
 	}
-	fmt.Printf("report complete in %.1fs\n", time.Since(start).Seconds())
+	snapshot, _, err := e.Snapshot(os.Stderr)
+	if err != nil {
+		fatal(fmt.Errorf("RESULTS.txt: %w", err))
+	}
+	write("RESULTS.txt", snapshot)
+	fmt.Fprintf(os.Stderr, "report complete in %.1fs\n", time.Since(start).Seconds())
 }
 
 func fatal(err error) { cli.Exit("blreport", err) }

@@ -3,12 +3,15 @@ package ballarus
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ballarus/internal/dynpred"
+	"ballarus/internal/eval"
 	"ballarus/internal/service"
 	"ballarus/internal/suite"
 	"ballarus/internal/trace"
@@ -83,5 +86,67 @@ func TestSuiteGolden(t *testing.T) {
 		if !maps.Equal(got, g.Compare[b.Name]) {
 			t.Errorf("compare %s: got %v, golden %v", b.Name, got, g.Compare[b.Name])
 		}
+	}
+}
+
+// TestResultsGolden pins docs/RESULTS.txt byte for byte: one fresh
+// evaluator renders every paper table, extension table, order experiment
+// and graph summary, so a change to a heuristic, the suite, the compiler
+// or the interpreter that moves a reported number fails here. Regenerate
+// the file with blreport, which writes the same text as RESULTS.txt, and
+// review the diff. The same evaluator's exact C(22,11) subset experiment
+// is then checked, so tier-1 runs it once.
+func TestResultsGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("docs", "RESULTS.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := eval.New()
+	got, exact, err := e.Snapshot(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("docs/RESULTS.txt line %d differs (regenerate with blreport):\n got: %q\nwant: %q", i+1, g, w)
+			}
+		}
+	}
+
+	if exact.Trials != 705432 {
+		t.Fatalf("exact experiment ran %d trials, want C(22,11) = 705432", exact.Trials)
+	}
+	// The counts must sum to the trials and concentrate sharply, and a
+	// sampled experiment must agree on the most common order.
+	sum := 0
+	for _, c := range exact.BestCount {
+		sum += c
+	}
+	if sum != exact.Trials {
+		t.Fatalf("counts sum to %d", sum)
+	}
+	if d := exact.DistinctOrders(); d < 2 || d > 2000 {
+		t.Errorf("distinct orders %d out of plausible range", d)
+	}
+	s, err := e.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled, err := s.SubsetsSampledCtx(context.Background(), 11, 5000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact.Ranked()[0] != sampled.Ranked()[0] {
+		t.Errorf("exact and sampled experiments disagree on the top order: %v vs %v",
+			s.Orders[exact.Ranked()[0]], s.Orders[sampled.Ranked()[0]])
 	}
 }
