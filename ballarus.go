@@ -33,7 +33,6 @@ package ballarus
 import (
 	"context"
 	"errors"
-	"sort"
 
 	"ballarus/internal/core"
 	"ballarus/internal/durable"
@@ -254,183 +253,33 @@ func ExecuteCtx(ctx context.Context, prog *Program, opts ...RunOption) (*RunResu
 // ---- Static vs. dynamic comparison ----
 //
 // The paper positions program-based prediction against the dynamic
-// hardware schemes of its day. CompareCtx races the streaming dynamic
-// predictors (one-bit, two-bit, bimodal, gshare, TAGE — see
+// hardware schemes of its day. Service.Compare races the streaming
+// dynamic predictors (one-bit, two-bit, bimodal, gshare, TAGE — see
 // internal/dynpred) against the Ball-Larus heuristics and the perfect
 // static predictor over one execution, and classifies the contested
-// branches. For sustained traffic use Service.Compare instead.
+// branches.
 
 // Comparison re-exported types.
 type (
-	// DynPredictor is a streaming dynamic branch predictor
-	// (Predict/Update) from the name-keyed dynpred registry.
-	DynPredictor = dynpred.Predictor
-	// DynResult is one predictor's tally over a trace, with per-branch
-	// counts.
-	DynResult = dynpred.Result
-	// BranchStat is one static branch's executed/miss tally.
-	BranchStat = dynpred.BranchStat
 	// H2PClassification partitions the hard-to-predict branches:
 	// statically hard but history-predictable, and the converse.
 	H2PClassification = dynpred.H2P
-	// H2PBranch is one classified hard-to-predict branch.
-	H2PBranch = dynpred.H2PBranch
 	// PredictorScore is one tournament entrant's score.
 	PredictorScore = service.PredictorScore
 )
 
-// Registry names of the built-in dynamic predictors, plus the labels of
+// Registry names of two built-in dynamic predictors, plus the labels of
 // the two static entrants every comparison includes.
 const (
-	OneBitPredictor  = dynpred.NameOneBit
-	TwoBitPredictor  = dynpred.NameTwoBit
-	BimodalPredictor = dynpred.NameBimodal
-	GsharePredictor  = dynpred.NameGshare
-	TAGEPredictor    = dynpred.NameTAGE
+	GsharePredictor = dynpred.NameGshare
+	TAGEPredictor   = dynpred.NameTAGE
 
-	CompareStatic  = service.CompareStatic
-	ComparePerfect = service.ComparePerfect
+	CompareStatic  = dynpred.NameStatic
+	ComparePerfect = dynpred.NamePerfect
 )
 
-// Dynamic-predictor registry access.
-var (
-	// DynPredictorNames lists the registered predictor names, sorted.
-	DynPredictorNames = dynpred.Names
-	// NewDynPredictor constructs a registered predictor by name, sized
-	// for a program with nBranches static branches.
-	NewDynPredictor = dynpred.New
-)
-
-// Comparison is the outcome of a one-shot static-vs-dynamic tournament.
-type Comparison struct {
-	// Predictors holds one score per entrant — the static pair plus
-	// each dynamic backend — sorted by name.
-	Predictors []PredictorScore
-	// H2P classifies the contested branches.
-	H2P H2PClassification
-	// Analysis and Run expose the underlying artifacts.
-	Analysis *Analysis
-	Run      *RunResult
-}
-
-// Score returns the named entrant's score, or a zero PredictorScore.
-func (c *Comparison) Score(name string) PredictorScore {
-	for _, p := range c.Predictors {
-		if p.Name == name {
-			return p
-		}
-	}
-	return PredictorScore{}
-}
-
-// CompareOption configures CompareCtx.
-type CompareOption func(*compareConfig)
-
-type compareConfig struct {
-	run        RunConfig
-	order      Order
-	analysis   AnalysisOptions
-	backends   []string
-	h2pMinExec int64
-}
-
-// WithComparePredictors selects the dynamic backends to race (dynpred
-// registry names). Default: every registered backend.
-func WithComparePredictors(names ...string) CompareOption {
-	return func(c *compareConfig) { c.backends = names }
-}
-
-// WithCompareOrder sets the heuristic priority order behind the static
-// entrant (default: the paper's order).
-func WithCompareOrder(order Order) CompareOption {
-	return func(c *compareConfig) { c.order = order }
-}
-
-// WithCompareRun applies execution options (input, budget, seed, ...)
-// to the comparison's run.
-func WithCompareRun(opts ...RunOption) CompareOption {
-	return func(c *compareConfig) {
-		for _, o := range opts {
-			o(&c.run)
-		}
-	}
-}
-
-// WithCompareAnalysis applies analysis options to the static entrant.
-func WithCompareAnalysis(opts ...AnalyzeOption) CompareOption {
-	return func(c *compareConfig) {
-		for _, o := range opts {
-			o(&c.analysis)
-		}
-	}
-}
-
-// WithH2PMinExecuted overrides the minimum dynamic executions a branch
-// needs to be classified hard-to-predict (0 = the default, 32).
-func WithH2PMinExecuted(n int64) CompareOption {
-	return func(c *compareConfig) { c.h2pMinExec = n }
-}
-
-// CompareCtx analyzes prog, executes it once streaming every branch
-// event into the selected dynamic predictors, and returns the scored
-// tournament: the Ball-Larus static predictions and the perfect static
-// predictor against each dynamic backend, plus the per-branch
-// hard-to-predict classification. Cancellation of ctx interrupts the
-// run, matching ExecuteCtx.
-func CompareCtx(ctx context.Context, prog *Program, opts ...CompareOption) (*Comparison, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cfg := compareConfig{backends: dynpred.Names()}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if !cfg.order.Valid() {
-		cfg.order = DefaultOrder
-	}
-	analysis, err := core.Analyze(prog, cfg.analysis)
-	if err != nil {
-		return nil, err
-	}
-	tour, err := dynpred.NewTournament(len(analysis.Branches), cfg.backends)
-	if err != nil {
-		return nil, err
-	}
-	runCfg := cfg.run
-	runCfg.Interrupt = ctx.Done()
-	runCfg.OnEvent = tour.Observe
-	run, err := interp.Run(prog, runCfg)
-	if errors.Is(err, interp.ErrInterrupted) && ctx.Err() != nil {
-		err = ctx.Err()
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	preds := analysis.Predictions(cfg.order)
-	static := dynpred.StaticResult(run.Profile, trace.PredictionVector(preds))
-	perfect := dynpred.StaticResult(run.Profile, trace.PerfectVector(run.Profile))
-	dynamics := tour.Results()
-	h2p, err := dynpred.ClassifyH2P(static, dynamics, dynpred.H2POptions{MinExecuted: cfg.h2pMinExec})
-	if err != nil {
-		return nil, err
-	}
-
-	c := &Comparison{H2P: h2p, Analysis: analysis, Run: run}
-	add := func(name string, r dynpred.Result) {
-		c.Predictors = append(c.Predictors, PredictorScore{
-			Name: name, Branches: r.Branches, Misses: r.Miss,
-			MissRatePct: r.MissRate(), PerBranch: r.PerBranch,
-		})
-	}
-	add(CompareStatic, static)
-	add(ComparePerfect, perfect)
-	for _, d := range dynamics {
-		add(d.Name, d.Result)
-	}
-	sort.Slice(c.Predictors, func(i, j int) bool { return c.Predictors[i].Name < c.Predictors[j].Name })
-	return c, nil
-}
+// DynPredictorNames lists the registered dynamic predictor names, sorted.
+var DynPredictorNames = dynpred.Names
 
 // ---- Prediction service ----
 
@@ -647,17 +496,7 @@ func ErrorKind(err error) error { return resilience.KindOf(err) }
 // Score reports the dynamic miss rate of a prediction vector against a
 // profile, over all branches, in the paper's miss/perfect notation.
 func Score(a *Analysis, preds []Prediction, p *Profile) Rate {
-	var miss, perf, dyn int64
-	for id := range preds {
-		d := p.Executed(id)
-		if d == 0 {
-			continue
-		}
-		dyn += d
-		perf += p.PerfectMisses(id)
-		miss += p.Misses(id, preds[id].Taken())
-	}
-	return profile.MakeRate(miss, perf, dyn)
+	return profile.MakeRate(core.Tally(preds, p))
 }
 
 // Sequences computes the Section 6 sequence-length distribution of a

@@ -122,64 +122,3 @@ func TestFacadeConstants(t *testing.T) {
 		t.Error("prediction constants collide")
 	}
 }
-
-func TestFacadeCompare(t *testing.T) {
-	prog, err := CompileOpt(facadeSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	c, err := CompareCtx(ctx, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := append([]string{CompareStatic, ComparePerfect}, DynPredictorNames()...)
-	if len(c.Predictors) != len(names) {
-		t.Fatalf("%d entrants, want %d", len(c.Predictors), len(names))
-	}
-	for _, name := range names {
-		if c.Score(name).Name != name {
-			t.Errorf("missing entrant %q", name)
-		}
-	}
-	if p, h := c.Score(ComparePerfect), c.Score(CompareStatic); p.Misses > h.Misses {
-		t.Errorf("perfect (%d) worse than heuristics (%d)", p.Misses, h.Misses)
-	}
-
-	// A restricted backend set plus run options.
-	c2, err := CompareCtx(ctx, prog,
-		WithComparePredictors(GsharePredictor),
-		WithCompareRun(WithSeed(3)),
-		WithH2PMinExecuted(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c2.Predictors) != 3 {
-		t.Fatalf("entrants = %+v, want static pair + gshare", c2.Predictors)
-	}
-
-	// Unknown backend errors; canceled context fails early.
-	if _, err := CompareCtx(ctx, prog, WithComparePredictors("oracle")); err == nil {
-		t.Error("unknown backend should error")
-	}
-	canceled, cancel := context.WithCancel(ctx)
-	cancel()
-	if _, err := CompareCtx(canceled, prog); err == nil {
-		t.Error("canceled context should fail")
-	}
-
-	// The facade one-shot agrees with the service pipeline.
-	svc := NewService()
-	sres, err := svc.Compare(ctx, CompareRequest{Request: PredictRequest{Source: facadeSrc}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sres.Predictors) != len(names) {
-		t.Fatalf("service raced %d entrants, want %d", len(sres.Predictors), len(names))
-	}
-	for _, p := range sres.Predictors {
-		if want := c.Score(p.Name).Misses; p.Misses != want {
-			t.Errorf("%s: service %d misses, facade %d", p.Name, p.Misses, want)
-		}
-	}
-}

@@ -40,6 +40,23 @@ func (p Prediction) String() string {
 // the prediction is not PredNone.
 func (p Prediction) Taken() bool { return p == PredTaken }
 
+// Tally scores a prediction vector, indexed by branch ID, against an edge
+// profile over every branch the profile executed: the vector's misses,
+// the perfect static predictor's misses, and the dynamic branch count.
+// profile.MakeRate turns the three into the paper's miss/perfect pair.
+func Tally(preds []Prediction, p *profile.Profile) (miss, perfect, dyn int64) {
+	for id := range preds {
+		d := p.Executed(id)
+		if d == 0 {
+			continue
+		}
+		dyn += d
+		perfect += p.PerfectMisses(id)
+		miss += p.Misses(id, preds[id].Taken())
+	}
+	return miss, perfect, dyn
+}
+
 // Heuristic identifies one of the seven non-loop heuristics.
 type Heuristic uint8
 

@@ -11,9 +11,9 @@
 //
 // Predictors implement the streaming Predictor interface and are
 // constructed through a name-keyed registry, so serving layers can
-// offer a tournament over any subset by name. Feed them incrementally
-// through interp.Config.OnEvent (no full-trace materialization) via a
-// Tournament, or over a materialized trace with Replay.
+// offer a tournament over any subset by name. Compare races them on one
+// run's live event stream (no full-trace materialization); Replay drives
+// one over a materialized trace.
 package dynpred
 
 import (
@@ -129,8 +129,12 @@ func (r Result) MissRate() float64 {
 	return 100 * float64(r.Miss) / float64(r.Branches)
 }
 
-// observe tallies one dynamic branch outcome.
-func (r *Result) observe(branch int32, miss bool) {
+// step is the one per-event step of Replay and Tournament.Observe: p
+// predicts one execution of a conditional branch, learns its outcome,
+// and r tallies the hit or miss.
+func (r *Result) step(p Predictor, branch int32, taken bool) {
+	miss := p.Predict(branch) != taken
+	p.Update(branch, taken)
 	r.Branches++
 	if int(branch) < len(r.PerBranch) {
 		r.PerBranch[branch].Executed++
@@ -149,13 +153,9 @@ func (r *Result) observe(branch int32, miss bool) {
 func Replay(events []interp.Event, nBranches int, p Predictor) Result {
 	r := Result{PerBranch: make([]BranchStat, nBranches)}
 	for i := range events {
-		ev := &events[i]
-		if ev.Kind != interp.EvBranch {
-			continue
+		if ev := &events[i]; ev.Kind == interp.EvBranch {
+			r.step(p, ev.Branch, ev.Taken)
 		}
-		miss := p.Predict(ev.Branch) != ev.Taken
-		p.Update(ev.Branch, ev.Taken)
-		r.observe(ev.Branch, miss)
 	}
 	return r
 }

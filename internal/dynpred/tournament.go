@@ -2,8 +2,11 @@ package dynpred
 
 import (
 	"fmt"
+	"sort"
 
 	"ballarus/internal/interp"
+	"ballarus/internal/mir"
+	"ballarus/internal/trace"
 )
 
 // Score pairs a registry name with the predictor's tally.
@@ -12,9 +15,58 @@ type Score struct {
 	Result
 }
 
-// Tournament races several registry predictors over one event stream.
-// Hook Observe into interp.Config.OnEvent to score a run incrementally,
-// with no trace materialization.
+// Labels of the two static entrants every Compare includes alongside
+// the dynamic backends.
+const (
+	NameStatic  = "ballarus-heuristics"
+	NamePerfect = "perfect"
+)
+
+// Comparison is the outcome of one Compare.
+type Comparison struct {
+	// Entrants holds the static pair (NameStatic, NamePerfect) and each
+	// dynamic backend, sorted by name.
+	Entrants []Score
+	// H2P classifies the contested branches.
+	H2P H2P
+	// Run is the interpreter run every entrant was scored on.
+	Run *interp.Result
+}
+
+// Compare races the named dynamic backends against two static
+// predictors over one run of prog under cfg: the static vector (indexed
+// by branch ID, true = predict taken) and the perfect static predictor of
+// the run's own profile. The run's events stream through a Tournament, so
+// no trace is materialized (cfg.OnEvent is replaced); the static pair is
+// scored from the run's profile, and the branches one side solves and
+// the other does not are classified under opts. A failed run's error is
+// returned as the interpreter reported it.
+func Compare(prog *mir.Program, cfg interp.Config, static []bool, backends []string, opts H2POptions) (*Comparison, error) {
+	tour, err := NewTournament(len(static), backends)
+	if err != nil {
+		return nil, err
+	}
+	cfg.OnEvent = tour.Observe
+	run, err := interp.Run(prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	heur := StaticResult(run.Profile, static)
+	dynamics := tour.Results()
+	h2p, err := ClassifyH2P(heur, dynamics, opts)
+	if err != nil {
+		return nil, err
+	}
+	entrants := append([]Score{
+		{Name: NameStatic, Result: heur},
+		{Name: NamePerfect, Result: StaticResult(run.Profile, trace.PerfectVector(run.Profile))},
+	}, dynamics...)
+	sort.Slice(entrants, func(i, j int) bool { return entrants[i].Name < entrants[j].Name })
+	return &Comparison{Entrants: entrants, H2P: h2p, Run: run}, nil
+}
+
+// Tournament races several registry predictors over one event stream:
+// Observe takes each event of a run in order.
 type Tournament struct {
 	entrants []Score
 	preds    []Predictor
@@ -45,9 +97,7 @@ func (t *Tournament) Observe(ev interp.Event) {
 		return
 	}
 	for i, p := range t.preds {
-		miss := p.Predict(ev.Branch) != ev.Taken
-		p.Update(ev.Branch, ev.Taken)
-		t.entrants[i].observe(ev.Branch, miss)
+		t.entrants[i].step(p, ev.Branch, ev.Taken)
 	}
 }
 

@@ -27,8 +27,6 @@ type Run struct {
 	Profile  *profile.Profile
 	Steps    int64
 	Output   string
-	Events   []interp.Event // non-nil only when traced
-	TailLen  int64
 }
 
 // Evaluator caches compiled programs, analyses, and runs.
@@ -70,10 +68,9 @@ func (e *Evaluator) Analysis(b *suite.Benchmark) (*core.Analysis, error) {
 	return ent.a, ent.err
 }
 
-// Run executes benchmark b on dataset index ds (cached). When traced is
-// true the event trace is collected (needed for the Section 6 graphs).
-func (e *Evaluator) Run(b *suite.Benchmark, ds int, traced bool) (*Run, error) {
-	key := fmt.Sprintf("%s/%d/%v", b.Name, ds, traced)
+// Run executes benchmark b on dataset index ds (cached).
+func (e *Evaluator) Run(b *suite.Benchmark, ds int) (*Run, error) {
+	key := fmt.Sprintf("%s/%d", b.Name, ds)
 	e.mu.Lock()
 	if r, ok := e.runs[key]; ok {
 		e.mu.Unlock()
@@ -87,11 +84,7 @@ func (e *Evaluator) Run(b *suite.Benchmark, ds int, traced bool) (*Run, error) {
 	if ds < 0 || ds >= len(b.Data) {
 		return nil, fmt.Errorf("eval: %s has no dataset %d", b.Name, ds)
 	}
-	res, err := interp.Run(a.Prog, interp.Config{
-		Input:         b.Data[ds].Input,
-		Budget:        b.Budget,
-		CollectEvents: traced,
-	})
+	res, err := interp.Run(a.Prog, runConfig(b, ds))
 	if err != nil {
 		return nil, fmt.Errorf("eval: %s/%s: %w", b.Name, b.Data[ds].Name, err)
 	}
@@ -103,13 +96,18 @@ func (e *Evaluator) Run(b *suite.Benchmark, ds int, traced bool) (*Run, error) {
 		Profile:  res.Profile,
 		Steps:    res.Steps,
 		Output:   res.Output,
-		Events:   res.Events,
-		TailLen:  res.TailLen,
 	}
 	e.mu.Lock()
 	e.runs[key] = r
 	e.mu.Unlock()
 	return r, nil
+}
+
+// runConfig is the interpreter configuration of benchmark b on dataset
+// ds. Every run of the pair under it executes the same instructions, so a
+// cached Run's profile describes the events of a fresh streamed run.
+func runConfig(b *suite.Benchmark, ds int) interp.Config {
+	return interp.Config{Input: b.Data[ds].Input, Budget: b.Budget}
 }
 
 // DefaultRuns executes every benchmark on its default dataset, in suite
@@ -126,7 +124,7 @@ func (e *Evaluator) DefaultRunsCtx(ctx context.Context) ([]*Run, error) {
 	runs := make([]*Run, len(benches))
 	err := service.Fan(ctx, runtime.GOMAXPROCS(0), len(benches), func(ctx context.Context, i int) error {
 		var err error
-		runs[i], err = e.Run(benches[i], 0, false)
+		runs[i], err = e.Run(benches[i], 0)
 		return err
 	})
 	if err != nil {
@@ -329,15 +327,5 @@ func (r *Run) Final(order core.Order) Final {
 // AllMissRate returns the miss rate over every dynamic branch for an
 // arbitrary prediction vector (used by Graph 13 and ablations).
 func (r *Run) AllMissRate(preds []core.Prediction) profile.Rate {
-	var miss, perf, dyn int64
-	for id := range preds {
-		d := r.Profile.Executed(id)
-		if d == 0 {
-			continue
-		}
-		dyn += d
-		perf += r.Profile.PerfectMisses(id)
-		miss += r.Profile.Misses(id, preds[id].Taken())
-	}
-	return profile.MakeRate(miss, perf, dyn)
+	return profile.MakeRate(core.Tally(preds, r.Profile))
 }

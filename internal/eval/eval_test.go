@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -224,9 +225,36 @@ func TestGraphSeq(t *testing.T) {
 	}
 }
 
+// TestEvalHoldsNoTrace: Section 6 and the dynamic-predictor table score
+// the live event stream, so once the default runs are cached, Graphs 4-11
+// and the dynamic table allocate no trace. Materialized, their traces
+// come to well over 100 MB.
+func TestEvalHoldsNoTrace(t *testing.T) {
+	e := New()
+	if _, err := e.DefaultRuns(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for n := 4; n <= 11; n++ {
+		if _, err := e.GraphSeq(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.DynPredTable(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("Graphs 4-11 and the dynamic table allocated %.1f MB", mb)
+	if mb >= 16 {
+		t.Errorf("Graphs 4-11 and the dynamic table allocated %.1f MB, want under 16", mb)
+	}
+}
+
 func TestPerfectBeatsOrEqualsOthersOnTrace(t *testing.T) {
 	// The perfect static predictor must have the fewest mispredictions.
-	r, err := sharedEval.Run(suite.Get("gcc"), 0, true)
+	r, err := sharedEval.Run(suite.Get("gcc"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

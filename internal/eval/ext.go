@@ -1,12 +1,15 @@
 package eval
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 
 	"ballarus/internal/core"
 	"ballarus/internal/dynpred"
 	"ballarus/internal/freq"
 	"ballarus/internal/interp"
+	"ballarus/internal/service"
 	"ballarus/internal/stats"
 	"ballarus/internal/suite"
 	"ballarus/internal/trace"
@@ -31,11 +34,9 @@ func (e *Evaluator) FreqQuality() ([]FreqRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := interp.Run(a.Prog, interp.Config{
-			Input:              b.Data[0].Input,
-			Budget:             b.Budget,
-			CollectInstrCounts: true,
-		})
+		cfg := runConfig(b, 0)
+		cfg.CollectInstrCounts = true
+		res, err := interp.Run(a.Prog, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("eval: freq %s: %w", b.Name, err)
 		}
@@ -99,11 +100,11 @@ func (e *Evaluator) CrossProfile() ([]CrossProfileRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		train, err := e.Run(b, 0, false)
+		train, err := e.Run(b, 0)
 		if err != nil {
 			return nil, err
 		}
-		test, err := e.Run(b, 1, false)
+		test, err := e.Run(b, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -160,46 +161,48 @@ type DynPredRow struct {
 	Tage    float64 // tagged geometric-history tables (Seznec)
 }
 
-// dynRowBackends maps the registry's dynamic backends onto DynPredRow
-// fields, in display order.
-var dynRowBackends = []struct {
-	name  string
-	field func(*DynPredRow) *float64
-}{
-	{dynpred.NameOneBit, func(r *DynPredRow) *float64 { return &r.OneBit }},
-	{dynpred.NameTwoBit, func(r *DynPredRow) *float64 { return &r.TwoBit }},
-	{dynpred.NameBimodal, func(r *DynPredRow) *float64 { return &r.Bimodal }},
-	{dynpred.NameGshare, func(r *DynPredRow) *float64 { return &r.Gshare }},
-	{dynpred.NameTAGE, func(r *DynPredRow) *float64 { return &r.Tage }},
+// dynRowBackends are the dynamic backends a DynPredRow shows.
+var dynRowBackends = []string{
+	dynpred.NameOneBit, dynpred.NameTwoBit, dynpred.NameBimodal, dynpred.NameGshare, dynpred.NameTAGE,
 }
 
-// DynPred replays every benchmark's default-dataset trace under the
-// static pair and each registered dynamic backend — quantifying
-// McFarling & Hennessy's claim (profile-based static ≈ dynamic
-// hardware) and how far history-based predictors push past both.
+// DynPred races the static pair and each dynamic backend over every
+// benchmark's default dataset, one streamed run each — quantifying
+// McFarling & Hennessy's claim (profile-based static ≈ dynamic hardware)
+// and how far history-based predictors push past both. The benchmarks
+// run in parallel, bounded by the CPU count, as DefaultRunsCtx's do.
 func (e *Evaluator) DynPred() ([]DynPredRow, error) {
-	var rows []DynPredRow
-	for _, b := range suite.All() {
-		r, err := e.Run(b, 0, true)
+	benches := suite.All()
+	rows := make([]DynPredRow, len(benches))
+	err := service.Fan(context.Background(), runtime.GOMAXPROCS(0), len(benches), func(_ context.Context, i int) error {
+		b := benches[i]
+		a, err := e.Analysis(b)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		n := r.Profile.Set.Len()
-		heur := trace.PredictionVector(r.Analysis.Predictions(core.DefaultOrder))
-		perfect := trace.PerfectVector(r.Profile)
-		row := DynPredRow{
-			Name:    b.Name,
-			Heur:    dynpred.StaticResult(r.Profile, heur).MissRate(),
-			Perfect: dynpred.StaticResult(r.Profile, perfect).MissRate(),
+		heur := trace.PredictionVector(a.Predictions(core.DefaultOrder))
+		c, err := dynpred.Compare(a.Prog, runConfig(b, 0), heur, dynRowBackends, dynpred.H2POptions{})
+		if err != nil {
+			return fmt.Errorf("eval: %s: %w", b.Name, err)
 		}
-		for _, be := range dynRowBackends {
-			p, err := dynpred.New(be.name, n)
-			if err != nil {
-				return nil, err
-			}
-			*be.field(&row) = dynpred.Replay(r.Events, n, p).MissRate()
+		row := &rows[i]
+		row.Name = b.Name
+		field := map[string]*float64{
+			dynpred.NameStatic:  &row.Heur,
+			dynpred.NamePerfect: &row.Perfect,
+			dynpred.NameOneBit:  &row.OneBit,
+			dynpred.NameTwoBit:  &row.TwoBit,
+			dynpred.NameBimodal: &row.Bimodal,
+			dynpred.NameGshare:  &row.Gshare,
+			dynpred.NameTAGE:    &row.Tage,
 		}
-		rows = append(rows, row)
+		for _, s := range c.Entrants {
+			*field[s.Name] = s.MissRate()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -249,12 +252,12 @@ func (e *Evaluator) AblationTable() (string, error) {
 		vtRate := r.AllMissRate(r.Analysis.VotePredictions(core.DefaultWeights))
 		btRate := r.AllMissRate(r.Analysis.BTFNTPredictions())
 		lrRate := r.AllMissRate(r.Analysis.LoopRandPredictions())
-		lRun, err := loose.Run(r.Bench, 0, false)
+		lRun, err := loose.Run(r.Bench, 0)
 		if err != nil {
 			return "", err
 		}
 		npRate := lRun.AllMissRate(lRun.Analysis.Predictions(core.DefaultOrder))
-		dRun, err := deep.Run(r.Bench, 0, false)
+		dRun, err := deep.Run(r.Bench, 0)
 		if err != nil {
 			return "", err
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"ballarus/internal/core"
+	"ballarus/internal/interp"
 	"ballarus/internal/suite"
 	"ballarus/internal/trace"
 )
@@ -157,14 +158,16 @@ var tracedGraphNumber = map[int]string{
 // GraphSeq reproduces Graphs 4-11: cumulative sequence-length
 // distributions for the Loop+Rand, Heuristic, and Perfect predictors over
 // one traced benchmark. Graph 5 plots cumulative breaks instead of
-// cumulative instructions.
+// cumulative instructions. The perfect vector comes from the cached run's
+// profile; the three distributions then take one more run's events as
+// they stream, so no trace is held.
 func (e *Evaluator) GraphSeq(number int) (*Graph, error) {
 	name, ok := tracedGraphNumber[number]
 	if !ok {
 		return nil, fmt.Errorf("eval: graph %d is not a sequence graph (4-11)", number)
 	}
 	b := suite.Get(name)
-	r, err := e.Run(b, 0, true)
+	r, err := e.Run(b, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -174,28 +177,35 @@ func (e *Evaluator) GraphSeq(number int) (*Graph, error) {
 		XLabel: "sequence length",
 		YLabel: map[bool]string{false: "% of executed instructions in sequences < x", true: "% of breaks in sequences < x"}[breaksView],
 	}
-	preds := []struct {
-		name string
-		v    trace.Vector
-	}{
-		{"Loop+Rand", trace.PredictionVector(r.Analysis.LoopRandPredictions())},
-		{"Heuristic", trace.PredictionVector(r.Analysis.Predictions(core.DefaultOrder))},
-		{"Perfect", trace.PerfectVector(r.Profile)},
+	names := []string{"Loop+Rand", "Heuristic", "Perfect"}
+	dists := []*trace.Dist{
+		trace.NewDist(trace.PredictionVector(r.Analysis.LoopRandPredictions())),
+		trace.NewDist(trace.PredictionVector(r.Analysis.Predictions(core.DefaultOrder))),
+		trace.NewDist(trace.PerfectVector(r.Profile)),
 	}
-	for _, p := range preds {
-		d := trace.Sequences(r.Events, r.TailLen, p.v)
+	cfg := runConfig(b, 0)
+	cfg.OnEvent = func(ev interp.Event) {
+		for _, d := range dists {
+			d.Event(ev)
+		}
+	}
+	res, err := interp.Run(r.Prog, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("eval: %s: %w", name, err)
+	}
+	for i, d := range dists {
+		d.End(res.TailLen)
 		var pts []trace.Point
 		if breaksView {
 			pts = d.CumulativeBreaks()
 		} else {
 			pts = d.CumulativeInstr()
 		}
-		pts = trimSaturated(pts)
 		g.Series = append(g.Series, Series{
-			Name: p.name,
+			Name: names[i],
 			Note: fmt.Sprintf("miss %.0f%%, %.0f ipbc, dividing length %d",
 				d.MissRate(), d.IPBC(), d.DividingLength()),
-			Pts: pts,
+			Pts: trimSaturated(pts),
 		})
 	}
 	return g, nil
@@ -249,7 +259,7 @@ func (e *Evaluator) Graph13() (*Graph, error) {
 		}
 		preds := a.Predictions(core.DefaultOrder)
 		for ds := range b.Data {
-			r, err := e.Run(b, ds, false)
+			r, err := e.Run(b, ds)
 			if err != nil {
 				return nil, err
 			}

@@ -14,13 +14,6 @@ import (
 	"ballarus/internal/trace"
 )
 
-// Entrant labels for the two static predictors every comparison
-// includes alongside the dynamic backends.
-const (
-	CompareStatic  = "ballarus-heuristics"
-	ComparePerfect = "perfect"
-)
-
 // CompareRequest describes one static-vs-dynamic tournament job: the
 // usual pipeline inputs plus the dynamic backends to race.
 type CompareRequest struct {
@@ -53,8 +46,8 @@ type CompareResult struct {
 	// Name echoes the benchmark name, or "<source>" for source requests.
 	Name string `json:"name"`
 	// Predictors holds one score per entrant — the static pair
-	// (CompareStatic, ComparePerfect) plus each requested dynamic
-	// backend — sorted by name.
+	// (dynpred.NameStatic, dynpred.NamePerfect) plus each requested
+	// dynamic backend — sorted by name.
 	Predictors []PredictorScore `json:"predictors"`
 	// H2P classifies the contested branches: statically hard but
 	// history-predictable, and the converse.
@@ -213,20 +206,15 @@ func (s *Service) compare(ctx context.Context, req CompareRequest) (*CompareResu
 	return &out, nil
 }
 
-// runTournament executes the program once, streaming events into the
-// dynamic entrants, and assembles the scored comparison.
+// runTournament races the request's backends over one fresh run of the
+// program and assembles the scored comparison.
 func (s *Service) runTournament(ctx context.Context, req *CompareRequest, prog *mir.Program, analysis *core.Analysis, preds []core.Prediction) (*CompareResult, error) {
-	tour, err := dynpred.NewTournament(len(analysis.Branches), req.Predictors)
-	if err != nil {
-		return nil, resilience.Invalid(err)
-	}
-	run, err := interp.Run(prog, interp.Config{
+	c, err := dynpred.Compare(prog, interp.Config{
 		Input:     req.Input,
 		Budget:    req.Budget,
 		Seed:      req.Seed,
 		Interrupt: ctx.Done(),
-		OnEvent:   tour.Observe,
-	})
+	}, trace.PredictionVector(preds), req.Predictors, dynpred.H2POptions{MinExecuted: req.H2PMinExecuted})
 	var f *interp.Fault
 	if errors.As(err, &f) {
 		err = resilience.Invalid(err)
@@ -234,44 +222,26 @@ func (s *Service) runTournament(ctx context.Context, req *CompareRequest, prog *
 	if err != nil {
 		return nil, err
 	}
-
-	static := dynpred.StaticResult(run.Profile, trace.PredictionVector(preds))
-	perfect := dynpred.StaticResult(run.Profile, trace.PerfectVector(run.Profile))
-	dynamics := tour.Results()
-
-	h2p, err := dynpred.ClassifyH2P(static, dynamics, dynpred.H2POptions{MinExecuted: req.H2PMinExecuted})
-	if err != nil {
-		return nil, err
-	}
-
 	res := &CompareResult{
 		Name:            req.Benchmark,
-		H2P:             h2p,
+		Predictors:      make([]PredictorScore, len(c.Entrants)),
+		H2P:             c.H2P,
 		StaticBranches:  len(analysis.Branches),
-		DynamicBranches: run.Profile.Total(),
-		Steps:           run.Steps,
+		DynamicBranches: c.Run.Profile.Total(),
+		Steps:           c.Run.Steps,
 	}
 	if res.Name == "" {
 		res.Name = "<source>"
 	}
-	res.Predictors = append(res.Predictors,
-		toScore(CompareStatic, static), toScore(ComparePerfect, perfect))
-	for _, d := range dynamics {
-		res.Predictors = append(res.Predictors, toScore(d.Name, d.Result))
+	for i, e := range c.Entrants {
+		res.Predictors[i] = PredictorScore{
+			Name:        e.Name,
+			Branches:    e.Branches,
+			Misses:      e.Miss,
+			MissRatePct: e.MissRate(),
+			PerBranch:   e.PerBranch,
+		}
 	}
-	sort.Slice(res.Predictors, func(i, j int) bool {
-		return res.Predictors[i].Name < res.Predictors[j].Name
-	})
 	s.met.observeCompare(res)
 	return res, nil
-}
-
-func toScore(name string, r dynpred.Result) PredictorScore {
-	return PredictorScore{
-		Name:        name,
-		Branches:    r.Branches,
-		Misses:      r.Miss,
-		MissRatePct: r.MissRate(),
-		PerBranch:   r.PerBranch,
-	}
 }

@@ -51,7 +51,7 @@ func TestCompareBasics(t *testing.T) {
 		t.Errorf("name = %q", res.Name)
 	}
 	// The static pair plus every registered backend, sorted by name.
-	want := append([]string{CompareStatic, ComparePerfect}, dynpred.Names()...)
+	want := append([]string{dynpred.NameStatic, dynpred.NamePerfect}, dynpred.Names()...)
 	if len(res.Predictors) != len(want) {
 		t.Fatalf("%d entrants, want %d: %+v", len(res.Predictors), len(want), res.Predictors)
 	}
@@ -70,7 +70,7 @@ func TestCompareBasics(t *testing.T) {
 		}
 	}
 	// Perfect is the floor for every static vector by construction.
-	if p, h := entrant(t, res, ComparePerfect), entrant(t, res, CompareStatic); p.Misses > h.Misses {
+	if p, h := entrant(t, res, dynpred.NamePerfect), entrant(t, res, dynpred.NameStatic); p.Misses > h.Misses {
 		t.Errorf("perfect (%d misses) worse than heuristics (%d)", p.Misses, h.Misses)
 	}
 	if res.CompareCached {
@@ -120,6 +120,19 @@ func TestCompareValidation(t *testing.T) {
 	if len(res.Predictors) != 4 { // static pair + one-bit + two-bit
 		t.Errorf("entrants = %+v, want 4", res.Predictors)
 	}
+	// A seeded run with a lowered H2P threshold is a valid request.
+	if _, err := s.Compare(ctx, CompareRequest{
+		Request:        Request{Source: compareSrc, Seed: 3},
+		H2PMinExecuted: 1,
+	}); err != nil {
+		t.Errorf("seeded compare with H2PMinExecuted 1: %v", err)
+	}
+	// A canceled context fails before any work.
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := s.Compare(canceled, CompareRequest{Request: Request{Source: compareSrc}}); !errors.Is(err, resilience.ErrTimeout) {
+		t.Errorf("canceled context: %v, want a timeout", err)
+	}
 }
 
 // TestCompareAgreesWithOfflineReplay is the acceptance check: for every
@@ -165,7 +178,7 @@ func TestCompareAgreesWithOfflineReplay(t *testing.T) {
 			}
 		}
 		perfect := dynpred.StaticResult(run.Profile, trace.PerfectVector(run.Profile))
-		if got := entrant(t, res, ComparePerfect); got.Misses != perfect.Miss {
+		if got := entrant(t, res, dynpred.NamePerfect); got.Misses != perfect.Miss {
 			t.Errorf("%s/perfect: served %d misses, offline %d", b.Name, got.Misses, perfect.Miss)
 		}
 	}
@@ -214,6 +227,9 @@ func TestCompareBackendSetCaching(t *testing.T) {
 	}
 	if sub.CompareCached {
 		t.Error("a backend subset hit the full set's cache entry")
+	}
+	if len(sub.Predictors) != 3 {
+		t.Errorf("entrants = %+v, want the static pair + gshare", sub.Predictors)
 	}
 	_, err = s.Compare(ctx, CompareRequest{Request: Request{Source: compareSrc}, Predictors: []string{"oracle"}})
 	if !errors.Is(err, resilience.ErrInvalidInput) {

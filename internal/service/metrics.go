@@ -428,7 +428,7 @@ func newMetrics(start time.Time) *metrics {
 // compareBackends lists every entrant label a comparison can report:
 // the static pair plus the full dynpred registry.
 func compareBackends() []string {
-	return append([]string{CompareStatic, ComparePerfect}, dynpred.Names()...)
+	return append([]string{dynpred.NameStatic, dynpred.NamePerfect}, dynpred.Names()...)
 }
 
 // observeCompare accumulates one computed comparison's outcomes. Called

@@ -611,10 +611,10 @@ func (s *Service) predict(ctx context.Context, req Request) (*Result, error) {
 		res.Name = "<source>"
 	}
 	timedCtx(ctx, s.met, stageScore, func() (struct{}, bool, error) {
-		hm, perf, dyn := scoreRaw(preds, run.Profile)
-		vm, _, _ := scoreRaw(analysis.VotePredictions(core.DefaultWeights), run.Profile)
-		lm, _, _ := scoreRaw(analysis.LoopRandPredictions(), run.Profile)
-		bm, _, _ := scoreRaw(analysis.BTFNTPredictions(), run.Profile)
+		hm, perf, dyn := core.Tally(preds, run.Profile)
+		vm, _, _ := core.Tally(analysis.VotePredictions(core.DefaultWeights), run.Profile)
+		lm, _, _ := core.Tally(analysis.LoopRandPredictions(), run.Profile)
+		bm, _, _ := core.Tally(analysis.BTFNTPredictions(), run.Profile)
 		res.Heuristic = profile.MakeRate(hm, perf, dyn)
 		res.Vote = profile.MakeRate(vm, perf, dyn)
 		res.LoopRand = profile.MakeRate(lm, perf, dyn)
@@ -656,26 +656,4 @@ func (s *Service) analyzeStage(ctx context.Context, analysisKey string, prog *mi
 			return core.Analyze(prog, s.cfg.analysis)
 		})
 	})
-}
-
-// score computes the all-branch miss rate of a prediction vector against
-// a profile, in the paper's miss/perfect notation.
-func score(_ *core.Analysis, preds []core.Prediction, p *profile.Profile) profile.Rate {
-	return profile.MakeRate(scoreRaw(preds, p))
-}
-
-// scoreRaw tallies a prediction vector against a profile: dynamic
-// mispredictions, the perfect static predictor's mispredictions, and
-// the dynamic branch total.
-func scoreRaw(preds []core.Prediction, p *profile.Profile) (miss, perf, dyn int64) {
-	for id := range preds {
-		d := p.Executed(id)
-		if d == 0 {
-			continue
-		}
-		dyn += d
-		perf += p.PerfectMisses(id)
-		miss += p.Misses(id, preds[id].Taken())
-	}
-	return miss, perf, dyn
 }

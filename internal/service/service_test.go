@@ -11,6 +11,7 @@ import (
 	"ballarus/internal/core"
 	"ballarus/internal/interp"
 	"ballarus/internal/minic"
+	"ballarus/internal/profile"
 	"ballarus/internal/suite"
 )
 
@@ -81,7 +82,7 @@ func TestPredictMatchesDirectPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := score(a, a.Predictions(core.DefaultOrder), run.Profile)
+	want := profile.MakeRate(core.Tally(a.Predictions(core.DefaultOrder), run.Profile))
 	if res.Heuristic != want {
 		t.Fatalf("service score %v != direct pipeline score %v", res.Heuristic, want)
 	}

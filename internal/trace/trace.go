@@ -3,12 +3,13 @@
 // control. A break in control is a mispredicted conditional branch, an
 // indirect jump other than a procedure return, or an indirect call.
 //
-// The input is the compact event trace package interp records: one record
+// The input is the compact event stream package interp emits: one record
 // per executed conditional branch / indirect transfer with the instruction
-// count since the previous event. From a trace and a static prediction
-// vector the package computes the sequence-length distribution (1000
-// buckets of width 10, as the paper does), the profile-style IPBC average,
-// the dividing length, and the closed-form model f(m,s) = 1-(1-m)^s.
+// count since the previous event, taken live from a run or from a
+// materialized trace. From the events and a static prediction vector the
+// package computes the sequence-length distribution (1000 buckets of
+// width 10, as the paper does), the profile-style IPBC average, the
+// dividing length, and the closed-form model f(m,s) = 1-(1-m)^s.
 package trace
 
 import (
@@ -27,7 +28,8 @@ const (
 )
 
 // Dist is the sequence-length distribution induced by one predictor over
-// one trace.
+// one trace. NewDist starts one; Event and End feed it a run's events as
+// they stream, so no trace need be held.
 type Dist struct {
 	Count [NumBuckets]int64 // sequences per bucket
 	Instr [NumBuckets]int64 // total instructions in those sequences
@@ -36,6 +38,9 @@ type Dist struct {
 	Breaks     int64 // breaks in control
 	Branches   int64 // conditional branches executed
 	Mispred    int64 // of which mispredicted
+
+	v   Vector // the predictor
+	seq int64  // instructions in the open sequence
 }
 
 // Vector is a static prediction for every branch ID: true = predict taken.
@@ -60,39 +65,47 @@ func PerfectVector(p *profile.Profile) Vector {
 	return v
 }
 
-// Sequences partitions the trace into sequences at each break in control
-// under the given prediction vector and returns the distribution. tailLen
-// is the instruction count after the last event (interp.Result.TailLen);
-// the trailing partial sequence is included in the histogram but is not a
-// break.
-func Sequences(events []interp.Event, tailLen int64, v Vector) *Dist {
-	d := &Dist{}
-	var seq int64
-	for i := range events {
-		ev := &events[i]
-		seq += int64(ev.Delta)
-		d.TotalInstr += int64(ev.Delta)
-		isBreak := false
-		if ev.Kind == interp.EvIndirect {
-			isBreak = true
-		} else {
-			d.Branches++
-			if v[ev.Branch] != ev.Taken {
-				d.Mispred++
-				isBreak = true
-			}
+// NewDist starts an empty distribution under the prediction vector v.
+func NewDist(v Vector) *Dist { return &Dist{v: v} }
+
+// Event extends the open sequence by one trace event, closing it at a
+// break in control: an indirect transfer or a mispredicted branch.
+func (d *Dist) Event(ev interp.Event) {
+	d.seq += int64(ev.Delta)
+	d.TotalInstr += int64(ev.Delta)
+	if ev.Kind == interp.EvBranch {
+		d.Branches++
+		if d.v[ev.Branch] == ev.Taken {
+			return
 		}
-		if isBreak {
-			d.record(seq)
-			d.Breaks++
-			seq = 0
-		}
+		d.Mispred++
 	}
-	seq += tailLen
+	d.record(d.seq)
+	d.Breaks++
+	d.seq = 0
+}
+
+// End closes the run. tailLen is the instruction count after the last
+// event (interp.Result.TailLen); the trailing partial sequence is
+// included in the histogram but is not a break.
+func (d *Dist) End(tailLen int64) {
+	d.seq += tailLen
 	d.TotalInstr += tailLen
-	if seq > 0 {
-		d.record(seq)
+	if d.seq > 0 {
+		d.record(d.seq)
 	}
+	d.seq = 0
+}
+
+// Sequences partitions a materialized trace into sequences at each break
+// in control under the given prediction vector and returns the
+// distribution: NewDist, then Event for each event, then End(tailLen).
+func Sequences(events []interp.Event, tailLen int64, v Vector) *Dist {
+	d := NewDist(v)
+	for _, ev := range events {
+		d.Event(ev)
+	}
+	d.End(tailLen)
 	return d
 }
 
