@@ -249,7 +249,7 @@ func BenchmarkAblationSpill(b *testing.B) {
 		n := 0
 		for _, bench := range suite.All() {
 			for _, opts := range []minic.Options{{}, {SpillLocals: true}} {
-				prog, err := bench.CompileWith(opts)
+				prog, err := minic.Compile(bench.Source, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -294,7 +294,7 @@ func BenchmarkAblationNoJumpTables(b *testing.B) {
 	var withJT, withoutJT float64
 	for i := 0; i < b.N; i++ {
 		for _, opts := range []minic.Options{{}, {NoJumpTables: true}} {
-			prog, err := bench.CompileWith(opts)
+			prog, err := minic.Compile(bench.Source, opts)
 			if err != nil {
 				b.Fatal(err)
 			}

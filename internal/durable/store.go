@@ -25,9 +25,6 @@ func NewStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the state directory.
-func (s *Store) Dir() string { return s.dir }
-
 // SnapshotPath returns the snapshot file path.
 func (s *Store) SnapshotPath() string { return filepath.Join(s.dir, SnapshotName) }
 

@@ -19,12 +19,6 @@ type Watchdog struct {
 	donec chan struct{}
 }
 
-// WatchdogStats is a point-in-time watchdog snapshot.
-type WatchdogStats struct {
-	Enabled  bool  `json:"enabled"`
-	Restarts int64 `json:"restarts"`
-}
-
 // NewWatchdog creates a watchdog; Start arms it. probe must be safe to
 // call from another goroutine. poll <= 0 derives a poll interval from
 // the deadline.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ballarus/internal/interp"
+	"ballarus/internal/profile"
 )
 
 func ev(branch int32, taken bool) interp.Event {
@@ -59,9 +60,11 @@ func TestTwoBit(t *testing.T) {
 }
 
 func TestStaticMatchesDirectCount(t *testing.T) {
-	events := seq(true, false, true, true)
-	r := Replay(events, 1, NewStatic([]bool{true}))
-	if r.Branches != 4 || r.Miss != 1 {
+	// A branch taken 3 times and not taken once: predicting taken misses
+	// once.
+	prof := &profile.Profile{Taken: []int64{3}, Fall: []int64{1}}
+	r := StaticResult(prof, []bool{true})
+	if r.Branches != 4 || r.Miss != 1 || r.PerBranch[0] != (BranchStat{Executed: 4, Miss: 1}) {
 		t.Errorf("static: %+v", r)
 	}
 }

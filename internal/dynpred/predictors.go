@@ -125,15 +125,3 @@ func b2u(b bool) uint32 {
 	}
 	return 0
 }
-
-// static wraps a fixed per-branch direction vector as a Predictor, so
-// static schemes race in the same tournament harness as dynamic ones.
-type static struct {
-	taken []bool
-}
-
-// NewStatic wraps a fixed prediction vector (true = predict taken).
-func NewStatic(taken []bool) Predictor { return &static{taken: taken} }
-
-func (p *static) Predict(branch int32) bool       { return p.taken[branch] }
-func (p *static) Update(branch int32, taken bool) {}

@@ -47,17 +47,6 @@ func (e *Exposition) Value(name string, labels map[string]string) (float64, bool
 	return 0, false
 }
 
-// Sum totals every sample of name across label sets.
-func (e *Exposition) Sum(name string) float64 {
-	var t float64
-	for _, s := range e.Samples {
-		if s.Name == name {
-			t += s.Value
-		}
-	}
-	return t
-}
-
 // ParseExposition parses the Prometheus text format. It is strict
 // enough for round-trip tests but tolerates arbitrary sample ordering.
 func ParseExposition(r io.Reader) (*Exposition, error) {

@@ -266,14 +266,6 @@ func (a *Active) ID() string {
 	return a.tr.ID
 }
 
-// SpanContext returns the trace's root span identity for propagation.
-func (a *Active) SpanContext() SpanContext {
-	if a == nil {
-		return SpanContext{}
-	}
-	return SpanContext{TraceID: a.tr.ID, SpanID: a.tr.SpanID, Flags: a.tr.Flags}
-}
-
 // Attr attaches a trace-level attribute.
 func (a *Active) Attr(k, v string) {
 	if a == nil {

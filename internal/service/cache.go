@@ -104,13 +104,6 @@ func (c *flightCache[V]) evict() {
 	}
 }
 
-// len returns the number of completed-or-in-flight entries.
-func (c *flightCache[V]) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
 // stats returns the entry count and cumulative evictions.
 func (c *flightCache[V]) stats() cacheSnapshot {
 	c.mu.Lock()

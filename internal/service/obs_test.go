@@ -169,13 +169,22 @@ func TestServiceMetricsExposition(t *testing.T) {
 	if dyn <= 0 {
 		t.Fatalf("dynamic_branches_total = %v, want > 0", dyn)
 	}
-	if got := exp.Sum("ballarus_heuristic_predicted_total"); got != dyn {
+	sum := func(name string) float64 {
+		var t float64
+		for _, s := range exp.Samples {
+			if s.Name == name {
+				t += s.Value
+			}
+		}
+		return t
+	}
+	if got := sum("ballarus_heuristic_predicted_total"); got != dyn {
 		t.Errorf("sum(heuristic_predicted_total) = %v, want %v", got, dyn)
 	}
-	if got := exp.Sum("ballarus_branch_executions_total"); got != dyn {
+	if got := sum("ballarus_branch_executions_total"); got != dyn {
 		t.Errorf("sum(branch_executions_total) = %v, want %v", got, dyn)
 	}
-	if miss := exp.Sum("ballarus_heuristic_misses_total"); miss <= 0 || miss >= dyn {
+	if miss := sum("ballarus_heuristic_misses_total"); miss <= 0 || miss >= dyn {
 		t.Errorf("sum(heuristic_misses_total) = %v, want in (0, %v)", miss, dyn)
 	}
 	for _, p := range predictorOrder {

@@ -86,16 +86,6 @@ func Names() []string {
 // Get returns the named benchmark or nil.
 func Get(name string) *Benchmark { return byName[name] }
 
-// CompileWith compiles the benchmark with explicit options (uncached);
-// used by the ablation experiments.
-func (b *Benchmark) CompileWith(opts minic.Options) (*mir.Program, error) {
-	p, err := minic.Compile(b.Source, opts)
-	if err != nil {
-		return nil, fmt.Errorf("suite: %s: %w", b.Name, err)
-	}
-	return p, nil
-}
-
 // Compile compiles the benchmark (cached) with default options.
 func (b *Benchmark) Compile() (*mir.Program, error) {
 	b.compileOnce.Do(func() {
