@@ -155,7 +155,9 @@ func TestGatewayRetriesPastFailure(t *testing.T) {
 	})
 	g, ts := newTestGateway(t, Config{MaxAttempts: 2, RetryRatio: 1, RetryBurst: 100}, a, b)
 
-	for i := 0; i < 8; i++ {
+	// Least-inflight routing breaks ties at random, so keep sending, up
+	// to a bound, until the failing replica has been tried at least once.
+	for i := 0; i < 8 || (a.hits.Load() == 0 && i < 64); i++ {
 		resp, data := postBody(t, ts.URL, fmt.Sprintf(`{"source":"req%d"}`, i), nil)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status = %d (body %s)", i, resp.StatusCode, data)
@@ -163,6 +165,9 @@ func TestGatewayRetriesPastFailure(t *testing.T) {
 		if id := resp.Header.Get("X-Instance-Id"); id != "b" {
 			t.Fatalf("request %d answered by %q, want b", i, id)
 		}
+	}
+	if a.hits.Load() == 0 {
+		t.Fatal("64 requests never routed to the failing replica")
 	}
 	if got := g.metrics.attempts[attemptRetry].Value() + g.metrics.attempts[attemptHedge].Value(); got == 0 {
 		t.Fatal("no retries or hedges recorded despite a failing replica")

@@ -55,18 +55,23 @@ func TestHedgeBeatsStall(t *testing.T) {
 		RetryBurst:   100,
 	}, slowRep, fastRep)
 
+	// Least-inflight routing breaks ties at random, so keep sending, up
+	// to a bound, until the stalled replica has been tried at least once.
 	start := time.Now()
-	const n = 8
-	for i := 0; i < n; i++ {
-		resp, data := postBody(t, ts.URL, fmt.Sprintf(`{"source":"req%d"}`, i), nil)
+	n := 0
+	for ; n < 8 || (slowRep.hits.Load() == 0 && n < 64); n++ {
+		resp, data := postBody(t, ts.URL, fmt.Sprintf(`{"source":"req%d"}`, n), nil)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d: status = %d (body %s)", i, resp.StatusCode, data)
+			t.Fatalf("request %d: status = %d (body %s)", n, resp.StatusCode, data)
 		}
 		if id := resp.Header.Get("X-Instance-Id"); id != "fast" {
-			t.Fatalf("request %d answered by %q, want fast (hedge should win)", i, id)
+			t.Fatalf("request %d answered by %q, want fast (hedge should win)", n, id)
 		}
 	}
-	if elapsed := time.Since(start); elapsed > n*stall/2 {
+	if slowRep.hits.Load() == 0 {
+		t.Fatal("64 requests never routed to the stalled replica")
+	}
+	if elapsed := time.Since(start); elapsed > time.Duration(n)*stall/2 {
 		t.Fatalf("%d requests took %v; hedging is not cutting the stall tail", n, elapsed)
 	}
 

@@ -362,6 +362,16 @@ func FuzzInterp(f *testing.F) {
 				t.Fatalf("opts %+v: got %s, want %s\nprogram:\n%s", opts, res.Output, want, src)
 			}
 			checkEvents(t, res)
+			// The streamed path must see exactly the collected trace.
+			var streamed []interp.Event
+			live, err := interp.Run(prog, interp.Config{
+				Budget:  cfg.Budget,
+				OnEvent: func(ev interp.Event) { streamed = append(streamed, ev) },
+			})
+			if err != nil || live.Events != nil || !slices.Equal(streamed, res.Events) ||
+				live.TailLen != res.TailLen || live.Steps != res.Steps {
+				t.Fatalf("opts %+v: streamed run differs from the collected one (err %v)\nprogram:\n%s", opts, err, src)
+			}
 			if _, err := interp.Run(dirty, interp.Config{}); err != nil {
 				t.Fatalf("dirtying run: %v", err)
 			}
