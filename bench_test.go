@@ -39,8 +39,9 @@ func sharedEvaluator(b *testing.B) *eval.Evaluator {
 	return benchEval
 }
 
-// subsetTrials is the sampled size used by default for the C(22,11)
-// experiment; run cmd/blorders -exact for all 705,432 trials.
+// subsetTrials is the sample BenchmarkTable4 renders Table 4 over, the
+// size blperf's paper-repro workload renders. Every command, graph and
+// the results snapshot run all 705,432 trials of the C(22,11) experiment.
 const subsetTrials = 5000
 
 func benchTable(b *testing.B, gen func() (string, error)) string {
@@ -135,7 +136,7 @@ func BenchmarkGraph1(b *testing.B) {
 func BenchmarkGraph2(b *testing.B) {
 	e := sharedEvaluator(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Graph2(subsetTrials); err != nil {
+		if _, err := e.Graph2(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,7 +145,7 @@ func BenchmarkGraph2(b *testing.B) {
 func BenchmarkGraph3(b *testing.B) {
 	e := sharedEvaluator(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Graph3(subsetTrials); err != nil {
+		if _, err := e.Graph3(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -212,31 +213,30 @@ func BenchmarkAblationBTFNT(b *testing.B) {
 }
 
 // BenchmarkAblationNoPostdom drops the postdomination requirement from
-// the successor-property heuristics.
+// the successor-property heuristics: each iteration re-scores a copy of
+// every default run with the NoPostdom analysis of its program.
 func BenchmarkAblationNoPostdom(b *testing.B) {
-	var with, without float64
+	e := sharedEvaluator(b)
+	var strict, loose []float64
 	for i := 0; i < b.N; i++ {
-		strict := eval.New()
-		loose := eval.New()
-		loose.Opts = core.Options{NoPostdom: true}
-		with = meanWithDefault(b, strict)
-		without = meanWithDefault(b, loose)
+		runs, err := e.DefaultRuns()
+		if err != nil {
+			b.Fatal(err)
+		}
+		strict, loose = strict[:0], loose[:0]
+		for _, r := range runs {
+			a, err := core.Analyze(r.Prog, core.Options{NoPostdom: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			lr := *r
+			lr.Analysis = a
+			strict = append(strict, r.Final(core.DefaultOrder).WithDefault.Pred)
+			loose = append(loose, lr.Final(core.DefaultOrder).WithDefault.Pred)
+		}
 	}
-	b.ReportMetric(with, "strictMiss%")
-	b.ReportMetric(without, "noPostdomMiss%")
-}
-
-func meanWithDefault(b *testing.B, e *eval.Evaluator) float64 {
-	b.Helper()
-	runs, err := e.DefaultRuns()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var xs []float64
-	for _, r := range runs {
-		xs = append(xs, r.Final(core.DefaultOrder).WithDefault.Pred)
-	}
-	return stats.Mean(xs)
+	b.ReportMetric(stats.Mean(strict), "strictMiss%")
+	b.ReportMetric(stats.Mean(loose), "noPostdomMiss%")
 }
 
 // BenchmarkAblationSpill recompiles the suite without register-resident
@@ -384,6 +384,22 @@ func BenchmarkOrderSweep(b *testing.B) {
 	e := sharedEvaluator(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Sweep(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSubsetsExact runs all 705,432 trials of the C(22,11)
+// experiment on the cached sweep.
+func BenchmarkSubsetsExact(b *testing.B) {
+	e := sharedEvaluator(b)
+	s, err := e.Sweep()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.SubsetsCtx(context.Background(), 11); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,14 +18,11 @@ import (
 func main() {
 	graphN := flag.Int("graph", 0, "graph number (1-13); 0 = all summaries")
 	summary := flag.Bool("summary", false, "print only headline numbers")
-	trials := flag.Int("trials", 20000, "sampled subset trials for Graphs 2-3")
-	exact := flag.Bool("exact", false, "exact subset experiment for Graphs 2-3")
 	flag.Parse()
 
 	e := ballarus.NewEvaluator()
-	t := cli.Trials(*trials, *exact)
 	emit := func(n int, summaryOnly bool) {
-		g, err := e.Graph(n, t)
+		g, err := e.Graph(n)
 		if err != nil {
 			fatal(fmt.Errorf("graph %d: %w", n, err))
 		}
@@ -37,7 +34,7 @@ func main() {
 	}
 	if *graphN != 0 {
 		if *graphN < 1 || *graphN > 13 {
-			cli.Usage("blgraphs [-graph 1-13] [-summary] [-exact] [-trials n]")
+			cli.Usage("blgraphs [-graph 1-13] [-summary]")
 		}
 		emit(*graphN, *summary)
 		return

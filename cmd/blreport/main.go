@@ -1,14 +1,13 @@
 // blreport regenerates every artifact of the reproduction into a
 // directory: all tables (1-7 plus the extension tables) as text, every
 // graph (1-13) as TSV, and RESULTS.txt, the snapshot committed as
-// docs/RESULTS.txt (whatever the flags; they shape only the table and
-// graph files). One command to rebuild everything a reader needs to check
-// the paper-vs-measured claims in EXPERIMENTS.md. Wall-clock timings go
-// to stderr.
+// docs/RESULTS.txt. One command to rebuild everything a reader needs to
+// check the paper-vs-measured claims in EXPERIMENTS.md. Wall-clock timings
+// go to stderr.
 //
 // Usage:
 //
-//	blreport -out results/ [-exact] [-trials 20000]
+//	blreport -out results/
 package main
 
 import (
@@ -23,14 +22,11 @@ import (
 
 func main() {
 	out := flag.String("out", "results", "output directory")
-	exact := flag.Bool("exact", false, "run the subset experiment exactly")
-	trials := flag.Int("trials", 20000, "sampled subset trials (ignored with -exact)")
 	flag.Parse()
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
 	}
-	t := cli.Trials(*trials, *exact)
 	e := ballarus.NewEvaluator()
 	start := time.Now()
 
@@ -47,7 +43,7 @@ func main() {
 		{"table1.txt", e.Table1},
 		{"table2.txt", e.Table2},
 		{"table3.txt", e.Table3},
-		{"table4.txt", func() (string, error) { return e.Table4(t) }},
+		{"table4.txt", func() (string, error) { return e.Table4(0) }},
 		{"table5.txt", e.Table5},
 		{"table6.txt", e.Table6},
 		{"table7.txt", e.Table7},
@@ -65,7 +61,7 @@ func main() {
 	}
 
 	for n := 1; n <= 13; n++ {
-		g, err := e.Graph(n, t)
+		g, err := e.Graph(n)
 		if err != nil {
 			fatal(fmt.Errorf("graph %d: %w", n, err))
 		}

@@ -2,11 +2,10 @@
 //
 // Usage:
 //
-//	bltables            # all tables (Table 4 sampled)
+//	bltables            # all tables (Table 4 over all 705,432 subset trials)
 //	bltables -table 6   # one table
-//	bltables -table 4 -exact   # the full 705,432-trial subset experiment
-//	bltables -ext              # extension tables (profile estimation,
-//	                           # cross-dataset profiles, ablations)
+//	bltables -ext       # extension tables (profile estimation,
+//	                    # cross-dataset profiles, ablations)
 package main
 
 import (
@@ -19,8 +18,6 @@ import (
 
 func main() {
 	tableN := flag.Int("table", 0, "table number (1-7); 0 = all")
-	exact := flag.Bool("exact", false, "run the subset experiment exactly (Table 4)")
-	trials := flag.Int("trials", 20000, "sampled subset trials for Table 4 (ignored with -exact)")
 	ext := flag.Bool("ext", false, "print the extension tables instead")
 	flag.Parse()
 
@@ -37,12 +34,11 @@ func main() {
 		}
 		return
 	}
-	t4trials := cli.Trials(*trials, *exact)
 	gens := map[int]func() (string, error){
 		1: e.Table1,
 		2: e.Table2,
 		3: e.Table3,
-		4: func() (string, error) { return e.Table4(t4trials) },
+		4: func() (string, error) { return e.Table4(0) },
 		5: e.Table5,
 		6: e.Table6,
 		7: e.Table7,
@@ -56,7 +52,7 @@ func main() {
 	}
 	if *tableN != 0 {
 		if _, ok := gens[*tableN]; !ok {
-			cli.Usage("bltables [-table 1-7] [-exact] [-trials n] [-ext]")
+			cli.Usage("bltables [-table 1-7] [-ext]")
 		}
 		emit(*tableN)
 		return

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -122,6 +123,16 @@ func TestResultsGolden(t *testing.T) {
 		}
 	}
 
+	// Table 4 and the order-experiment section report one experiment, so
+	// their ten rows must agree field for field.
+	t4 := tableRows(t, got, "%Trials  MissRate  Order", 10)
+	oe := tableRows(t, got, "pct-trials  miss-rate  order", 10)
+	for i := range t4 {
+		if !slices.Equal(t4[i], oe[i]) {
+			t.Errorf("row %d: Table 4 has %v, the order experiment %v", i+1, t4[i], oe[i])
+		}
+	}
+
 	if exact.Trials != 705432 {
 		t.Fatalf("exact experiment ran %d trials, want C(22,11) = 705432", exact.Trials)
 	}
@@ -149,4 +160,20 @@ func TestResultsGolden(t *testing.T) {
 		t.Errorf("exact and sampled experiments disagree on the top order: %v vs %v",
 			s.Orders[exact.Ranked()[0]], s.Orders[sampled.Ranked()[0]])
 	}
+}
+
+// tableRows returns the whitespace-separated fields of the n lines that
+// follow the line equal to header in text.
+func tableRows(t *testing.T, text, header string, n int) [][]string {
+	t.Helper()
+	lines := strings.Split(text, "\n")
+	i := slices.Index(lines, header)
+	if i < 0 || i+n >= len(lines) {
+		t.Fatalf("no %d rows under %q", n, header)
+	}
+	rows := make([][]string, n)
+	for j := range rows {
+		rows[j] = strings.Fields(lines[i+1+j])
+	}
+	return rows
 }

@@ -1,8 +1,8 @@
 // Package cli holds the plumbing shared by the cmd/bl* binaries: fatal
 // error reporting, signal-aware root contexts, input-file loading,
-// heuristic-order parsing, benchmark selection, trial-count flags, and
-// artifact output. Keeping it here means each main is only its own
-// flag surface and pipeline calls.
+// heuristic-order parsing, benchmark selection, and artifact output.
+// Keeping it here means each main is only its own flag surface and
+// pipeline calls.
 package cli
 
 import (
@@ -153,15 +153,6 @@ func Dataset(b *suite.Benchmark, idx int) (suite.Dataset, error) {
 		return suite.Dataset{}, fmt.Errorf("%s has datasets 0..%d", b.Name, len(b.Data)-1)
 	}
 	return b.Data[idx], nil
-}
-
-// Trials resolves the conventional -trials/-exact flag pair: -exact
-// means the full experiment (0 trials = exact in the eval API).
-func Trials(trials int, exact bool) int {
-	if exact {
-		return 0
-	}
-	return trials
 }
 
 // WriteArtifact writes one generated file under dir and reports it.

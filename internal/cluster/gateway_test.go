@@ -207,6 +207,72 @@ func TestClientDeadlineDoesNotEject(t *testing.T) {
 	}
 }
 
+// TestNoRetryPastDeadline: a replica's 504 late in the client's deadline
+// leaves less time than the replicas' observed latency, so the gateway
+// launches no retry, which could not finish, and spends no budget token.
+func TestNoRetryPastDeadline(t *testing.T) {
+	timeout := func(w http.ResponseWriter, r *http.Request) {
+		ms, _ := strconv.Atoi(r.Header.Get("X-Deadline-Ms"))
+		time.Sleep(time.Duration(ms) * time.Millisecond * 9 / 10)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusGatewayTimeout)
+		fmt.Fprint(w, `{"error":"context deadline exceeded","code":"timeout"}`)
+	}
+	a := newFakeReplica(t, "a")
+	b := newFakeReplica(t, "b")
+	a.predict.Store(timeout)
+	b.predict.Store(timeout)
+	g, ts := newTestGateway(t, Config{RetryRatio: 1, RetryBurst: 100}, a, b)
+
+	for i := 0; i < 12; i++ {
+		resp, data := postBody(t, ts.URL, fmt.Sprintf(`{"source":"req%d"}`, i),
+			map[string]string{"X-Deadline-Ms": "40"})
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("request %d: status = %d (body %s), want 504", i, resp.StatusCode, data)
+		}
+	}
+	if got := g.metrics.attempts[attemptRetry].Value(); got != 0 {
+		t.Errorf("%v retries launched with the deadline nearly spent, want 0", got)
+	}
+	if got := g.metrics.attempts[attemptPrimary].Value(); got != 12 {
+		t.Errorf("%v primaries, want 12", got)
+	}
+}
+
+// TestEarlyTimeoutStillRetries: a 504 that comes back with most of the
+// deadline left is still retried on another replica, which answers.
+func TestEarlyTimeoutStillRetries(t *testing.T) {
+	primaryTimesOut := func(id string) func(http.ResponseWriter, *http.Request) {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if r.Header.Get("X-Attempt-Kind") != attemptPrimary {
+				okPredict(id)(w, r)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusGatewayTimeout)
+			fmt.Fprint(w, `{"error":"context deadline exceeded","code":"timeout"}`)
+		}
+	}
+	a := newFakeReplica(t, "a")
+	b := newFakeReplica(t, "b")
+	a.predict.Store(primaryTimesOut("a"))
+	b.predict.Store(primaryTimesOut("b"))
+	// No hedge can fire before the primary's 504 is back, and the
+	// deadline leaves more than that delay for the retry.
+	g, ts := newTestGateway(t, Config{HedgeInitial: 5 * time.Second, RetryRatio: 1, RetryBurst: 100}, a, b)
+
+	for i := 0; i < 6; i++ {
+		resp, data := postBody(t, ts.URL, fmt.Sprintf(`{"source":"req%d"}`, i),
+			map[string]string{"X-Deadline-Ms": "10000"})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status = %d (body %s), want 200 from the retry", i, resp.StatusCode, data)
+		}
+	}
+	if got := g.metrics.attempts[attemptRetry].Value(); got != 6 {
+		t.Errorf("%v retries, want one per request (6)", got)
+	}
+}
+
 // TestGatewayPassiveEjection: consecutive failures eject the sick
 // replica, after which traffic stops reaching it until the cool-off.
 func TestGatewayPassiveEjection(t *testing.T) {

@@ -189,9 +189,11 @@ type proxyReq struct {
 
 // do runs the hedged attempt loop: a primary immediately, one hedge
 // after the latency-quantile delay, and budgeted retries as failures
-// come back, all bounded by MaxAttempts and ctx. The first ok outcome
-// wins; every other attempt is canceled through its context when do
-// returns.
+// come back, all bounded by MaxAttempts and ctx. A retry launches only
+// while more of ctx's deadline remains than that delay: one launched
+// later could not finish and would only spend a budget token. The first
+// ok outcome wins; every other attempt is canceled through its context
+// when do returns.
 func (g *Gateway) do(ctx context.Context, pr proxyReq) upstream {
 	results := make(chan upstream, g.cfg.MaxAttempts)
 	tried := map[*replica]bool{}
@@ -202,6 +204,7 @@ func (g *Gateway) do(ctx context.Context, pr proxyReq) upstream {
 		}
 	}()
 
+	delay := g.latency.delay()
 	launched, outstanding := 0, 0
 	// drain cancels the losers and waits for their attempt goroutines
 	// to finish. Each attempt closes its span before sending its
@@ -220,6 +223,9 @@ func (g *Gateway) do(ctx context.Context, pr proxyReq) upstream {
 	}
 	launch := func(kind string) bool {
 		if launched >= g.cfg.MaxAttempts {
+			return false
+		}
+		if dl, ok := ctx.Deadline(); ok && kind == attemptRetry && time.Until(dl) <= delay {
 			return false
 		}
 		rep := g.pick(pr.key, tried)
@@ -249,7 +255,7 @@ func (g *Gateway) do(ctx context.Context, pr proxyReq) upstream {
 	}
 
 	launch(attemptPrimary) // a primary needs no token and pick never fails on the first try
-	hedge := time.NewTimer(g.latency.delay())
+	hedge := time.NewTimer(delay)
 	defer hedge.Stop()
 	hedged := false
 

@@ -31,8 +31,6 @@ type Run struct {
 
 // Evaluator caches compiled programs, analyses, and runs.
 type Evaluator struct {
-	Opts core.Options
-
 	mu       sync.Mutex
 	analyses sync.Map // benchmark name -> *analysisEntry
 	runs     map[string]*Run
@@ -48,7 +46,7 @@ type analysisEntry struct {
 	err  error
 }
 
-// New creates an evaluator with paper-faithful options.
+// New creates an evaluator.
 func New() *Evaluator {
 	return &Evaluator{runs: map[string]*Run{}}
 }
@@ -63,7 +61,7 @@ func (e *Evaluator) Analysis(b *suite.Benchmark) (*core.Analysis, error) {
 			ent.err = err
 			return
 		}
-		ent.a, ent.err = core.Analyze(prog, e.Opts)
+		ent.a, ent.err = core.Analyze(prog, core.Options{})
 	})
 	return ent.a, ent.err
 }

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -178,20 +180,35 @@ func TestSubsetExperimentSampled(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + tbl)
-	g2, err := sharedEval.Graph2(2000)
+	if !strings.Contains(tbl, "over 2000 subset trials") || strings.Count(tbl, "\n") != 12 {
+		t.Errorf("Table 4 over a 2000-trial sample: want its title and 10 order rows, got\n%s", tbl)
+	}
+}
+
+// TestGraphs2And3 checks the exact experiment's graphs: Graph 2's
+// cumulative share reaches 100% within its 101 points, as every chosen
+// order is plotted, and its note always carries both shares and the
+// count of distinct orders.
+func TestGraphs2And3(t *testing.T) {
+	g2, err := sharedEval.Graph2()
 	if err != nil {
 		t.Fatal(err)
 	}
 	pts := g2.Series[0].Pts
-	if len(pts) == 0 || pts[len(pts)-1].Y > 100.0001 {
-		t.Errorf("Graph 2 cumulative share out of range")
+	if len(pts) == 0 || math.Abs(pts[len(pts)-1].Y-100) > 1e-6 {
+		t.Errorf("Graph 2 cumulative share does not end at 100%%: %v", pts)
 	}
-	g3, err := sharedEval.Graph3(2000)
+	note := g2.Series[0].Note
+	want := fmt.Sprintf("of 705432 trials; %d distinct orders", len(pts))
+	if !strings.Contains(note, "top 10 orders cover ") || !strings.Contains(note, ", top 40 ") || !strings.HasSuffix(note, want) {
+		t.Errorf("Graph 2 note %q, want both shares and %q", note, want)
+	}
+	g3, err := sharedEval.Graph3()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g3.Series[0].Pts) == 0 {
-		t.Error("Graph 3 empty")
+	if len(g3.Series[0].Pts) != len(pts) {
+		t.Errorf("Graph 3 plots %d orders, Graph 2 %d", len(g3.Series[0].Pts), len(pts))
 	}
 	t.Log(g2.Summary())
 }

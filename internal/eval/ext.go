@@ -234,16 +234,15 @@ func (e *Evaluator) DynPredTable() (string, error) {
 }
 
 // AblationTable renders the DESIGN.md ablations as one table: the
-// Ball-Larus predictor vs BTFNT, and strict vs NoPostdom analysis.
+// Ball-Larus predictor vs BTFNT, and strict vs NoPostdom analysis. The
+// alternative analyses are scored against each default run's profile:
+// a profile does not depend on the analysis options, and every analysis
+// of one program numbers its branches alike.
 func (e *Evaluator) AblationTable() (string, error) {
 	runs, err := e.DefaultRuns()
 	if err != nil {
 		return "", err
 	}
-	loose := New()
-	loose.Opts = core.Options{NoPostdom: true}
-	deep := New()
-	deep.Opts = core.Options{GuardDepth: 3}
 	t := newTable("Extension: ablations and alternative combiner (all-branch miss %)")
 	t.row("Program", "BallLarus", "Voting", "BTFNT", "Loop+Rand", "NoPostdom", "DeepGuard")
 	var bl, vt, bt, lr, np, dg []float64
@@ -252,16 +251,16 @@ func (e *Evaluator) AblationTable() (string, error) {
 		vtRate := r.AllMissRate(r.Analysis.VotePredictions(core.DefaultWeights))
 		btRate := r.AllMissRate(r.Analysis.BTFNTPredictions())
 		lrRate := r.AllMissRate(r.Analysis.LoopRandPredictions())
-		lRun, err := loose.Run(r.Bench, 0)
+		loose, err := core.Analyze(r.Prog, core.Options{NoPostdom: true})
 		if err != nil {
 			return "", err
 		}
-		npRate := lRun.AllMissRate(lRun.Analysis.Predictions(core.DefaultOrder))
-		dRun, err := deep.Run(r.Bench, 0)
+		npRate := r.AllMissRate(loose.Predictions(core.DefaultOrder))
+		deep, err := core.Analyze(r.Prog, core.Options{GuardDepth: 3})
 		if err != nil {
 			return "", err
 		}
-		dgRate := dRun.AllMissRate(dRun.Analysis.Predictions(core.DefaultOrder))
+		dgRate := r.AllMissRate(deep.Predictions(core.DefaultOrder))
 		t.row(r.Bench.Name,
 			fmt.Sprintf("%.1f", blRate.Pred), fmt.Sprintf("%.1f", vtRate.Pred),
 			fmt.Sprintf("%.1f", btRate.Pred), fmt.Sprintf("%.1f", lrRate.Pred),

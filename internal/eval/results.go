@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -10,20 +9,16 @@ import (
 	"ballarus/internal/orders"
 )
 
-// snapshotTrials is the sampled subset-trial count behind the snapshot's
-// Table 4 and Graphs 2-3, the bltables and blgraphs default.
-const snapshotTrials = 20000
-
 // snapshotHeader opens docs/RESULTS.txt.
 const snapshotHeader = `Results snapshot, written by blreport as RESULTS.txt in its output directory.
-Table 4 and Graphs 2-3 sample 20000 subset trials; the order experiments
-after the extension tables run all 705432.
+Table 4, the order experiments after the extension tables, and Graphs 2-3
+run all 705432 subset trials.
 
 `
 
 // Snapshot renders docs/RESULTS.txt from e: Tables 1-7, the extension
-// tables, the Section 5 order experiments run exactly, and the summary of
-// every graph. The text holds no wall-clock figure, so it is byte-stable;
+// tables, the Section 5 order experiments, and the summary of every
+// graph. The text holds no wall-clock figure, so it is byte-stable;
 // the order experiments' durations go to timing. Snapshot also returns the
 // exact subset experiment it ran, so a caller can check it without a
 // second run.
@@ -32,7 +27,7 @@ func (e *Evaluator) Snapshot(timing io.Writer) (string, *orders.SubsetResult, er
 	b.WriteString(snapshotHeader)
 	for _, table := range []func() (string, error){
 		e.Table1, e.Table2, e.Table3,
-		func() (string, error) { return e.Table4(snapshotTrials) },
+		func() (string, error) { return e.Table4(0) },
 		e.Table5, e.Table6, e.Table7,
 		e.FreqTable, e.CrossProfileTable, e.DynPredTable, e.AblationTable,
 	} {
@@ -43,13 +38,13 @@ func (e *Evaluator) Snapshot(timing io.Writer) (string, *orders.SubsetResult, er
 		b.WriteString(s)
 		b.WriteString("\n")
 	}
-	s, exact, err := e.OrdersReport(context.Background(), 0, 10, nil, timing)
+	s, exact, err := e.OrdersReport(10, timing)
 	if err != nil {
 		return "", nil, err
 	}
 	b.WriteString(s)
 	for n := 1; n <= 13; n++ {
-		g, err := e.Graph(n, snapshotTrials)
+		g, err := e.Graph(n)
 		if err != nil {
 			return "", nil, fmt.Errorf("graph %d: %w", n, err)
 		}
@@ -59,16 +54,15 @@ func (e *Evaluator) Snapshot(timing io.Writer) (string, *orders.SubsetResult, er
 	return b.String(), exact, nil
 }
 
-// Graph returns Graph n (1-13), with Graphs 2-3 over trials subset
-// trials (trials <= 0 runs the subset experiment exactly).
-func (e *Evaluator) Graph(n, trials int) (*Graph, error) {
+// Graph returns Graph n (1-13).
+func (e *Evaluator) Graph(n int) (*Graph, error) {
 	switch n {
 	case 1:
 		return e.Graph1()
 	case 2:
-		return e.Graph2(trials)
+		return e.Graph2()
 	case 3:
-		return e.Graph3(trials)
+		return e.Graph3()
 	case 12:
 		return e.Graph12(), nil
 	case 13:
@@ -79,14 +73,14 @@ func (e *Evaluator) Graph(n, trials int) (*Graph, error) {
 }
 
 // OrdersReport renders the Section 5 order experiments as blorders prints
-// them: the 5040-order sweep's summary, then the subset experiment (trials
-// as for SubsetExperiment) with its top most frequently chosen orders. The
-// text holds no wall-clock figure; the sweep's and the experiment's
-// durations go to timing. It also returns the subset experiment.
-func (e *Evaluator) OrdersReport(ctx context.Context, trials, top int, progress func(done, total int64), timing io.Writer) (string, *orders.SubsetResult, error) {
+// them: the 5040-order sweep's summary, then the exact subset experiment
+// with its top most frequently chosen orders. The text holds no
+// wall-clock figure; the sweep's and the experiment's durations go to
+// timing. It also returns the subset experiment.
+func (e *Evaluator) OrdersReport(top int, timing io.Writer) (string, *orders.SubsetResult, error) {
 	var b strings.Builder
 	start := time.Now()
-	sweep, err := e.SweepCtx(ctx)
+	sweep, err := e.Sweep()
 	if err != nil {
 		return "", nil, err
 	}
@@ -98,7 +92,7 @@ func (e *Evaluator) OrdersReport(ctx context.Context, trials, top int, progress 
 	fmt.Fprintf(&b, "best order overall: %s\n\n", sweep.Orders[best])
 
 	start = time.Now()
-	_, res, err := e.SubsetExperimentCtx(ctx, trials, progress)
+	_, res, err := e.SubsetExperiment(0)
 	if err != nil {
 		return "", nil, err
 	}

@@ -171,40 +171,25 @@ func (e *Evaluator) Table3() (string, error) {
 	return t.String(), nil
 }
 
-// benchDataAllCtx collapses the default runs for the ordering
-// experiments, excluding matrix300 (as the paper does, to get an even
-// 22).
-func (e *Evaluator) benchDataAllCtx(ctx context.Context) ([]*orders.BenchData, []*Run, error) {
+// BenchData collapses the default runs into the 22 benchmark populations
+// the ordering experiments run over, in canonical suite order, excluding
+// matrix300 (as the paper does, to get an even 22).
+func (e *Evaluator) BenchData(ctx context.Context) ([]*orders.BenchData, error) {
 	runs, err := e.DefaultRunsCtx(ctx)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var bd []*orders.BenchData
-	var kept []*Run
 	for _, r := range runs {
-		if r.Bench.Name == "matrix300" {
-			continue
+		if r.Bench.Name != "matrix300" {
+			bd = append(bd, orders.Collapse(r.Analysis, r.Profile, r.Bench.Name))
 		}
-		bd = append(bd, orders.Collapse(r.Analysis, r.Profile, r.Bench.Name))
-		kept = append(kept, r)
 	}
-	return bd, kept, nil
-}
-
-// BenchData returns the 22 collapsed benchmark populations (matrix300
-// excluded) the ordering experiments run over, in canonical suite order.
-func (e *Evaluator) BenchData(ctx context.Context) ([]*orders.BenchData, error) {
-	bd, _, err := e.benchDataAllCtx(ctx)
-	return bd, err
+	return bd, nil
 }
 
 // Sweep returns the 5040-order x 22-benchmark miss matrix (cached).
 func (e *Evaluator) Sweep() (*orders.Sweep, error) {
-	return e.SweepCtx(context.Background())
-}
-
-// SweepCtx is Sweep with cancellation.
-func (e *Evaluator) SweepCtx(ctx context.Context) (*orders.Sweep, error) {
 	e.mu.Lock()
 	if e.sweep != nil {
 		s := e.sweep
@@ -212,7 +197,8 @@ func (e *Evaluator) SweepCtx(ctx context.Context) (*orders.Sweep, error) {
 		return s, nil
 	}
 	e.mu.Unlock()
-	bd, _, err := e.benchDataAllCtx(ctx)
+	ctx := context.Background()
+	bd, err := e.BenchData(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -227,24 +213,20 @@ func (e *Evaluator) SweepCtx(ctx context.Context) (*orders.Sweep, error) {
 }
 
 // SubsetExperiment runs the C(22,11) generalization experiment. trials <= 0
-// runs it exactly (705,432 trials); otherwise a random sample of that size.
+// runs it exactly (705,432 trials), as every table, graph and report here
+// does; otherwise over a random sample of that size, which only the
+// benchmark harness's Table4(5000) asks for.
 func (e *Evaluator) SubsetExperiment(trials int) (*orders.Sweep, *orders.SubsetResult, error) {
-	return e.SubsetExperimentCtx(context.Background(), trials, nil)
-}
-
-// SubsetExperimentCtx is SubsetExperiment with cancellation and an
-// optional progress callback (cumulative trials, total trials).
-func (e *Evaluator) SubsetExperimentCtx(ctx context.Context, trials int, progress func(done, total int64)) (*orders.Sweep, *orders.SubsetResult, error) {
-	s, err := e.SweepCtx(ctx)
+	s, err := e.Sweep()
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := orders.SubsetOpts{Progress: progress}
+	ctx := context.Background()
 	var res *orders.SubsetResult
 	if trials <= 0 {
-		res, err = s.SubsetsOpts(ctx, 11, opts)
+		res, err = s.SubsetsCtx(ctx, 11)
 	} else {
-		res, err = s.SubsetsSampledOpts(ctx, 11, trials, 1993, opts)
+		res, err = s.SubsetsSampledCtx(ctx, 11, trials, 1993)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -253,8 +235,8 @@ func (e *Evaluator) SubsetExperimentCtx(ctx context.Context, trials int, progres
 }
 
 // Table4 reproduces Table 4: the 10 most common best orders from the
-// subset experiment, their trial share, and their average miss rate over
-// all 22 benchmarks.
+// subset experiment (trials as for SubsetExperiment), their trial share,
+// and their average miss rate over all 22 benchmarks.
 func (e *Evaluator) Table4(trials int) (string, error) {
 	s, res, err := e.SubsetExperiment(trials)
 	if err != nil {

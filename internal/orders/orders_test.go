@@ -4,9 +4,9 @@ import (
 	"context"
 	"math"
 	"math/bits"
+	"math/rand"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -201,8 +201,8 @@ func TestSweepAndBestOrder(t *testing.T) {
 }
 
 // workerCounts are the GOMAXPROCS settings under which the parallel
-// drivers are checked against serial evaluation. Each one cuts the work
-// into a different set of ranges, whose results the driver merges.
+// sweep is checked against serial evaluation. Each one cuts the orders
+// into a different set of ranges, whose rows the sweep merges.
 var workerCounts = []int{1, 3, 4}
 
 // withWorkers runs f with GOMAXPROCS set to n, restoring it afterwards.
@@ -262,25 +262,20 @@ func TestSubsetsExactSmall(t *testing.T) {
 	checkBruteSubsets(t, s, 2, res)
 }
 
-// TestSubsetsRangeMergeExact pins the subset experiment's merge
-// invariant: the per-goroutine tallies SubsetsCtx sums over the low-mask
-// space give exactly the brute-force counts. Over 8 benchmarks the
-// meet-in-the-middle halves hold 4 each: C(8,4) = 70 trials.
-func TestSubsetsRangeMergeExact(t *testing.T) {
+// TestSubsetsExactMatchesBrute checks the exact experiment against
+// brute-force enumeration over 8 benchmarks, whose meet-in-the-middle
+// halves hold 4 each: C(8,4) = 70 trials.
+func TestSubsetsExactMatchesBrute(t *testing.T) {
 	s := newSweep(t, mixedBenches(8))
 	const k = 4
-	for _, nw := range workerCounts {
-		withWorkers(nw, func() {
-			res, err := s.SubsetsCtx(context.Background(), k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Trials != int(Binomial(8, k)) {
-				t.Fatalf("workers=%d: exact trials %d, want %d", nw, res.Trials, Binomial(8, k))
-			}
-			checkBruteSubsets(t, s, k, res)
-		})
+	res, err := s.SubsetsCtx(context.Background(), k)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if res.Trials != int(Binomial(8, k)) {
+		t.Fatalf("exact trials %d, want %d", res.Trials, Binomial(8, k))
+	}
+	checkBruteSubsets(t, s, k, res)
 }
 
 // checkBruteSubsets enumerates every k-subset of the sweep's benchmarks,
@@ -479,25 +474,117 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-func TestSubsetsProgress(t *testing.T) {
-	benches := mixedBenches(6)
-	s := newSweep(t, benches)
-	var mu sync.Mutex
-	var last, total int64
-	res, err := s.SubsetsOpts(context.Background(), 3, SubsetOpts{
-		Progress: func(done, tot int64) {
-			mu.Lock()
-			if done > last {
-				last = done
-			}
-			total = tot
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+// SampledReference is sampledReference, exported to the package's
+// external tests.
+var SampledReference = sampledReference
+
+// sampledReference is SubsetsSampledCtx without the dominance pruning: the
+// same trial stream, every order scored. It is the reference the pruned
+// sampled experiment must equal count for count.
+func sampledReference(s *Sweep, k, trials int, seed int64) *SubsetResult {
+	n := len(s.Benches)
+	rng := rand.New(rand.NewSource(seed))
+	res := &SubsetResult{BestCount: make([]int, len(s.Orders))}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
 	}
-	if want := Binomial(6, 3); last != want || total != want || int64(res.Trials) != want {
-		t.Errorf("progress saw %d/%d, trials %d, want %d", last, total, res.Trials, want)
+	for t := 0; t < trials; t++ {
+		rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		best, bv := 0, math.Inf(1)
+		for o, row := range s.M {
+			sum := 0.0
+			for _, b := range idx[:k] {
+				sum += row[b]
+			}
+			if sum < bv {
+				best, bv = o, sum
+			}
+		}
+		res.BestCount[best]++
+		res.Trials++
+	}
+	return res
+}
+
+// Rate pools for randomSweep. Any sum of up to 22 exactRates is exact in
+// float64, so every summation order gives the same sums and the same
+// ties. roundingRates' sums round, so different summation orders can
+// break near-ties differently.
+var (
+	exactRates    = []float64{0, 0.125, 12.5, 25, 37.5, 50, 62.5, 100}
+	roundingRates = []float64{0, 0.1, 0.2, 0.3, 100.0 / 3, 200.0 / 3, 40.58, 100}
+)
+
+// randomSweep returns a sweep over n benchmarks whose miss rates are drawn
+// from `levels` values of pool, so that dominance and exact ties are
+// common.
+func randomSweep(rng *rand.Rand, pool []float64, n, levels int) *Sweep {
+	vals := append([]float64(nil), pool...)
+	rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+	s := &Sweep{Orders: All(), M: make([][]float64, NumOrders)}
+	for b := 0; b < n; b++ {
+		s.Benches = append(s.Benches, &BenchData{Name: string(rune('a' + b))})
+	}
+	for o := range s.M {
+		s.M[o] = make([]float64, n)
+		for b := range s.M[o] {
+			s.M[o][b] = vals[rng.Intn(levels)]
+		}
+	}
+	return s
+}
+
+// TestSubsetsPruningProperty checks, over seeded random sweeps, that
+// scoring only the undominated orders changes no order's count. With
+// exact rates the pruned exact experiment equals brute-force enumeration;
+// with rounding rates, which the brute force sums in another order, it
+// equals the same meet-in-the-middle over every order. Either way the
+// pruned sampled experiment equals the unpruned sampled loop.
+func TestSubsetsPruningProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	ctx := context.Background()
+	all := make([]int, NumOrders)
+	for o := range all {
+		all[o] = o
+	}
+	for i := 0; i < 36; i++ {
+		n := 2 + i%9
+		rounding := i/9%2 == 1
+		pool := exactRates
+		if rounding {
+			pool = roundingRates
+		}
+		k := rng.Intn(n + 1)
+		s := randomSweep(rng, pool, n, 2+rng.Intn(4))
+		if kept := len(s.undominated()); kept == 0 || kept >= NumOrders {
+			t.Fatalf("sweep %d: %d undominated orders, want some pruned", i, kept)
+		}
+		exact, err := s.SubsetsCtx(ctx, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact.Trials != int(Binomial(n, k)) {
+			t.Fatalf("sweep %d: exact trials %d, want C(%d,%d)", i, exact.Trials, n, k)
+		}
+		if rounding {
+			want, err := s.subsets(ctx, k, all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(exact, want) {
+				t.Fatalf("sweep %d (n=%d k=%d): pruned exact counts differ from scoring every order", i, n, k)
+			}
+		} else {
+			checkBruteSubsets(t, s, k, exact)
+		}
+		seed := rng.Int63()
+		sampled, err := s.SubsetsSampledCtx(ctx, k, 300, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := sampledReference(s, k, 300, seed); !reflect.DeepEqual(sampled, want) {
+			t.Fatalf("sweep %d (n=%d k=%d): pruned sampled counts differ from the unpruned loop", i, n, k)
+		}
 	}
 }
