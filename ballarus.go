@@ -35,7 +35,6 @@ import (
 	"errors"
 
 	"ballarus/internal/core"
-	"ballarus/internal/durable"
 	"ballarus/internal/dynpred"
 	"ballarus/internal/eval"
 	"ballarus/internal/freq"
@@ -43,14 +42,12 @@ import (
 	"ballarus/internal/layout"
 	"ballarus/internal/minic"
 	"ballarus/internal/mir"
-	"ballarus/internal/obs"
 	"ballarus/internal/opt"
 	"ballarus/internal/orders"
 	"ballarus/internal/profile"
 	"ballarus/internal/resilience"
 	"ballarus/internal/service"
 	"ballarus/internal/suite"
-	"ballarus/internal/tenant"
 	"ballarus/internal/trace"
 )
 
@@ -259,15 +256,6 @@ func ExecuteCtx(ctx context.Context, prog *Program, opts ...RunOption) (*RunResu
 // static predictor over one execution, and classifies the contested
 // branches.
 
-// Comparison re-exported types.
-type (
-	// H2PClassification partitions the hard-to-predict branches:
-	// statically hard but history-predictable, and the converse.
-	H2PClassification = dynpred.H2P
-	// PredictorScore is one tournament entrant's score.
-	PredictorScore = service.PredictorScore
-)
-
 // Registry names of two built-in dynamic predictors, plus the labels of
 // the two static entrants every comparison includes.
 const (
@@ -305,17 +293,12 @@ type CompareRequest = service.CompareRequest
 // CompareResult is the outcome of one service tournament job.
 type CompareResult = service.CompareResult
 
-// ServiceStats is a point-in-time snapshot of service counters.
-type ServiceStats = service.Stats
-
 // Service configuration options.
 var (
 	// WithWorkers bounds concurrently executing requests.
 	WithWorkers = service.WithWorkers
 	// WithRequestTimeout applies a default per-request deadline.
 	WithRequestTimeout = service.WithRequestTimeout
-	// WithServiceAnalysisOptions sets predictor options for all requests.
-	WithServiceAnalysisOptions = service.WithAnalysisOptions
 	// WithQueueDepth bounds how many requests may wait for a worker
 	// slot; excess load is shed with an overload error.
 	WithQueueDepth = service.WithQueueDepth
@@ -324,131 +307,7 @@ var (
 	// WithServiceBudget sets the default instruction budget for requests
 	// that don't carry one. (WithBudget is the per-run execution option.)
 	WithServiceBudget = service.WithBudget
-	// WithDurableStore persists the warm request set (snapshot + journal)
-	// under a directory; pair with Service.Recover at boot and
-	// Service.Close at shutdown.
-	WithDurableStore = service.WithDurableStore
-	// WithSnapshotInterval sets the periodic snapshot cadence.
-	WithSnapshotInterval = service.WithSnapshotInterval
-	// WithJournalSyncInterval sets the journal's fsync batching interval.
-	WithJournalSyncInterval = service.WithJournalSyncInterval
-	// WithWatchdog arms the wedged-worker-pool watchdog.
-	WithWatchdog = service.WithWatchdog
-	// WithTracer replaces the service's request tracer (the ring buffer
-	// behind blserve's /debug/traces).
-	WithTracer = service.WithTracer
-	// WithTenants enables multi-tenant admission: per-tenant token-bucket
-	// quotas and fairness-aware shedding against the given registry.
-	WithTenants = service.WithTenants
 )
-
-// Multi-tenancy types, re-exported. Build a TenantRegistry with
-// NewTenantRegistry and pass it to WithTenants; attach a request's
-// tenant with TenantContext.
-type (
-	// TenantRegistry tracks per-tenant quota and occupancy state.
-	TenantRegistry = tenant.Registry
-	// TenantConfig configures a TenantRegistry (defaults, overrides,
-	// LRU bound).
-	TenantConfig = tenant.Config
-	// TenantLimits is one tenant's quota configuration.
-	TenantLimits = tenant.Limits
-	// TenantQuotaError reports a per-tenant quota rejection with
-	// Retry-After / X-RateLimit-* material; reach it with errors.As.
-	TenantQuotaError = tenant.QuotaError
-	// BatchItem is one element of Service.Batch: exactly one of
-	// Predict or Compare set.
-	BatchItem = service.BatchItem
-	// BatchItemResult is one batch element's outcome.
-	BatchItemResult = service.BatchItemResult
-	// BatchOutcome summarizes a whole batch.
-	BatchOutcome = service.BatchOutcome
-)
-
-// TenantMaxIDLen bounds tenant identifiers; HTTP edges reject longer
-// X-Tenant-Id values so hostile clients cannot bloat metric labels or
-// registry keys.
-const TenantMaxIDLen = tenant.MaxIDLen
-
-// TenantDefaultID is the tenant requests belong to when no identity is
-// attached.
-const TenantDefaultID = tenant.DefaultID
-
-// NewTenantRegistry builds a tenant registry for WithTenants.
-func NewTenantRegistry(cfg TenantConfig) *TenantRegistry { return tenant.NewRegistry(cfg) }
-
-// TenantContext returns a context attributing subsequent service calls
-// to the given tenant (the programmatic analogue of the X-Tenant-Id
-// header). An empty id means the default tenant.
-func TenantContext(ctx context.Context, id string) context.Context { return tenant.WithID(ctx, id) }
-
-// ---- Observability ----
-
-// Tracer records request traces (spans around every pipeline stage
-// and cache lookup) into a fixed-size ring buffer, optionally exporting
-// each as a structured slog event. Obtain the service's tracer via
-// Service.Tracer, or install your own with WithTracer.
-type Tracer = obs.Tracer
-
-// TraceRecord is one completed request trace.
-type TraceRecord = obs.Trace
-
-// MetricsRegistry is a dependency-free metric registry rendering the
-// Prometheus text exposition format. Service.Metrics returns the
-// service's live registry.
-type MetricsRegistry = obs.Registry
-
-// NewTracer creates a tracer keeping the last capacity traces
-// (capacity <= 0 means 256); logger, when non-nil, receives one debug
-// event per completed trace.
-var NewTracer = obs.NewTracer
-
-// SpanContext is the trace identity propagated across process
-// boundaries in the Traceparent header
-// (00-<16 hex trace>-<16 hex span>-<2 hex flags>).
-type SpanContext = obs.SpanContext
-
-// ParseTraceHeader parses a Traceparent header value.
-var ParseTraceHeader = obs.ParseTraceHeader
-
-// TraceArchive is a size-bounded, tail-sampled store of completed
-// traces: errored, hedged, and slow traces are always kept; the rest
-// are sampled deterministically by trace ID. Attach one to a tracer
-// with Tracer.Attach; it persists through a DurableSection.
-type TraceArchive = obs.Archive
-
-// TraceArchivePolicy configures a TraceArchive.
-type TraceArchivePolicy = obs.ArchivePolicy
-
-// NewTraceArchive creates a trace archive with the given policy
-// (zero-value fields take the defaults documented on the policy type).
-var NewTraceArchive = obs.NewArchive
-
-// AssembledTrace is a cross-process trace merged from every
-// contributing process's span list into one parent-linked tree — the
-// payload of the gateway's GET /v1/trace/{id}.
-type AssembledTrace = obs.AssembledTrace
-
-// RenderWaterfall renders an assembled trace as an ASCII waterfall
-// (the cmd/bltrace output format).
-var RenderWaterfall = obs.RenderWaterfall
-
-// RecoveryStats reports what Service.Recover found and rewarmed at boot.
-type RecoveryStats = service.RecoveryStats
-
-// DurableEntry is one record in the service snapshot.
-type DurableEntry = durable.Entry
-
-// DurableSection lets a layer above the service (e.g. an HTTP server's
-// trace archive) persist its own state inside the service snapshot.
-// Register with Service.RegisterDurableSection before Service.Recover.
-type DurableSection = service.DurableSection
-
-// DurabilityStats is the durable-state section of ServiceStats.
-type DurabilityStats = service.DurabilityStats
-
-// WatchdogStats is the watchdog section of ServiceStats.
-type WatchdogStats = service.WatchdogStats
 
 // NewService creates a prediction service.
 func NewService(opts ...ServiceOption) *Service { return service.New(opts...) }

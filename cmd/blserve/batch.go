@@ -5,8 +5,8 @@ import (
 	"net/http"
 	"time"
 
-	"ballarus"
 	"ballarus/internal/cli"
+	"ballarus/internal/service"
 )
 
 // defaultBatchMax bounds POST /v1/batch item counts unless -batch-max
@@ -68,7 +68,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Items that fail wire-level conversion (a bad heuristic order) are
 	// passed through empty so the service still charges and counts them,
 	// then their slot is overwritten with the real parse error below.
-	items := make([]ballarus.BatchItem, len(req.Items))
+	items := make([]service.BatchItem, len(req.Items))
 	convErr := make([]error, len(req.Items))
 	for i, it := range req.Items {
 		if it.Predict != nil {
@@ -120,12 +120,12 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // toPredictReq maps the wire predict body onto the service request.
-func toPredictReq(req predictRequest) (ballarus.PredictRequest, error) {
+func toPredictReq(req predictRequest) (service.Request, error) {
 	order, err := cli.OrderFlag(req.Order)
 	if err != nil {
-		return ballarus.PredictRequest{}, err
+		return service.Request{}, err
 	}
-	return ballarus.PredictRequest{
+	return service.Request{
 		Source:    req.Source,
 		Benchmark: req.Benchmark,
 		Dataset:   req.Dataset,
@@ -138,13 +138,13 @@ func toPredictReq(req predictRequest) (ballarus.PredictRequest, error) {
 }
 
 // toCompareReq maps the wire compare body onto the service request.
-func toCompareReq(req compareRequest) (ballarus.CompareRequest, error) {
+func toCompareReq(req compareRequest) (service.CompareRequest, error) {
 	order, err := cli.OrderFlag(req.Order)
 	if err != nil {
-		return ballarus.CompareRequest{}, err
+		return service.CompareRequest{}, err
 	}
-	return ballarus.CompareRequest{
-		Request: ballarus.PredictRequest{
+	return service.CompareRequest{
+		Request: service.Request{
 			Source:    req.Source,
 			Benchmark: req.Benchmark,
 			Dataset:   req.Dataset,
@@ -161,7 +161,7 @@ func toCompareReq(req compareRequest) (ballarus.CompareRequest, error) {
 
 // toPredictResp maps a service result onto the wire response,
 // withholding the program output unless the item asked for it.
-func toPredictResp(res *ballarus.PredictResult, includeOutput bool) predictResponse {
+func toPredictResp(res *service.Result, includeOutput bool) predictResponse {
 	resp := predictResponse{
 		Name:            res.Name,
 		StaticBranches:  res.StaticBranches,
@@ -186,7 +186,7 @@ func toPredictResp(res *ballarus.PredictResult, includeOutput bool) predictRespo
 
 // toCompareResp maps a tournament result onto the wire response,
 // dropping the per-branch tallies unless the item asked for them.
-func toCompareResp(res *ballarus.CompareResult, includePerBranch bool) compareResponse {
+func toCompareResp(res *service.CompareResult, includePerBranch bool) compareResponse {
 	resp := compareResponse{
 		Name:            res.Name,
 		StaticBranches:  res.StaticBranches,
@@ -200,7 +200,7 @@ func toCompareResp(res *ballarus.CompareResult, includePerBranch bool) compareRe
 		ElapsedMillis:   float64(res.Elapsed) / float64(time.Millisecond),
 	}
 	if !includePerBranch {
-		scores := make([]ballarus.PredictorScore, len(resp.Predictors))
+		scores := make([]service.PredictorScore, len(resp.Predictors))
 		copy(scores, resp.Predictors)
 		for i := range scores {
 			scores[i].PerBranch = nil

@@ -5,15 +5,15 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"ballarus"
 	"ballarus/internal/obs"
+	"ballarus/internal/service"
 )
 
 // newDrainableServer builds a test server exposing the underlying
 // *server so tests can flip the drain gate.
 func newDrainableServer(t *testing.T, admin bool) (*httptest.Server, *server) {
 	t.Helper()
-	svc := ballarus.NewService()
+	svc := service.New()
 	s := newServer(svc, obs.NewArchive(obs.ArchivePolicy{}))
 	s.instanceID = "test-instance"
 	ts := httptest.NewServer(s.handler(admin))

@@ -12,6 +12,7 @@ import (
 	"ballarus"
 	"ballarus/internal/obs"
 	"ballarus/internal/resilience"
+	"ballarus/internal/service"
 )
 
 // TestEquivalentRequestsShareRunCache: the service keys its caches by
@@ -43,7 +44,7 @@ func TestEquivalentRequestsShareRunCache(t *testing.T) {
 // TestTimeoutRetryAfter: a 504 is as retryable as a 429 and must carry
 // the same Retry-After hint.
 func TestTimeoutRetryAfter(t *testing.T) {
-	ts, _ := newTestServer(t, ballarus.WithRequestTimeout(30*time.Millisecond))
+	ts, _ := newTestServer(t, service.WithRequestTimeout(30*time.Millisecond))
 	src := `int main() { int i; int s = 0; for (i = 0; i < 1000000000; i++) { s += i % 7; } printi(s); return 0; }`
 	body, _ := json.Marshal(predictRequest{Source: src, Budget: 1 << 40})
 	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
@@ -59,7 +60,7 @@ func TestTimeoutRetryAfter(t *testing.T) {
 	}
 }
 
-// TestServerDurableRoundTrip: the warm request set survives a crash via
+// TestServerDurableRoundTrip: the run cache's recipes survive a crash via
 // the durable snapshot — after recovery a brand-new process answers the
 // request only the dead process ever computed straight from its
 // rewarmed caches.
@@ -67,9 +68,9 @@ func TestServerDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 
-	svc1 := ballarus.NewService(
-		ballarus.WithDurableStore(dir),
-		ballarus.WithSnapshotInterval(time.Hour))
+	svc1 := service.New(
+		service.WithDurableStore(dir),
+		service.WithSnapshotInterval(time.Hour))
 	ts1 := httptest.NewServer(newServer(svc1, obs.NewArchive(obs.ArchivePolicy{})).handler(false))
 	resp, first := postPredict(t, ts1, predictRequest{Source: testSrc})
 	if resp.StatusCode != http.StatusOK {
@@ -81,9 +82,9 @@ func TestServerDurableRoundTrip(t *testing.T) {
 	ts1.Close()
 	// No svc1.Close: the process "dies" here.
 
-	svc2 := ballarus.NewService(
-		ballarus.WithDurableStore(dir),
-		ballarus.WithSnapshotInterval(time.Hour))
+	svc2 := service.New(
+		service.WithDurableStore(dir),
+		service.WithSnapshotInterval(time.Hour))
 	defer svc2.Close()
 	app := newServer(svc2, obs.NewArchive(obs.ArchivePolicy{})) // registers the trace section before recovery
 	rs, err := svc2.Recover(ctx)
@@ -113,7 +114,7 @@ func TestServerDurableRoundTrip(t *testing.T) {
 // registry end to end.
 func TestAdminEndpointsGated(t *testing.T) {
 	defer resilience.ClearFaults()
-	svc := ballarus.NewService()
+	svc := service.New()
 	defer svc.Close()
 	app := newServer(svc, obs.NewArchive(obs.ArchivePolicy{}))
 	public := httptest.NewServer(app.handler(false))

@@ -7,7 +7,7 @@
 //
 //	blserve [-addr :8723] [-workers N] [-timeout 30s] [-queue 64]
 //	        [-cache 4096] [-budget 0] [-state-dir DIR]
-//	        [-snapshot-every 30s] [-journal-sync 100ms] [-watchdog 0]
+//	        [-snapshot-every 30s] [-journal-sync 100ms]
 //	        [-drain-timeout 10s] [-instance-id ID]
 //	        [-tenants] [-tenant-rate 50] [-tenant-burst 0]
 //	        [-tenant-inflight 0] [-tenant-quota id=rate[,burst[,inflight[,weight]]]]
@@ -57,11 +57,11 @@
 // request trace. With -chaos-admin the /debug fault-injection endpoints
 // and net/http/pprof profiling are exposed too.
 //
-// With -state-dir, the server persists its warm state (request recipes
-// and the trace archive) as a checksummed snapshot plus an append-only
-// journal, recovers it at boot — tolerating per-entry corruption — and
-// replays it to rewarm the caches, so a crashed or killed server
-// restarts warm.
+// With -state-dir, the server persists its warm state (the recipes
+// behind the run cache, at most -cache of them, and the trace archive)
+// as a checksummed snapshot plus an append-only journal, recovers it at
+// boot — tolerating per-entry corruption — and replays it to rewarm the
+// caches, so a crashed or killed server restarts warm.
 //
 // A shed request (full queue, or a tenant over its fair share) is
 // answered 429 with Retry-After; brownout answers for requests seen before come from the
@@ -85,13 +85,14 @@ import (
 	"runtime"
 	"time"
 
-	"ballarus"
 	"ballarus/internal/cli"
 	"ballarus/internal/obs"
+	"ballarus/internal/service"
+	"ballarus/internal/tenant"
 )
 
 // version identifies the build in the startup record.
-const version = "0.11.0"
+const version = "0.12.0"
 
 // defaultInstanceID derives an instance identity when -instance-id is
 // not set: host-pid is unique enough to tell replicas apart in traces
@@ -116,7 +117,6 @@ func main() {
 	stateDir := flag.String("state-dir", "", "directory for durable state (snapshot + journal); empty disables durability")
 	snapEvery := flag.Duration("snapshot-every", 30*time.Second, "periodic snapshot interval (with -state-dir)")
 	journalSync := flag.Duration("journal-sync", 100*time.Millisecond, "journal fsync batching interval (with -state-dir)")
-	watchdog := flag.Duration("watchdog", 0, "restart the worker pool when saturated with no progress for this long (0 = off)")
 	chaosAdmin := flag.Bool("chaos-admin", false, "expose /debug fault-injection, snapshot, and pprof endpoints (test harnesses and trusted operators only)")
 	tenants := flag.Bool("tenants", false, "enable per-tenant quotas and fairness (X-Tenant-Id header identity)")
 	tenantRate := flag.Float64("tenant-rate", 50, "default per-tenant sustained rate in requests/s (0 = unlimited, with -tenants)")
@@ -126,7 +126,7 @@ func main() {
 	traceArchive := flag.Int("trace-archive", 512, "max traces retained in the tail-sampled archive")
 	traceSample := flag.Float64("trace-sample", 0.01, "probability of archiving an otherwise uninteresting trace (deterministic per trace ID)")
 	traceSlow := flag.Duration("trace-slow", 250*time.Millisecond, "latency at or above which a trace is always archived")
-	tenantOverrides := map[string]ballarus.TenantLimits{}
+	tenantOverrides := map[string]tenant.Limits{}
 	flag.Func("tenant-quota", "per-tenant override as id=rate[,burst[,inflight[,weight]]]; repeatable (with -tenants)", func(v string) error {
 		id, lim, err := parseTenantQuota(v)
 		if err != nil {
@@ -147,18 +147,17 @@ func main() {
 		*instanceID = defaultInstanceID()
 	}
 
-	opts := []ballarus.ServiceOption{
-		ballarus.WithWorkers(*workers),
-		ballarus.WithRequestTimeout(*timeout),
-		ballarus.WithQueueDepth(*queue),
-		ballarus.WithCacheSize(*cache),
-		ballarus.WithServiceBudget(*budget),
-		ballarus.WithWatchdog(*watchdog),
-		ballarus.WithTracer(ballarus.NewTracer(256, logger)),
+	opts := []service.Option{
+		service.WithWorkers(*workers),
+		service.WithRequestTimeout(*timeout),
+		service.WithQueueDepth(*queue),
+		service.WithCacheSize(*cache),
+		service.WithBudget(*budget),
+		service.WithTracer(obs.NewTracer(256, logger)),
 	}
 	if *tenants {
-		opts = append(opts, ballarus.WithTenants(ballarus.NewTenantRegistry(ballarus.TenantConfig{
-			Defaults: ballarus.TenantLimits{
+		opts = append(opts, service.WithTenants(tenant.NewRegistry(tenant.Config{
+			Defaults: tenant.Limits{
 				Rate:        *tenantRate,
 				Burst:       *tenantBurst,
 				MaxInFlight: *tenantInflight,
@@ -168,12 +167,12 @@ func main() {
 	}
 	if *stateDir != "" {
 		opts = append(opts,
-			ballarus.WithDurableStore(*stateDir),
-			ballarus.WithSnapshotInterval(*snapEvery),
-			ballarus.WithJournalSyncInterval(*journalSync),
+			service.WithDurableStore(*stateDir),
+			service.WithSnapshotInterval(*snapEvery),
+			service.WithJournalSyncInterval(*journalSync),
 		)
 	}
-	svc := ballarus.NewService(opts...)
+	svc := service.New(opts...)
 	svc.Tracer().SetSource(*instanceID)
 	archive := obs.NewArchive(obs.ArchivePolicy{
 		Capacity:      *traceArchive,
@@ -190,7 +189,7 @@ func main() {
 	ctx, stop := cli.SignalContext()
 	defer stop()
 
-	var rs ballarus.RecoveryStats
+	var rs service.RecoveryStats
 	if *stateDir != "" {
 		rs, err = svc.Recover(ctx)
 		if err != nil {
@@ -224,7 +223,6 @@ func main() {
 			slog.Duration("timeout", *timeout),
 			slog.Int("queue", *queue),
 			slog.Int("cache", *cache),
-			slog.Duration("watchdog", *watchdog),
 			slog.String("state_dir", *stateDir),
 			slog.Bool("chaos_admin", *chaosAdmin),
 			slog.Bool("tenants", *tenants),

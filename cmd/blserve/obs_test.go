@@ -11,9 +11,9 @@ import (
 	"strings"
 	"testing"
 
-	"ballarus"
 	"ballarus/internal/cli"
 	"ballarus/internal/obs"
+	"ballarus/internal/service"
 )
 
 var traceIDRe = regexp.MustCompile(`^[0-9a-f]{16}$`)
@@ -117,7 +117,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestPprofGatedBehindAdmin: profiling endpoints exist only on the
 // admin handler.
 func TestPprofGatedBehindAdmin(t *testing.T) {
-	svc := ballarus.NewService()
+	svc := service.New()
 	public := httptest.NewServer(newServer(svc, obs.NewArchive(obs.ArchivePolicy{})).handler(false))
 	defer public.Close()
 	admin := httptest.NewServer(newServer(svc, obs.NewArchive(obs.ArchivePolicy{})).handler(true))

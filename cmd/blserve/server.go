@@ -12,9 +12,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ballarus"
+	"ballarus/internal/durable"
+	"ballarus/internal/dynpred"
 	"ballarus/internal/obs"
 	"ballarus/internal/profile"
+	"ballarus/internal/resilience"
+	"ballarus/internal/service"
 )
 
 // predictRequest is the POST /v1/predict body.
@@ -96,15 +99,15 @@ type compareResponse struct {
 	Steps           int64  `json:"steps"`
 	// Predictors scores every entrant — "ballarus-heuristics" and
 	// "perfect" plus each requested dynamic backend — sorted by name.
-	Predictors []ballarus.PredictorScore `json:"predictors"`
+	Predictors []service.PredictorScore `json:"predictors"`
 	// H2P lists the hard-to-predict branches by verdict: static_beaten
 	// (defeat the heuristics, fall to history) and history_beaten (the
 	// converse).
-	H2P            ballarus.H2PClassification `json:"h2p"`
-	ProgramCached  bool                       `json:"program_cached"`
-	AnalysisCached bool                       `json:"analysis_cached"`
-	CompareCached  bool                       `json:"compare_cached"`
-	ElapsedMillis  float64                    `json:"elapsed_ms"`
+	H2P            dynpred.H2P `json:"h2p"`
+	ProgramCached  bool        `json:"program_cached"`
+	AnalysisCached bool        `json:"analysis_cached"`
+	CompareCached  bool        `json:"compare_cached"`
+	ElapsedMillis  float64     `json:"elapsed_ms"`
 }
 
 // errorResponse is the JSON body of every non-2xx reply.
@@ -116,7 +119,7 @@ type errorResponse struct {
 }
 
 type server struct {
-	svc     *ballarus.Service
+	svc     *service.Service
 	maxBody int64
 	// batchMax bounds POST /v1/batch item counts.
 	batchMax int
@@ -139,11 +142,11 @@ const traceSection = "traces"
 // attaches the trace archive to the service tracer, and registers the
 // archive as a durable snapshot section (a no-op when the service has no
 // durable store).
-func newServer(svc *ballarus.Service, archive *obs.Archive) *server {
+func newServer(svc *service.Service, archive *obs.Archive) *server {
 	s := &server{svc: svc, maxBody: 4 << 20, batchMax: defaultBatchMax, archive: archive}
 	svc.Tracer().Attach(archive)
 	archive.Register(svc.Metrics())
-	svc.RegisterDurableSection(traceSection, ballarus.DurableSection{
+	svc.RegisterDurableSection(traceSection, service.DurableSection{
 		Collect: s.collectTraces,
 		Restore: s.restoreTrace,
 	})
@@ -152,18 +155,18 @@ func newServer(svc *ballarus.Service, archive *obs.Archive) *server {
 
 // collectTraces snapshots the trace archive for the durable store,
 // oldest first so restore preserves ring order.
-func (s *server) collectTraces() []ballarus.DurableEntry {
+func (s *server) collectTraces() []durable.Entry {
 	snaps := s.archive.Snapshot()
-	out := make([]ballarus.DurableEntry, 0, len(snaps))
+	out := make([]durable.Entry, 0, len(snaps))
 	for i, b := range snaps {
-		out = append(out, ballarus.DurableEntry{Key: fmt.Sprintf("t%06d", i), Payload: b})
+		out = append(out, durable.Entry{Key: fmt.Sprintf("t%06d", i), Payload: b})
 	}
 	return out
 }
 
 // restoreTrace loads one archived trace back; a corrupt payload loses
 // that trace, nothing more.
-func (s *server) restoreTrace(e ballarus.DurableEntry) error {
+func (s *server) restoreTrace(e durable.Entry) error {
 	return s.archive.Load(e.Payload)
 }
 
@@ -333,15 +336,15 @@ func statusFor(r *http.Request, err error) (int, string) {
 	switch {
 	case r.Context().Err() != nil && errors.Is(err, context.Canceled):
 		return http.StatusRequestTimeout, "client_canceled"
-	case errors.Is(err, ballarus.ErrInvalidInput):
+	case errors.Is(err, resilience.ErrInvalidInput):
 		return http.StatusBadRequest, "invalid_input"
-	case errors.Is(err, ballarus.ErrResourceExhausted):
+	case errors.Is(err, resilience.ErrResourceExhausted):
 		return http.StatusUnprocessableEntity, "resource_exhausted"
-	case errors.Is(err, ballarus.ErrQuotaExceeded):
+	case errors.Is(err, resilience.ErrQuotaExceeded):
 		return http.StatusTooManyRequests, "quota_exceeded"
-	case errors.Is(err, ballarus.ErrOverload):
+	case errors.Is(err, resilience.ErrOverload):
 		return http.StatusTooManyRequests, "overload"
-	case errors.Is(err, ballarus.ErrTimeout):
+	case errors.Is(err, resilience.ErrTimeout):
 		return http.StatusGatewayTimeout, "timeout"
 	default:
 		return http.StatusInternalServerError, "internal"

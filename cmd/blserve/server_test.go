@@ -14,6 +14,7 @@ import (
 	"ballarus"
 	"ballarus/internal/obs"
 	"ballarus/internal/resilience"
+	"ballarus/internal/service"
 )
 
 const testSrc = `
@@ -29,9 +30,9 @@ int main() {
 }
 `
 
-func newTestServer(t *testing.T, opts ...ballarus.ServiceOption) (*httptest.Server, *ballarus.Service) {
+func newTestServer(t *testing.T, opts ...service.Option) (*httptest.Server, *service.Service) {
 	t.Helper()
-	svc := ballarus.NewService(opts...)
+	svc := service.New(opts...)
 	ts := httptest.NewServer(newServer(svc, obs.NewArchive(obs.ArchivePolicy{})).handler(false))
 	t.Cleanup(ts.Close)
 	return ts, svc
@@ -99,7 +100,7 @@ func TestPredictSourceAndCacheHit(t *testing.T) {
 	}
 
 	// The hit must be visible in /v1/stats.
-	var stats ballarus.ServiceStats
+	var stats service.Stats
 	sresp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +246,7 @@ func TestPredictBudgetExhausted(t *testing.T) {
 // Brownout answers come from the gateway's cache, not from the replica.
 func TestFullQueueShedsPredict(t *testing.T) {
 	defer resilience.ClearFaults()
-	ts, svc := newTestServer(t, ballarus.WithWorkers(1), ballarus.WithQueueDepth(1))
+	ts, svc := newTestServer(t, service.WithWorkers(1), service.WithQueueDepth(1))
 	primed := predictRequest{Source: testSrc}
 	if resp, _ := postPredict(t, ts, primed); resp.StatusCode != http.StatusOK {
 		t.Fatalf("priming request status = %d", resp.StatusCode)
@@ -264,7 +265,7 @@ func TestFullQueueShedsPredict(t *testing.T) {
 			resp.Body.Close()
 		}
 	}
-	wait := func(what string, cond func(ballarus.ServiceStats) bool) {
+	wait := func(what string, cond func(service.Stats) bool) {
 		t.Helper()
 		for end := time.Now().Add(5 * time.Second); !cond(svc.Stats()); time.Sleep(time.Millisecond) {
 			if time.Now().After(end) {
@@ -274,9 +275,9 @@ func TestFullQueueShedsPredict(t *testing.T) {
 	}
 	wg.Add(2)
 	go hold(0)
-	wait("worker held", func(st ballarus.ServiceStats) bool { return st.InFlight == 1 })
+	wait("worker held", func(st service.Stats) bool { return st.InFlight == 1 })
 	go hold(1)
-	wait("queue filled", func(st ballarus.ServiceStats) bool { return st.Queued == 1 })
+	wait("queue filled", func(st service.Stats) bool { return st.Queued == 1 })
 
 	for name, req := range map[string]predictRequest{
 		"answered": primed,
@@ -297,7 +298,7 @@ func TestFullQueueShedsPredict(t *testing.T) {
 }
 
 func TestPredictTimeout(t *testing.T) {
-	ts, _ := newTestServer(t, ballarus.WithRequestTimeout(30*time.Millisecond))
+	ts, _ := newTestServer(t, service.WithRequestTimeout(30*time.Millisecond))
 	// An effectively unbounded loop: the pipeline must hit the service
 	// timeout and answer 504 rather than hanging.
 	src := `int main() { int i; int s = 0; for (i = 0; i < 1000000000; i++) { s += i % 7; } printi(s); return 0; }`

@@ -8,7 +8,7 @@ import (
 	"strconv"
 	"strings"
 
-	"ballarus"
+	"ballarus/internal/tenant"
 )
 
 // withTenant attaches the request's tenant identity (the X-Tenant-Id
@@ -19,12 +19,12 @@ import (
 func (s *server) withTenant(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if id := r.Header.Get("X-Tenant-Id"); id != "" {
-			if len(id) > ballarus.TenantMaxIDLen {
+			if len(id) > tenant.MaxIDLen {
 				httpError(w, http.StatusBadRequest, "invalid_input",
-					fmt.Errorf("X-Tenant-Id longer than %d bytes", ballarus.TenantMaxIDLen))
+					fmt.Errorf("X-Tenant-Id longer than %d bytes", tenant.MaxIDLen))
 				return
 			}
-			r = r.WithContext(ballarus.TenantContext(r.Context(), id))
+			r = r.WithContext(tenant.WithID(r.Context(), id))
 		}
 		next.ServeHTTP(w, r)
 	})
@@ -37,7 +37,7 @@ func (s *server) withTenant(next http.Handler) http.Handler {
 // a global-overload 429 (retryable), so it is set here and nowhere
 // else.
 func setQuotaHeaders(w http.ResponseWriter, err error) bool {
-	var qe *ballarus.TenantQuotaError
+	var qe *tenant.QuotaError
 	if !errors.As(err, &qe) {
 		return false
 	}
@@ -59,9 +59,9 @@ func setQuotaHeaders(w http.ResponseWriter, err error) bool {
 //
 // e.g. "hog=2", "gold=200,400,0,3". Omitted fields take the tenant
 // defaults (burst = max(rate,1), inflight unlimited, weight 1).
-func parseTenantQuota(v string) (string, ballarus.TenantLimits, error) {
-	bad := func(why string) (string, ballarus.TenantLimits, error) {
-		return "", ballarus.TenantLimits{}, fmt.Errorf(
+func parseTenantQuota(v string) (string, tenant.Limits, error) {
+	bad := func(why string) (string, tenant.Limits, error) {
+		return "", tenant.Limits{}, fmt.Errorf(
 			"bad -tenant-quota %q: %s (want id=rate[,burst[,inflight[,weight]]])", v, why)
 	}
 	id, spec, ok := strings.Cut(v, "=")
@@ -69,14 +69,14 @@ func parseTenantQuota(v string) (string, ballarus.TenantLimits, error) {
 	if !ok || id == "" {
 		return bad("missing tenant id")
 	}
-	if len(id) > ballarus.TenantMaxIDLen {
-		return bad(fmt.Sprintf("id longer than %d bytes", ballarus.TenantMaxIDLen))
+	if len(id) > tenant.MaxIDLen {
+		return bad(fmt.Sprintf("id longer than %d bytes", tenant.MaxIDLen))
 	}
 	parts := strings.Split(spec, ",")
 	if len(parts) > 4 {
 		return bad("more than four fields")
 	}
-	var lim ballarus.TenantLimits
+	var lim tenant.Limits
 	for i, p := range parts {
 		p = strings.TrimSpace(p)
 		if p == "" {

@@ -8,7 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"ballarus"
+	"ballarus/internal/service"
+	"ballarus/internal/tenant"
 )
 
 // tenantPost posts body to path with optional headers and decodes the
@@ -40,9 +41,9 @@ func tenantPost(t *testing.T, ts *httptest.Server, path string, body any, hdr ma
 	return resp
 }
 
-func newTenantTestServer(t *testing.T, cfg ballarus.TenantConfig) *httptest.Server {
+func newTenantTestServer(t *testing.T, cfg tenant.Config) *httptest.Server {
 	t.Helper()
-	ts, _ := newTestServer(t, ballarus.WithTenants(ballarus.NewTenantRegistry(cfg)))
+	ts, _ := newTestServer(t, service.WithTenants(tenant.NewRegistry(cfg)))
 	return ts
 }
 
@@ -51,9 +52,9 @@ func newTenantTestServer(t *testing.T, cfg ballarus.TenantConfig) *httptest.Serv
 // gateway's signal that this rejection is terminal — while other
 // tenants are untouched.
 func TestTenantQuota429(t *testing.T) {
-	ts := newTenantTestServer(t, ballarus.TenantConfig{
-		Defaults:  ballarus.TenantLimits{Rate: 1000},
-		Overrides: map[string]ballarus.TenantLimits{"metered": {Rate: 1, Burst: 1}},
+	ts := newTenantTestServer(t, tenant.Config{
+		Defaults:  tenant.Limits{Rate: 1000},
+		Overrides: map[string]tenant.Limits{"metered": {Rate: 1, Burst: 1}},
 	})
 	hdr := map[string]string{"X-Tenant-Id": "metered"}
 	body := predictRequest{Source: testSrc}
@@ -90,8 +91,8 @@ func TestTenantQuota429(t *testing.T) {
 // TestTenantIDRejectedWhenOversized: hostile identities are refused at
 // the edge before touching registry or metric labels.
 func TestTenantIDRejectedWhenOversized(t *testing.T) {
-	ts := newTenantTestServer(t, ballarus.TenantConfig{Defaults: ballarus.TenantLimits{Rate: 100}})
-	hdr := map[string]string{"X-Tenant-Id": strings.Repeat("x", ballarus.TenantMaxIDLen+1)}
+	ts := newTenantTestServer(t, tenant.Config{Defaults: tenant.Limits{Rate: 100}})
+	hdr := map[string]string{"X-Tenant-Id": strings.Repeat("x", tenant.MaxIDLen+1)}
 	var e errorResponse
 	resp := tenantPost(t, ts, "/v1/predict", predictRequest{Source: testSrc}, hdr, &e)
 	if resp.StatusCode != http.StatusBadRequest || e.Code != "invalid_input" {
@@ -148,9 +149,9 @@ func TestBatchEndpoint(t *testing.T) {
 // is rejected whole — one 429 with rate-limit headers, zero work, no
 // tokens spent — while a batch within quota runs every item.
 func TestBatchQuotaRejectedAsUnit(t *testing.T) {
-	ts := newTenantTestServer(t, ballarus.TenantConfig{
-		Defaults:  ballarus.TenantLimits{Rate: 1000},
-		Overrides: map[string]ballarus.TenantLimits{"metered": {Rate: 1, Burst: 3}},
+	ts := newTenantTestServer(t, tenant.Config{
+		Defaults:  tenant.Limits{Rate: 1000},
+		Overrides: map[string]tenant.Limits{"metered": {Rate: 1, Burst: 3}},
 	})
 	hdr := map[string]string{"X-Tenant-Id": "metered"}
 	items := func(n int) batchRequest {

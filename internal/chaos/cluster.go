@@ -68,7 +68,6 @@ func clusterPlan(f *fleet) plan {
 			"-queue", "64",
 			"-timeout", "2s",
 			"-drain-timeout", "2s",
-			"-watchdog", "2s",
 			"-chaos-admin",
 		},
 		gate: []string{

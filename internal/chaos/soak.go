@@ -75,7 +75,6 @@ func soakPlan(f *fleet) plan {
 			"-state-dir", s.stateDir,
 			"-snapshot-every", "500ms",
 			"-journal-sync", "10ms",
-			"-watchdog", "2s",
 		},
 		phases: []phase{
 			{"soak", s.soak},

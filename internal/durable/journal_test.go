@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -126,42 +125,4 @@ func TestJournalBatchedSyncAndConcurrency(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	j.Close()
-}
-
-func TestWatchdog(t *testing.T) {
-	var progress atomic.Int64
-	var wedged atomic.Bool
-	restarts := make(chan struct{}, 16)
-	w := NewWatchdog(40*time.Millisecond, 5*time.Millisecond,
-		func() (int64, bool) { return progress.Load(), wedged.Load() },
-		func() { restarts <- struct{}{} })
-	w.Start()
-	defer w.Stop()
-
-	// Healthy (not wedgeable): no restarts even with static progress.
-	time.Sleep(100 * time.Millisecond)
-	select {
-	case <-restarts:
-		t.Fatal("watchdog fired while pool was not saturated")
-	default:
-	}
-
-	// Saturated but progressing: still no restart.
-	wedged.Store(true)
-	for i := 0; i < 10; i++ {
-		progress.Add(1)
-		time.Sleep(10 * time.Millisecond)
-	}
-	select {
-	case <-restarts:
-		t.Fatal("watchdog fired while progress was advancing")
-	default:
-	}
-
-	// Saturated and stuck: restart fires within a few deadlines.
-	select {
-	case <-restarts:
-	case <-time.After(2 * time.Second):
-		t.Fatal("watchdog never fired on a wedged pool")
-	}
 }

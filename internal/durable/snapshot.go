@@ -1,10 +1,10 @@
 // Package durable is the crash-durability layer of the prediction
 // service: a versioned, CRC-checksummed snapshot format for cache
-// state, an append-only request journal with fsync batching for work
-// that was in flight when the process died, and a watchdog that detects
-// wedged worker pools. The design rule throughout is that corruption is
-// *data loss, never an outage*: a corrupt or truncated entry is skipped
-// and counted, and the rest of the file still loads.
+// state and an append-only request journal with fsync batching for
+// work that was in flight when the process died. The design rule
+// throughout is that corruption is *data loss, never an outage*: a
+// corrupt or truncated entry is skipped and counted, and the rest of
+// the file still loads.
 //
 // Snapshots are written atomically (temp file + fsync + rename), so a
 // crash mid-write leaves the previous snapshot intact — readers never

@@ -29,12 +29,14 @@ type Run struct {
 	Output   string
 }
 
-// Evaluator caches compiled programs, analyses, and runs.
+// Evaluator caches compiled programs, analyses, and runs, the order
+// sweep, and the exact subset experiment over it.
 type Evaluator struct {
 	mu       sync.Mutex
 	analyses sync.Map // benchmark name -> *analysisEntry
 	runs     map[string]*Run
 	sweep    *orders.Sweep
+	subsets  *orders.SubsetResult
 }
 
 // analysisEntry memoizes one benchmark's analysis; the Once means

@@ -214,23 +214,33 @@ func (e *Evaluator) Sweep() (*orders.Sweep, error) {
 
 // SubsetExperiment runs the C(22,11) generalization experiment. trials <= 0
 // runs it exactly (705,432 trials), as every table, graph and report here
-// does; otherwise over a random sample of that size, which only the
-// benchmark harness's Table4(5000) asks for.
+// does, once per evaluator (cached); otherwise over a random sample of
+// that size, which only the benchmark harness's Table4(5000) asks for.
 func (e *Evaluator) SubsetExperiment(trials int) (*orders.Sweep, *orders.SubsetResult, error) {
 	s, err := e.Sweep()
 	if err != nil {
 		return nil, nil, err
 	}
 	ctx := context.Background()
-	var res *orders.SubsetResult
-	if trials <= 0 {
-		res, err = s.SubsetsCtx(ctx, 11)
-	} else {
-		res, err = s.SubsetsSampledCtx(ctx, 11, trials, 1993)
+	if trials > 0 {
+		res, err := s.SubsetsSampledCtx(ctx, 11, trials, 1993)
+		if err != nil {
+			return nil, nil, err
+		}
+		return s, res, nil
 	}
-	if err != nil {
+	e.mu.Lock()
+	res := e.subsets
+	e.mu.Unlock()
+	if res != nil {
+		return s, res, nil
+	}
+	if res, err = s.SubsetsCtx(ctx, 11); err != nil {
 		return nil, nil, err
 	}
+	e.mu.Lock()
+	e.subsets = res
+	e.mu.Unlock()
 	return s, res, nil
 }
 

@@ -349,10 +349,10 @@ func (s *Sweep) SubsetsCtx(ctx context.Context, k int) (*SubsetResult, error) {
 // benchmark half are precomputed, so scoring one subset is a vector add
 // and an argmin. Cancellation is checked once per low-half mask.
 func (s *Sweep) subsets(ctx context.Context, k int, cand []int) (*SubsetResult, error) {
-	n := len(s.Benches)
-	if k < 0 || k > n {
-		return nil, fmt.Errorf("orders: subset size %d outside [0,%d]", k, n)
+	if err := s.checkSubsetSize(k); err != nil {
+		return nil, err
 	}
+	n := len(s.Benches)
 	nc := len(cand)
 	loBits := n / 2
 	hiBits := n - loBits
@@ -410,6 +410,9 @@ func halfSums(s *Sweep, cand []int, base, width int) []float64 {
 // seed), and only undominated orders are scored. Cancellation is checked
 // every checkEvery trials.
 func (s *Sweep) SubsetsSampledCtx(ctx context.Context, k, trials int, seed int64) (*SubsetResult, error) {
+	if err := s.checkSubsetSize(k); err != nil {
+		return nil, err
+	}
 	n := len(s.Benches)
 	cand := s.undominated()
 	rng := rand.New(rand.NewSource(seed))
@@ -442,6 +445,15 @@ func (s *Sweep) SubsetsSampledCtx(ctx context.Context, k, trials int, seed int64
 		res.Trials++
 	}
 	return res, nil
+}
+
+// checkSubsetSize rejects a subset size the sweep's benchmarks cannot
+// fill.
+func (s *Sweep) checkSubsetSize(k int) error {
+	if n := len(s.Benches); k < 0 || k > n {
+		return fmt.Errorf("orders: subset size %d outside [0,%d]", k, n)
+	}
+	return nil
 }
 
 // masksWithPopcount enumerates all masks over `width` bits with exactly

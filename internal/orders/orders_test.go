@@ -2,6 +2,7 @@ package orders
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -437,6 +438,19 @@ func TestSubsetsSampledAgreesWithExact(t *testing.T) {
 	}
 	if sampled.Ranked()[0] != exact.Ranked()[0] {
 		t.Errorf("top order: sampled %d, exact %d", sampled.Ranked()[0], exact.Ranked()[0])
+	}
+
+	// A subset size the benchmarks cannot fill is the same error in
+	// both modes.
+	small := newSweep(t, mixedBenches(4))
+	for _, k := range []int{5, -1} {
+		want := fmt.Sprintf("orders: subset size %d outside [0,4]", k)
+		if _, err := small.SubsetsCtx(context.Background(), k); err == nil || err.Error() != want {
+			t.Errorf("SubsetsCtx(k=%d) err = %v, want %q", k, err, want)
+		}
+		if _, err := small.SubsetsSampledCtx(context.Background(), k, 10, 7); err == nil || err.Error() != want {
+			t.Errorf("SubsetsSampledCtx(k=%d) err = %v, want %q", k, err, want)
+		}
 	}
 }
 

@@ -104,6 +104,30 @@ func (c *flightCache[V]) evict() {
 	}
 }
 
+// holds reports whether key has a completed entry, without refreshing
+// its LRU position.
+func (c *flightCache[V]) holds(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f, ok := c.m[key]
+	return ok && f.elem != nil
+}
+
+// completed returns the completed entries' keys and values, least
+// recently used first.
+func (c *flightCache[V]) completed() ([]string, []V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	keys := make([]string, 0, c.order.Len())
+	vals := make([]V, 0, c.order.Len())
+	for e := c.order.Back(); e != nil; e = e.Prev() {
+		key := e.Value.(string)
+		keys = append(keys, key)
+		vals = append(vals, c.m[key].val)
+	}
+	return keys, vals
+}
+
 // stats returns the entry count and cumulative evictions.
 func (c *flightCache[V]) stats() cacheSnapshot {
 	c.mu.Lock()

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,11 +11,12 @@ import (
 
 	"ballarus/internal/core"
 	"ballarus/internal/durable"
+	"ballarus/internal/interp"
 	"ballarus/internal/minic"
 )
 
-// SectionRequests is the snapshot section holding the service's own
-// warm-set recipes. External layers (e.g. blserve's trace archive)
+// SectionRequests is the snapshot section holding the recipes of the
+// run cache's entries. External layers (e.g. blserve's trace archive)
 // register their own sections via RegisterDurableSection.
 const SectionRequests = "request"
 
@@ -62,67 +62,11 @@ func (r recipe) request() Request {
 	}
 }
 
-// warmSet is the bounded LRU of completed-request recipes, keyed by run
-// key. It is what a snapshot persists for the service's caches.
-type warmSet struct {
-	mu    sync.Mutex
-	max   int
-	m     map[string]*list.Element
-	order *list.List // of warmEntry, front = most recently used
-}
-
-type warmEntry struct {
-	key     string
-	payload []byte
-}
-
-func newWarmSet(max int) *warmSet {
-	if max <= 0 {
-		max = 4096
-	}
-	return &warmSet{max: max, m: map[string]*list.Element{}, order: list.New()}
-}
-
-func (w *warmSet) contains(key string) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, ok := w.m[key]
-	return ok
-}
-
-func (w *warmSet) add(key string, payload []byte) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if e, ok := w.m[key]; ok {
-		e.Value.(*warmEntry).payload = payload
-		w.order.MoveToFront(e)
-		return
-	}
-	w.m[key] = w.order.PushFront(&warmEntry{key: key, payload: payload})
-	for w.order.Len() > w.max {
-		back := w.order.Back()
-		w.order.Remove(back)
-		delete(w.m, back.Value.(*warmEntry).key)
-	}
-}
-
-func (w *warmSet) len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.order.Len()
-}
-
-// entries snapshots the warm set oldest-first, so replay warms in
-// rough insertion order and the most recent work wins LRU position.
-func (w *warmSet) entries() []durable.Entry {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]durable.Entry, 0, w.order.Len())
-	for e := w.order.Back(); e != nil; e = e.Prev() {
-		we := e.Value.(*warmEntry)
-		out = append(out, durable.Entry{Section: SectionRequests, Key: we.key, Payload: we.payload})
-	}
-	return out
+// cachedRun is one run-cache entry: the interpreter's result and the
+// recipe that computed it, which a snapshot persists.
+type cachedRun struct {
+	*interp.Result
+	recipe recipe
 }
 
 // DurableSection lets a layer above the service persist its own state
@@ -140,7 +84,6 @@ type DurableSection struct {
 type durability struct {
 	store     *durable.Store
 	journal   *durable.Journal
-	warm      *warmSet
 	snapEvery time.Duration
 
 	mu       sync.Mutex
@@ -151,10 +94,10 @@ type durability struct {
 }
 
 // WithDurableStore persists service state under dir: a periodic (and
-// shutdown-time) snapshot of the warm request set plus registered
-// sections, and an append-only journal of accepted requests. Call
-// Recover at boot to load it, and Close at shutdown to write the final
-// snapshot. An unusable directory surfaces from Recover.
+// shutdown-time) snapshot of the recipes behind the run cache plus
+// registered sections, and an append-only journal of accepted requests.
+// Call Recover at boot to load it, and Close at shutdown to write the
+// final snapshot. An unusable directory surfaces from Recover.
 func WithDurableStore(dir string) Option { return func(c *config) { c.durableDir = dir } }
 
 // WithSnapshotInterval sets the periodic snapshot cadence; <= 0 means
@@ -164,12 +107,6 @@ func WithSnapshotInterval(d time.Duration) Option { return func(c *config) { c.s
 // WithJournalSyncInterval sets the journal's fsync batching interval;
 // <= 0 means the 100ms default. Only meaningful with WithDurableStore.
 func WithJournalSyncInterval(d time.Duration) Option { return func(c *config) { c.journalSync = d } }
-
-// WithWatchdog arms a watchdog that restarts the worker pool when it is
-// saturated, has waiters, and makes no progress for a full deadline —
-// the signature of every worker wedged on an unkillable computation.
-// d <= 0 disables it (the default).
-func WithWatchdog(d time.Duration) Option { return func(c *config) { c.watchdog = d } }
 
 // initDurability opens the store and journal; called from New when a
 // durable directory is configured. Failure disables durability and is
@@ -183,11 +120,9 @@ func (s *Service) initDurability() error {
 	if err != nil {
 		return err
 	}
-	warmCap := s.cfg.cacheSize
 	d := &durability{
 		store:     store,
 		journal:   journal,
-		warm:      newWarmSet(warmCap),
 		snapEvery: s.cfg.snapEvery,
 		sections:  map[string]DurableSection{},
 		stopc:     make(chan struct{}),
@@ -227,10 +162,10 @@ func (s *Service) RegisterDurableSection(name string, sec DurableSection) {
 }
 
 // observeAccepted journals a newly accepted piece of work so a crash
-// mid-request can still rewarm it on restart. Requests already in the
-// warm set are skipped — their recipes live in the snapshot.
+// mid-request can still rewarm it on restart. Requests the run cache
+// already holds are skipped — the next snapshot persists their recipes.
 func (s *Service) observeAccepted(req *Request, runKey string) {
-	if s.dur == nil || s.dur.warm.contains(runKey) {
+	if s.dur == nil || s.runs.holds(runKey) {
 		return
 	}
 	payload, err := json.Marshal(recipeOf(req))
@@ -240,18 +175,6 @@ func (s *Service) observeAccepted(req *Request, runKey string) {
 	if s.dur.journal.Append(payload) == nil {
 		s.met.journalAppends.Add(1)
 	}
-}
-
-// observeCompleted admits a successful request into the warm set.
-func (s *Service) observeCompleted(req *Request, runKey string) {
-	if s.dur == nil {
-		return
-	}
-	payload, err := json.Marshal(recipeOf(req))
-	if err != nil {
-		return
-	}
-	s.dur.warm.add(runKey, payload)
 }
 
 // RecoveryStats reports what Recover found and rewarmed.
@@ -284,8 +207,8 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 		}
 		return rs, errors.New("service: no durable store configured (WithDurableStore)")
 	}
-	// Replayed work must not be re-journaled; completion still admits it
-	// into the warm set.
+	// Replayed work must not be re-journaled; it lands in the run cache,
+	// which the snapshot persists.
 	s.recovering.Store(true)
 	defer s.recovering.Store(false)
 
@@ -356,10 +279,9 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 
 // replayRecipe reruns one persisted recipe through the pipeline,
 // bypassing admission control (recovery happens before traffic). A
-// successful replay lands in the warm set via the normal completion
-// hook. Returns false when the recipe is unusable or the pipeline
-// rejects it — a recipe that no longer computes is data loss, not an
-// outage.
+// successful replay lands in the run cache. Returns false when the
+// recipe is unusable or the pipeline rejects it — a recipe that no
+// longer computes is data loss, not an outage.
 func (s *Service) replayRecipe(ctx context.Context, payload []byte) bool {
 	var r recipe
 	if err := json.Unmarshal(payload, &r); err != nil || r.Source == "" {
@@ -369,13 +291,23 @@ func (s *Service) replayRecipe(ctx context.Context, payload []byte) bool {
 	return err == nil && res != nil
 }
 
-// SnapshotNow writes a snapshot of the warm set and every registered
-// section, atomically replacing the previous snapshot.
+// SnapshotNow writes a snapshot of the run cache's recipes, least
+// recently used first so replay leaves the most recent work at the
+// front of the LRU, and of every registered section, atomically
+// replacing the previous snapshot.
 func (s *Service) SnapshotNow() error {
 	if s.dur == nil {
 		return errors.New("service: no durable store configured")
 	}
-	entries := s.dur.warm.entries()
+	keys, runs := s.runs.completed()
+	entries := make([]durable.Entry, 0, len(keys))
+	for i, run := range runs {
+		payload, err := json.Marshal(run.recipe)
+		if err != nil {
+			continue
+		}
+		entries = append(entries, durable.Entry{Section: SectionRequests, Key: keys[i], Payload: payload})
+	}
 	s.dur.mu.Lock()
 	for name, sec := range s.dur.sections {
 		if sec.Collect == nil {
@@ -395,15 +327,12 @@ func (s *Service) SnapshotNow() error {
 	return nil
 }
 
-// Close shuts the service's background machinery down: the watchdog,
-// the snapshot loop, and — after a final snapshot — the journal. Safe
-// to call on a service without durability, and idempotent.
+// Close shuts the service's background machinery down: the snapshot
+// loop and — after a final snapshot — the journal. Safe to call on a
+// service without durability, and idempotent.
 func (s *Service) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
-		if s.watchdog != nil {
-			s.watchdog.Stop()
-		}
 		if s.dur == nil {
 			return
 		}

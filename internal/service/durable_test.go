@@ -2,12 +2,13 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
 	"ballarus/internal/durable"
-	"ballarus/internal/resilience"
 )
 
 // waitUntil polls cond until it holds or the deadline passes.
@@ -32,7 +33,7 @@ func durableRequests() []Request {
 }
 
 // TestCrashRecoveryWarmStart is the headline durability scenario: a
-// service snapshots its warm set, dies without Close (hard kill), and a
+// service snapshots its run cache, dies without Close (hard kill), and a
 // fresh service over the same directory recovers a warm cache.
 func TestCrashRecoveryWarmStart(t *testing.T) {
 	dir := t.TempDir()
@@ -225,7 +226,7 @@ func TestRecoverRegisteredSection(t *testing.T) {
 	}
 }
 
-// TestCloseWritesFinalSnapshot: graceful shutdown persists the warm set
+// TestCloseWritesFinalSnapshot: graceful shutdown persists the run cache
 // and is idempotent.
 func TestCloseWritesFinalSnapshot(t *testing.T) {
 	dir := t.TempDir()
@@ -245,6 +246,56 @@ func TestCloseWritesFinalSnapshot(t *testing.T) {
 	}
 }
 
+// TestSnapshotHoldsRunCache: a snapshot persists exactly the run
+// cache's entries, least recently used first, each keyed by its run key
+// with the recipe that computed it as payload.
+func TestSnapshotHoldsRunCache(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	svc := New(WithDurableStore(dir), WithSnapshotInterval(time.Hour), WithCacheSize(2))
+	defer svc.Close()
+	reqs := durableRequests()
+	// The repeat of reqs[1] makes it the most recently used; reqs[0]
+	// is evicted by reqs[2].
+	for _, req := range append(reqs, reqs[1]) {
+		if _, err := svc.Predict(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	entries, _, err := durable.ReadSnapshotFile(svc.dur.store.SnapshotPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []durable.Entry
+	for _, e := range entries {
+		if e.Section == SectionRequests {
+			got = append(got, e)
+		}
+	}
+	want := []Request{reqs[2], reqs[1]}
+	if len(got) != len(want) {
+		t.Fatalf("snapshot holds %d request entries, want %d", len(got), len(want))
+	}
+	for i, req := range want {
+		if err := svc.resolve(&req); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, runKey := req.keys(); got[i].Key != runKey {
+			t.Errorf("entry %d key = %.12s…, want run key %.12s… of %+v", i, got[i].Key, runKey, want[i])
+		}
+		var r recipe
+		if err := json.Unmarshal(got[i].Payload, &r); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r, recipeOf(&req)) {
+			t.Errorf("entry %d recipe = %+v, want %+v", i, r, recipeOf(&req))
+		}
+	}
+}
+
 // TestRecoverWithoutStore: Recover on an undurable service is a
 // configuration error, not a panic.
 func TestRecoverWithoutStore(t *testing.T) {
@@ -253,49 +304,7 @@ func TestRecoverWithoutStore(t *testing.T) {
 	if _, err := svc.Recover(context.Background()); err == nil {
 		t.Fatal("Recover without WithDurableStore must error")
 	}
-	if st := svc.Stats(); st.Durability.Enabled || st.Watchdog.Enabled {
+	if st := svc.Stats(); st.Durability.Enabled {
 		t.Fatalf("undurable service reports %+v", st)
-	}
-}
-
-// TestWatchdogRestartsWedgedPool: with one worker wedged on a hung
-// computation and work queued behind it, the watchdog swaps in a fresh
-// pool and the queued request completes.
-func TestWatchdogRestartsWedgedPool(t *testing.T) {
-	defer resilience.ClearFaults()
-	svc := New(WithWorkers(1), WithQueueDepth(8), WithWatchdog(60*time.Millisecond))
-	defer svc.Close()
-
-	resilience.InjectFault("service.execute", resilience.Fault{Hang: true, Times: 1})
-	ctx1, cancel1 := context.WithCancel(context.Background())
-	defer cancel1()
-	wedged := make(chan error, 1)
-	go func() {
-		_, err := svc.Predict(ctx1, Request{Source: testSrc})
-		wedged <- err
-	}()
-	waitUntil(t, 5*time.Second, func() bool { return svc.Stats().InFlight >= 1 })
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := svc.Predict(context.Background(), Request{Source: testSrc, Seed: 99})
-		done <- err
-	}()
-
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("queued request failed after pool restart: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("queued request never ran: watchdog did not restart the pool")
-	}
-	if st := svc.Stats().Watchdog; !st.Enabled || st.Restarts < 1 {
-		t.Fatalf("watchdog stats = %+v, want >= 1 restart", st)
-	}
-
-	cancel1()
-	if err := <-wedged; err == nil {
-		t.Fatal("wedged request reported success")
 	}
 }

@@ -140,6 +140,44 @@ func TestQueueDepthSheds(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSlowRequestsKeepWorkerBound: slow requests hold the only worker
+// one after another, never together. Each runs the interpreter until its
+// own deadline, 100 ms after the previous one's.
+func TestSlowRequestsKeepWorkerBound(t *testing.T) {
+	s := New(WithWorkers(1))
+	defer s.Close()
+	base := time.Now()
+	errs := make(chan error, 3)
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithDeadline(context.Background(), base.Add(time.Duration(i+1)*100*time.Millisecond))
+		defer cancel()
+		go func() {
+			_, err := s.Predict(ctx, Request{Source: slowSrc, Seed: int64(i), Budget: 1 << 40})
+			errs <- err
+		}()
+		// Queue them in order, so each is admitted before its deadline.
+		waitFor(t, func() bool { return s.Stats().InFlight+s.Stats().Queued == int64(i+1) })
+	}
+	var peak int64
+	for done := 0; done < 3; {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, resilience.ErrTimeout) {
+				t.Fatalf("slow request err = %v, want ErrTimeout at its deadline", err)
+			}
+			done++
+		case <-time.After(time.Millisecond):
+		}
+		peak = max(peak, s.Stats().InFlight)
+	}
+	if peak > 1 {
+		t.Fatalf("peak in-flight = %d with one worker", peak)
+	}
+	if st := s.Stats(); st.Shed != 0 {
+		t.Fatalf("shed = %d, want every slow request to run", st.Shed)
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

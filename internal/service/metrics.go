@@ -57,6 +57,8 @@ const (
 // and the Prometheus exposition reads the same source of truth as
 // Stats().
 type stageMetrics struct {
+	span      string // "stage.<name>", the stage's span name
+	fault     string // "service.<name>", its faultpoint and panic-isolation name
 	count     *obs.Counter
 	errors    *obs.Counter
 	nanos     atomic.Int64 // cumulative wall time, for Stats().MeanTime
@@ -110,15 +112,6 @@ type cacheSnapshot struct {
 	capacity  int
 }
 
-// WatchdogStats is a point-in-time snapshot of the worker-pool
-// watchdog.
-type WatchdogStats struct {
-	Enabled bool `json:"enabled"`
-	// Restarts counts worker-pool replacements after a wedge (no
-	// progress past the deadline with every slot held and work queued).
-	Restarts int64 `json:"restarts"`
-}
-
 // DurabilityStats is a point-in-time snapshot of the durable-state
 // machinery: what recovery found at boot and what has been persisted
 // since.
@@ -139,9 +132,6 @@ type DurabilityStats struct {
 	SnapshotErrors int64 `json:"snapshot_errors"`
 	// JournalAppends counts request recipes journaled since boot.
 	JournalAppends int64 `json:"journal_appends"`
-	// WarmEntries is the current warm-set size (what the next snapshot
-	// will persist).
-	WarmEntries int `json:"warm_entries"`
 }
 
 // Stats is a point-in-time snapshot of the service's counters. It is a
@@ -168,8 +158,6 @@ type Stats struct {
 	// Caches details the result caches (programs, analyses, runs,
 	// compares).
 	Caches []CacheStats `json:"caches"`
-	// Watchdog reports the worker-pool wedge detector.
-	Watchdog WatchdogStats `json:"watchdog"`
 	// Durability reports snapshot/journal/recovery state.
 	Durability DurabilityStats `json:"durability"`
 }
@@ -193,8 +181,7 @@ type metrics struct {
 	deadline  *obs.Histogram // remaining deadline at admission
 	stages    map[string]*stageMetrics
 
-	// Watchdog and durability counters.
-	poolRestarts    *obs.Counter
+	// Durability counters.
 	snapshotWrites  *obs.Counter
 	snapshotErrors  *obs.Counter
 	journalAppends  *obs.Counter
@@ -281,50 +268,6 @@ func attributionLabels() []string {
 	return append(out, byLoopPredictor, byDefault)
 }
 
-// stageSpanName returns the constant span name for a stage so the hot
-// path does not concatenate per request.
-func stageSpanName(name string) string {
-	switch name {
-	case stageCompile:
-		return "stage." + stageCompile
-	case stageOptimize:
-		return "stage." + stageOptimize
-	case stageAnalyze:
-		return "stage." + stageAnalyze
-	case stagePredict:
-		return "stage." + stagePredict
-	case stageExecute:
-		return "stage." + stageExecute
-	case stageScore:
-		return "stage." + stageScore
-	case stageCompare:
-		return "stage." + stageCompare
-	}
-	return "stage." + name
-}
-
-// stageFaultName returns the constant faultpoint / panic-isolation name
-// for a stage ("service.<stage>"), again avoiding per-request concats.
-func stageFaultName(name string) string {
-	switch name {
-	case stageCompile:
-		return "service." + stageCompile
-	case stageOptimize:
-		return "service." + stageOptimize
-	case stageAnalyze:
-		return "service." + stageAnalyze
-	case stagePredict:
-		return "service." + stagePredict
-	case stageExecute:
-		return "service." + stageExecute
-	case stageScore:
-		return "service." + stageScore
-	case stageCompare:
-		return "service." + stageCompare
-	}
-	return "service." + name
-}
-
 func newMetrics(start time.Time) *metrics {
 	reg := obs.NewRegistry()
 	m := &metrics{
@@ -345,7 +288,6 @@ func newMetrics(start time.Time) *metrics {
 			obs.DurationBuckets),
 		stages: map[string]*stageMetrics{},
 
-		poolRestarts:    reg.Counter("ballarus_watchdog_restarts_total", "Worker-pool restarts after a detected wedge."),
 		snapshotWrites:  reg.Counter("ballarus_snapshot_writes_total", "Durable snapshots written."),
 		snapshotErrors:  reg.Counter("ballarus_snapshot_errors_total", "Durable snapshot writes that failed."),
 		journalAppends:  reg.Counter("ballarus_journal_appends_total", "Request recipes appended to the journal."),
@@ -368,6 +310,8 @@ func newMetrics(start time.Time) *metrics {
 	const stageHelp = "Pipeline stage "
 	for _, name := range stageOrder {
 		m.stages[name] = &stageMetrics{
+			span:   "stage." + name,
+			fault:  "service." + name,
 			count:  reg.Counter("ballarus_stage_runs_total", stageHelp+"executions (including cache hits).", "stage", name),
 			errors: reg.Counter("ballarus_stage_errors_total", stageHelp+"failures.", "stage", name),
 			hits:   reg.Counter("ballarus_stage_cache_total", stageHelp+"cache outcomes.", "stage", name, "result", "hit"),
@@ -480,24 +424,20 @@ func (m *metrics) observeAttribution(a *core.Analysis, order core.Order, p *prof
 	}
 }
 
-// timed runs fn as the named stage, recording latency and cache outcome.
-func timed[V any](m *metrics, name string, fn func() (V, bool, error)) (V, bool, error) {
+// timedCtx runs fn as the named stage, recording latency and cache
+// outcome, under a span on ctx's active trace (free when the request
+// carries no trace).
+func timedCtx[V any](ctx context.Context, m *metrics, name string, fn func() (V, bool, error)) (V, bool, error) {
+	st := m.stages[name]
+	sp := obs.StartSpan(ctx, st.span)
 	start := time.Now()
 	v, hit, err := fn()
-	m.stages[name].record(time.Since(start), hit, err)
-	return v, hit, err
-}
-
-// timedCtx is timed plus a span on ctx's active trace (free when the
-// request carries no trace).
-func timedCtx[V any](ctx context.Context, m *metrics, name string, fn func() (V, bool, error)) (V, bool, error) {
-	sp := obs.StartSpan(ctx, stageSpanName(name))
-	v, hit, err := timed(m, name, fn)
+	st.record(time.Since(start), hit, err)
 	sp.End(err)
 	return v, hit, err
 }
 
-func (m *metrics) snapshot(programs, analyses, runs, compares cacheSnapshot, watchdog WatchdogStats, durability DurabilityStats) Stats {
+func (m *metrics) snapshot(programs, analyses, runs, compares cacheSnapshot, durability DurabilityStats) Stats {
 	s := Stats{
 		Requests:  m.requests.Value(),
 		InFlight:  m.inFlight.Value(),
@@ -521,7 +461,6 @@ func (m *metrics) snapshot(programs, analyses, runs, compares cacheSnapshot, wat
 			{Name: "runs", Entries: runs.entries, Evictions: runs.evictions, Capacity: runs.capacity},
 			{Name: "compares", Entries: compares.entries, Evictions: compares.evictions, Capacity: compares.capacity},
 		},
-		Watchdog:   watchdog,
 		Durability: durability,
 	}
 	for _, name := range stageOrder {

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"ballarus/internal/core"
-	"ballarus/internal/durable"
 	"ballarus/internal/interp"
 	"ballarus/internal/minic"
 	"ballarus/internal/mir"
@@ -56,7 +55,6 @@ type config struct {
 	durableDir  string
 	snapEvery   time.Duration
 	journalSync time.Duration
-	watchdog    time.Duration
 	tracer      *obs.Tracer
 	tenants     *tenant.Registry
 }
@@ -80,7 +78,9 @@ func WithQueueDepth(n int) Option { return func(c *config) { c.queueDepth = n } 
 
 // WithCacheSize bounds each of the result caches (programs, analyses,
 // runs, compares) to n entries with LRU eviction, so unbounded distinct
-// inputs cannot grow memory without limit. n <= 0 means unbounded.
+// inputs cannot grow memory without limit. n <= 0 means unbounded. A
+// durable service's snapshot holds the run cache's entries, so n bounds
+// it too.
 func WithCacheSize(n int) Option { return func(c *config) { c.cacheSize = n } }
 
 // WithBudget sets the default interpreter instruction budget applied to
@@ -98,23 +98,18 @@ type Service struct {
 	cfg      config
 	programs *flightCache[*mir.Program]
 	analyses *flightCache[*core.Analysis]
-	runs     *flightCache[*interp.Result]
+	runs     *flightCache[*cachedRun]
 	compares *flightCache[*CompareResult]
 	met      *metrics
 	tracer   *obs.Tracer
 
-	// The worker pool is a buffered channel used as a counting
-	// semaphore. The watchdog can swap in a fresh pool when the current
-	// one is wedged; semSwapped is closed on each swap so queued waiters
-	// migrate instead of waiting on a pool nobody will ever drain.
-	semMu      sync.Mutex
-	sem        chan struct{}
-	semSwapped chan struct{}
+	// sem is the worker pool, a buffered channel used as a counting
+	// semaphore.
+	sem chan struct{}
 
 	dur        *durability
 	durInitErr error
 	recovering atomic.Bool
-	watchdog   *durable.Watchdog
 	closeOnce  sync.Once
 }
 
@@ -128,25 +123,20 @@ func New(opts ...Option) *Service {
 		cfg.workers = runtime.GOMAXPROCS(0)
 	}
 	s := &Service{
-		cfg:        cfg,
-		sem:        make(chan struct{}, cfg.workers),
-		semSwapped: make(chan struct{}),
-		programs:   newFlightCache[*mir.Program](cfg.cacheSize),
-		analyses:   newFlightCache[*core.Analysis](cfg.cacheSize),
-		runs:       newFlightCache[*interp.Result](cfg.cacheSize),
-		compares:   newFlightCache[*CompareResult](cfg.cacheSize),
-		met:        newMetrics(time.Now()),
-		tracer:     cfg.tracer,
+		cfg:      cfg,
+		sem:      make(chan struct{}, cfg.workers),
+		programs: newFlightCache[*mir.Program](cfg.cacheSize),
+		analyses: newFlightCache[*core.Analysis](cfg.cacheSize),
+		runs:     newFlightCache[*cachedRun](cfg.cacheSize),
+		compares: newFlightCache[*CompareResult](cfg.cacheSize),
+		met:      newMetrics(time.Now()),
+		tracer:   cfg.tracer,
 	}
 	if s.tracer == nil {
 		s.tracer = obs.NewTracer(256, nil)
 	}
 	if cfg.durableDir != "" {
 		s.durInitErr = s.initDurability()
-	}
-	if cfg.watchdog > 0 {
-		s.watchdog = durable.NewWatchdog(cfg.watchdog, 0, s.wedgeProbe, s.restartWorkers)
-		s.watchdog.Start()
 	}
 	if cfg.tenants != nil {
 		s.met.seedTenantFamilies()
@@ -156,9 +146,8 @@ func New(opts ...Option) *Service {
 }
 
 // wireFuncMetrics registers exposition-time closures over state that
-// lives outside the metrics struct: cache sizes, the journal's fsync
-// count, and the warm set. Values are read when /metrics is scraped,
-// never on the hot path.
+// lives outside the metrics struct: cache sizes and the journal's fsync
+// count. Values are read when /metrics is scraped, never on the hot path.
 func (s *Service) wireFuncMetrics() {
 	reg := s.met.reg
 	for _, c := range []struct {
@@ -187,13 +176,6 @@ func (s *Service) wireFuncMetrics() {
 			}
 			return float64(s.dur.journal.Syncs())
 		})
-	reg.GaugeFunc("ballarus_warm_entries", "Warm-set recipes the next snapshot will persist.",
-		func() float64 {
-			if s.dur == nil {
-				return 0
-			}
-			return float64(s.dur.warm.len())
-		})
 }
 
 // Metrics returns the service's metric registry, ready to serve as a
@@ -204,37 +186,6 @@ func (s *Service) Metrics() *obs.Registry { return s.met.reg }
 // Tracer returns the service's tracer — blserve starts a trace per
 // request against it and serves its ring buffer at /debug/traces.
 func (s *Service) Tracer() *obs.Tracer { return s.tracer }
-
-// curSem returns the current worker pool and the channel closed when it
-// is swapped out.
-func (s *Service) curSem() (chan struct{}, <-chan struct{}) {
-	s.semMu.Lock()
-	defer s.semMu.Unlock()
-	return s.sem, s.semSwapped
-}
-
-// restartWorkers swaps in a fresh worker pool, stranding whatever holds
-// slots in the old one. Wedged computations keep their goroutines (they
-// release into the abandoned channel, which is then collected) but the
-// service regains its full concurrency immediately.
-func (s *Service) restartWorkers() {
-	s.semMu.Lock()
-	old := s.semSwapped
-	s.sem = make(chan struct{}, s.cfg.workers)
-	s.semSwapped = make(chan struct{})
-	s.semMu.Unlock()
-	close(old)
-	s.met.poolRestarts.Add(1)
-}
-
-// wedgeProbe feeds the watchdog: the pool is wedge-able when every
-// worker slot is held and requests are queued behind them; progress is
-// any request finishing, either way.
-func (s *Service) wedgeProbe() (int64, bool) {
-	progress := s.met.completed.Value() + s.met.errors.Value()
-	busy := s.met.inFlight.Value() >= int64(s.cfg.workers) && s.met.queued.Value() > 0
-	return progress, busy
-}
 
 // Request describes one prediction job. Exactly one of Source or
 // Benchmark must be set.
@@ -301,10 +252,8 @@ type Result struct {
 var ErrBusy = errors.New("service: request shed while queued")
 
 // Stats returns a point-in-time snapshot of the service counters,
-// including cache eviction counts, watchdog restarts, and
-// durability/recovery state.
+// including cache eviction counts and durability/recovery state.
 func (s *Service) Stats() Stats {
-	wd := WatchdogStats{Enabled: s.watchdog != nil, Restarts: s.met.poolRestarts.Value()}
 	dur := DurabilityStats{
 		Enabled:         s.dur != nil,
 		SnapshotEntries: s.met.recSnapEntries.Value(),
@@ -316,11 +265,8 @@ func (s *Service) Stats() Stats {
 		SnapshotErrors:  s.met.snapshotErrors.Value(),
 		JournalAppends:  s.met.journalAppends.Value(),
 	}
-	if s.dur != nil {
-		dur.WarmEntries = s.dur.warm.len()
-	}
 	return s.met.snapshot(
-		s.programs.stats(), s.analyses.stats(), s.runs.stats(), s.compares.stats(), wd, dur)
+		s.programs.stats(), s.analyses.stats(), s.runs.stats(), s.compares.stats(), dur)
 }
 
 // resolve normalizes a request: benchmark lookup, defaulted input,
@@ -427,13 +373,13 @@ func (s *Service) admitTraced(ctx context.Context) (func(), error) {
 		asp.End(err)
 		return nil, err
 	}
-	sem, err := s.admit(ctx, id)
+	err = s.admit(ctx, id)
 	asp.End(err)
 	if err != nil {
 		relTenant()
 		return nil, err
 	}
-	return func() { <-sem; relTenant() }, nil
+	return func() { <-s.sem; relTenant() }, nil
 }
 
 // admit implements admission control: take a worker slot immediately if
@@ -443,39 +389,27 @@ func (s *Service) admitTraced(ctx context.Context) (func(), error) {
 // tenants over their weighted max-min fair share first (see fairShed)
 // and lets under-share tenants keep queueing up to a hard cap. Shed
 // requests and queued requests whose context expires fail with
-// ErrBusy, classified as overload. The returned channel is the pool
-// the slot was taken from; release into exactly that channel. When the
-// watchdog swaps the pool mid-wait, queued requests migrate to the
-// fresh pool.
-func (s *Service) admit(ctx context.Context, id string) (chan struct{}, error) {
-	for {
-		sem, swapped := s.curSem()
-		select {
-		case sem <- struct{}{}:
-			return sem, nil
-		default:
-		}
-		q := s.met.queued.Add(1)
-		if d := s.cfg.queueDepth; d > 0 && q > int64(d) {
-			if shed, _ := s.fairShed(id, q); shed {
-				s.met.queued.Add(-1)
-				s.met.shed.Add(1)
-				return nil, s.shedError(id)
-			}
-		}
-		select {
-		case sem <- struct{}{}:
-			s.met.queued.Add(-1)
-			return sem, nil
-		case <-swapped:
-			s.met.queued.Add(-1)
-			continue // the pool was restarted; race for a fresh slot
-		case <-ctx.Done():
-			s.met.queued.Add(-1)
-			s.met.canceled.Add(1)
-			s.met.shed.Add(1)
-			return nil, resilience.Overloaded(fmt.Errorf("%w: %v", ErrBusy, ctx.Err()))
-		}
+// ErrBusy, classified as overload. On success the caller holds one
+// slot of s.sem and releases it with <-s.sem.
+func (s *Service) admit(ctx context.Context, id string) error {
+	select {
+	case s.sem <- struct{}{}:
+		return nil
+	default:
+	}
+	q := s.met.queued.Add(1)
+	defer s.met.queued.Add(-1)
+	if d := s.cfg.queueDepth; d > 0 && q > int64(d) && s.fairShed(id, q) {
+		s.met.shed.Add(1)
+		return s.shedError(id)
+	}
+	select {
+	case s.sem <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		s.met.canceled.Add(1)
+		s.met.shed.Add(1)
+		return resilience.Overloaded(fmt.Errorf("%w: %v", ErrBusy, ctx.Err()))
 	}
 }
 
@@ -487,11 +421,11 @@ func (s *Service) admit(ctx context.Context, id string) (chan struct{}, error) {
 func runStage[V any](s *Service, ctx context.Context, name string, fn func() (V, bool, error)) (V, bool, error) {
 	var val V
 	var hit bool
-	sp := obs.StartSpan(ctx, stageSpanName(name))
+	st := s.met.stages[name]
+	sp := obs.StartSpan(ctx, st.span)
 	start := time.Now()
-	fault := stageFaultName(name)
-	err := resilience.Safely(fault, func() error {
-		if ferr := resilience.Faultpoint(ctx, fault); ferr != nil {
+	err := resilience.Safely(st.fault, func() error {
+		if ferr := resilience.Faultpoint(ctx, st.fault); ferr != nil {
 			return ferr
 		}
 		var ferr error
@@ -502,8 +436,8 @@ func runStage[V any](s *Service, ctx context.Context, name string, fn func() (V,
 		s.met.panics.Add(1)
 	}
 	err = resilience.Classify(err)
-	s.met.stages[name].record(time.Since(start), hit, err)
-	if s.met.stages[name].cacheable && err == nil {
+	st.record(time.Since(start), hit, err)
+	if st.cacheable && err == nil {
 		if hit {
 			sp.Attr("cache", "hit")
 		} else {
@@ -564,8 +498,8 @@ func (s *Service) predict(ctx context.Context, req Request) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, resilience.Classify(err)
 	}
-	run, runHit, err := runStage(s, ctx, stageExecute, func() (*interp.Result, bool, error) {
-		r, hit, err := s.runs.do(ctx, runKey, func() (*interp.Result, error) {
+	run, runHit, err := runStage(s, ctx, stageExecute, func() (*cachedRun, bool, error) {
+		r, hit, err := s.runs.do(ctx, runKey, func() (*cachedRun, error) {
 			r, err := interp.Run(prog, interp.Config{
 				Input:     req.Input,
 				Budget:    req.Budget,
@@ -576,7 +510,10 @@ func (s *Service) predict(ctx context.Context, req Request) (*Result, error) {
 			if errors.As(err, &f) {
 				err = resilience.Invalid(err)
 			}
-			return r, err
+			if err != nil {
+				return nil, err
+			}
+			return &cachedRun{Result: r, recipe: recipeOf(&req)}, nil
 		})
 		if errors.Is(err, interp.ErrInterrupted) && ctx.Err() != nil {
 			err = ctx.Err()
@@ -623,7 +560,6 @@ func (s *Service) predict(ctx context.Context, req Request) (*Result, error) {
 		s.met.observeAttribution(analysis, req.Order, run.Profile)
 		return struct{}{}, false, nil
 	})
-	s.observeCompleted(&req, runKey)
 	return res, nil
 }
 

@@ -68,17 +68,12 @@ func (s *Service) admitTenant(ctx context.Context) (string, func(), error) {
 // plus queue) are shed; under-share tenants may keep queueing up to a
 // hard cap of twice the configured depth, which bounds memory while
 // the fairness gate drains the hogs.
-func (s *Service) fairShed(id string, queued int64) (shed bool, hard bool) {
-	d := int64(s.cfg.queueDepth)
+func (s *Service) fairShed(id string, queued int64) bool {
 	reg := s.cfg.tenants
-	if reg == nil {
-		return true, false
+	if reg == nil || queued > 2*int64(s.cfg.queueDepth) {
+		return true
 	}
-	if queued > 2*d {
-		return true, true
-	}
-	capacity := s.cfg.workers + s.cfg.queueDepth
-	return reg.OverShare(id, capacity), false
+	return reg.OverShare(id, s.cfg.workers+s.cfg.queueDepth)
 }
 
 // shedError builds the overload error for a fairness or queue-depth
