@@ -35,6 +35,12 @@ func main() {
 			fatal(err)
 		}
 	}
+	// RESULTS.txt renders first, so the order experiments' timings on
+	// stderr measure them; every table and graph below reuses them.
+	snapshot, _, err := e.Snapshot(os.Stderr)
+	if err != nil {
+		fatal(fmt.Errorf("RESULTS.txt: %w", err))
+	}
 
 	tables := []struct {
 		name string
@@ -66,10 +72,6 @@ func main() {
 			fatal(fmt.Errorf("graph %d: %w", n, err))
 		}
 		write(fmt.Sprintf("graph%02d.tsv", n), g.TSV())
-	}
-	snapshot, _, err := e.Snapshot(os.Stderr)
-	if err != nil {
-		fatal(fmt.Errorf("RESULTS.txt: %w", err))
 	}
 	write("RESULTS.txt", snapshot)
 	fmt.Fprintf(os.Stderr, "report complete in %.1fs\n", time.Since(start).Seconds())

@@ -23,6 +23,12 @@ run all 705432 subset trials.
 // exact subset experiment it ran, so a caller can check it without a
 // second run.
 func (e *Evaluator) Snapshot(timing io.Writer) (string, *orders.SubsetResult, error) {
+	// The order experiments run first, so timing measures them rather
+	// than the evaluator's cache; their text still follows the tables.
+	ordersText, exact, err := e.OrdersReport(10, timing)
+	if err != nil {
+		return "", nil, err
+	}
 	var b strings.Builder
 	b.WriteString(snapshotHeader)
 	for _, table := range []func() (string, error){
@@ -38,11 +44,7 @@ func (e *Evaluator) Snapshot(timing io.Writer) (string, *orders.SubsetResult, er
 		b.WriteString(s)
 		b.WriteString("\n")
 	}
-	s, exact, err := e.OrdersReport(10, timing)
-	if err != nil {
-		return "", nil, err
-	}
-	b.WriteString(s)
+	b.WriteString(ordersText)
 	for n := 1; n <= 13; n++ {
 		g, err := e.Graph(n)
 		if err != nil {
