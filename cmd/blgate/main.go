@@ -15,7 +15,7 @@
 //	       [-hedge-quantile 0.9] [-hedge-initial 50ms] [-hedge-min 5ms]
 //	       [-retry-ratio 0.2] [-retry-burst 10] [-stale-cap 256]
 //	       [-routing least-inflight] [-routing-seed 0]
-//	       [-trace-ring 256] [-trace-archive 512] [-trace-sample 0.01]
+//	       [-trace-archive 512] [-trace-sample 0.01]
 //	       [-trace-slow 250ms]
 //	       [-log-level info] [-log-format text]
 //
@@ -92,7 +92,6 @@ func main() {
 	routing := flag.String("routing", cluster.RoutingLeastInflight,
 		"replica routing policy: least-inflight or rendezvous (shard by request content key)")
 	routingSeed := flag.Uint64("routing-seed", 0, "tie-break RNG seed (0 = from the clock; fixed seeds reproduce routing)")
-	traceRing := flag.Int("trace-ring", 256, "recent traces retained in the in-memory ring")
 	traceArchive := flag.Int("trace-archive", 512, "max traces retained in the tail-sampled archive")
 	traceSample := flag.Float64("trace-sample", 0.01, "probability of archiving an otherwise uninteresting trace (deterministic per trace ID)")
 	traceSlow := flag.Duration("trace-slow", 250*time.Millisecond, "latency at or above which a trace is always archived")
@@ -135,7 +134,6 @@ func main() {
 		Timeout:       *timeout,
 		StaleCap:      *staleCap,
 		Logger:        logger,
-		Tracer:        obs.NewTracer(*traceRing, logger),
 		TraceArchive: obs.NewArchive(obs.ArchivePolicy{
 			Capacity:      *traceArchive,
 			SlowThreshold: *traceSlow,

@@ -59,8 +59,9 @@
 //
 // With -state-dir, the server persists its warm state (the recipes
 // behind the run cache, at most -cache of them, and the trace archive)
-// as a checksummed snapshot plus an append-only journal, recovers it at
-// boot — tolerating per-entry corruption — and replays it to rewarm the
+// as a checksummed snapshot plus an append-only journal of the runs
+// computed since it, recovers it at boot — tolerating per-entry
+// corruption — and replays it, each recipe under -timeout, to rewarm the
 // caches, so a crashed or killed server restarts warm.
 //
 // A shed request (full queue, or a tenant over its fair share) is

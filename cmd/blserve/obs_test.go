@@ -78,7 +78,7 @@ func TestDebugTraces(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	ts, _ := newTestServer(t)
+	ts, svc := newTestServer(t)
 	postPredict(t, ts, predictRequest{Source: testSrc})
 	postPredict(t, ts, predictRequest{Source: testSrc}) // warm hit
 
@@ -109,8 +109,16 @@ func TestMetricsEndpoint(t *testing.T) {
 		map[string]string{"endpoint": "predict"}); !ok || v != 2 {
 		t.Errorf("http_request_duration_seconds_count{predict} = %v (found %v), want 2", v, ok)
 	}
-	if v, ok := exp.Value("ballarus_run_cache_total", map[string]string{"result": "hit"}); !ok || v != 1 {
-		t.Errorf("run_cache_total{hit} = %v (found %v), want 1", v, ok)
+	st := svc.Stats()
+	if v, ok := exp.Value("ballarus_stage_cache_total",
+		map[string]string{"stage": "execute", "result": "hit"}); !ok || v != 1 || st.RunHits != 1 {
+		t.Errorf("stage_cache_total{execute,hit} = %v (found %v), stats say %d, want 1", v, ok, st.RunHits)
+	}
+	for _, stage := range st.Stages {
+		if v, ok := exp.Value("ballarus_stage_duration_seconds_count",
+			map[string]string{"stage": stage.Name}); !ok || int64(v) != stage.Count {
+			t.Errorf("stage_duration_seconds_count{%s} = %v (found %v), stats say %d", stage.Name, v, ok, stage.Count)
+		}
 	}
 }
 

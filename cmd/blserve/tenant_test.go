@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"ballarus/internal/resilience"
 	"ballarus/internal/service"
 	"ballarus/internal/tenant"
 )
@@ -180,6 +181,26 @@ func TestBatchQuotaRejectedAsUnit(t *testing.T) {
 	resp = tenantPost(t, ts, "/v1/predict", predictRequest{Source: testSrc}, hdr, &e)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("post-batch single request status = %d, want 429 (batch must charge per item)", resp.StatusCode)
+	}
+}
+
+// TestBatchItemPanicIsolated: a panic in scoring inside a batch item
+// fails that item alone as an internal error, and the server keeps
+// answering.
+func TestBatchItemPanicIsolated(t *testing.T) {
+	defer resilience.ClearFaults()
+	ts, _ := newTestServer(t)
+	resilience.InjectFault("service.score", resilience.Fault{Panic: "score panic", Times: 1})
+	var out batchResponse
+	req := batchRequest{Items: []batchItemRequest{{Predict: &predictRequest{Source: testSrc}}}}
+	if resp := tenantPost(t, ts, "/v1/batch", req, nil, &out); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status = %d, want 200", resp.StatusCode)
+	}
+	if out.Failed != 1 || out.Items[0].Code != "internal" {
+		t.Fatalf("batch = %+v, want its one item failed with code internal", out)
+	}
+	if resp, _ := postPredict(t, ts, predictRequest{Source: testSrc}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict after the panic: status %d, want 200", resp.StatusCode)
 	}
 }
 

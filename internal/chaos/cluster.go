@@ -378,9 +378,9 @@ func (c *cluster) metrics(context.Context) error {
 	c.r.HedgeFires = st.HedgeFires
 	c.r.HedgeWins = st.HedgeWins
 	c.r.StaleServed = st.StaleServed
-	c.expect(exp, "ballarus_gateway_hedge_fires_total", nil, float64(st.HedgeFires))
+	c.expect(exp, "ballarus_gateway_attempts_total", map[string]string{"kind": "hedge"}, float64(st.HedgeFires))
 	c.expect(exp, "ballarus_gateway_hedge_wins_total", nil, float64(st.HedgeWins))
-	c.expect(exp, "ballarus_gateway_stale_served_total", nil, float64(st.StaleServed))
+	c.expect(exp, "ballarus_gateway_requests_total", map[string]string{"outcome": "degraded"}, float64(st.StaleServed))
 	c.expect(exp, "ballarus_gateway_healthy_replicas", nil, 0)
 
 	if st.StaleServed < 1 {

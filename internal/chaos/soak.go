@@ -169,7 +169,8 @@ func (s *soak) traffic(n int) {
 // clears it. Faults are bounded (times) so an episode cannot poison
 // the rest of the run.
 func (s *soak) faultEpisode() {
-	stage := []string{"service.compile", "service.analyze", "service.execute"}[s.rng.Intn(3)]
+	stages := []string{"service.compile", "service.analyze", "service.predict", "service.execute", "service.score"}
+	stage := stages[s.rng.Intn(len(stages))]
 	var f map[string]any
 	switch s.rng.Intn(3) {
 	case 0:

@@ -65,9 +65,9 @@ func TestGatewayHedgesCompare(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > n*stall/2 {
 		t.Fatalf("%d compares took %v; hedging is not cutting the stall tail", n, elapsed)
 	}
-	if g.metrics.hedgeFires.Value() == 0 || g.metrics.hedgeWins.Value() == 0 {
+	if g.metrics.attempts[attemptHedge].Value() == 0 || g.metrics.hedgeWins.Value() == 0 {
 		t.Fatalf("hedge fires/wins = %d/%d, want both nonzero",
-			g.metrics.hedgeFires.Value(), g.metrics.hedgeWins.Value())
+			g.metrics.attempts[attemptHedge].Value(), g.metrics.hedgeWins.Value())
 	}
 }
 

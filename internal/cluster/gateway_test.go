@@ -362,7 +362,7 @@ func TestGatewayBrownout(t *testing.T) {
 			if out["degraded"] != true {
 				t.Fatalf("stale response not marked degraded: %s", data)
 			}
-			if g.metrics.staleServed.Value() == 0 {
+			if g.metrics.requests["degraded"].Value() == 0 {
 				t.Fatal("stale_served counter not incremented")
 			}
 
@@ -487,15 +487,11 @@ func TestGatewayStatsAndPassthrough(t *testing.T) {
 	}
 }
 
-// TestGatewayMetricsLint: the exposition must parse and lint clean,
-// and carry the headline gateway series.
-func TestGatewayMetricsLint(t *testing.T) {
-	a := newFakeReplica(t, "a")
-	b := newFakeReplica(t, "b")
-	_, ts := newTestGateway(t, Config{}, a, b)
-	postBody(t, ts.URL, `{"source":"x"}`, nil)
-
-	resp, err := http.Get(ts.URL + "/metrics")
+// scrapeGateway fetches the gateway's exposition and requires it to
+// lint clean.
+func scrapeGateway(t *testing.T, url string) *obs.Exposition {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,21 +507,74 @@ func TestGatewayMetricsLint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return e
+}
+
+// TestGatewayMetricsLint: the exposition must parse and lint clean,
+// carry the headline gateway series, and agree with /gateway/stats.
+func TestGatewayMetricsLint(t *testing.T) {
+	a := newFakeReplica(t, "a")
+	b := newFakeReplica(t, "b")
+	g, ts := newTestGateway(t, Config{}, a, b)
+	postBody(t, ts.URL, `{"source":"x"}`, nil)
+
+	e := scrapeGateway(t, ts.URL)
 	if v, ok := e.Value("ballarus_gateway_requests_total", map[string]string{"outcome": "ok"}); !ok || v < 1 {
 		t.Fatalf("requests_total{outcome=ok} = %v %v, want >= 1", v, ok)
 	}
 	if v, ok := e.Value("ballarus_gateway_healthy_replicas", map[string]string{}); !ok || v != 2 {
 		t.Fatalf("healthy_replicas = %v %v, want 2", v, ok)
 	}
-	for _, name := range []string{
-		"ballarus_gateway_hedge_fires_total",
-		"ballarus_gateway_hedge_wins_total",
-		"ballarus_gateway_retry_budget_tokens",
-		"ballarus_gateway_stale_served_total",
+	if _, ok := e.Value("ballarus_gateway_retry_budget_tokens", map[string]string{}); !ok {
+		t.Error("metric ballarus_gateway_retry_budget_tokens missing from exposition")
+	}
+	st := g.Stats()
+	for _, c := range []struct {
+		name   string
+		labels map[string]string
+		want   int64
+	}{
+		{"ballarus_gateway_attempts_total", map[string]string{"kind": "hedge"}, st.HedgeFires},
+		{"ballarus_gateway_hedge_wins_total", map[string]string{}, st.HedgeWins},
+		{"ballarus_gateway_requests_total", map[string]string{"outcome": "degraded"}, st.StaleServed},
 	} {
-		if _, ok := e.Value(name, map[string]string{}); !ok {
-			t.Errorf("metric %s missing from exposition", name)
+		if v, ok := e.Value(c.name, c.labels); !ok || int64(v) != c.want {
+			t.Errorf("%s%v = %v (found %v), /gateway/stats says %d", c.name, c.labels, v, ok, c.want)
 		}
+	}
+}
+
+// TestReplicaGaugesMatchStats: a replica that probes healthy but was
+// ejected after one 500 reads healthy 1 and ejected 1 in /metrics,
+// exactly as /gateway/stats reports it.
+func TestReplicaGaugesMatchStats(t *testing.T) {
+	a := newFakeReplica(t, "a")
+	b := newFakeReplica(t, "b")
+	a.predict.Store(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "boom", http.StatusInternalServerError)
+	})
+	g, ts := newTestGateway(t, Config{EjectAfter: 1, EjectBase: time.Minute, EjectMax: time.Minute}, a, b)
+	for i := 0; i < 8 && a.hits.Load() == 0; i++ {
+		postBody(t, ts.URL, fmt.Sprintf(`{"source":"req%d"}`, i), nil)
+	}
+
+	e := scrapeGateway(t, ts.URL)
+	ejected := 0
+	for _, rs := range g.Stats().Replicas {
+		if rs.Healthy && rs.Ejected {
+			ejected++
+		}
+		for name, want := range map[string]bool{
+			"ballarus_gateway_replica_healthy": rs.Healthy,
+			"ballarus_gateway_replica_ejected": rs.Ejected,
+		} {
+			if v, ok := e.Value(name, map[string]string{"replica": rs.ID}); !ok || (v == 1) != want {
+				t.Errorf("%s{replica=%s} = %v (found %v), /gateway/stats says %v", name, rs.ID, v, ok, want)
+			}
+		}
+	}
+	if ejected != 1 {
+		t.Fatalf("%d replicas both healthy and ejected, want the failing one", ejected)
 	}
 }
 

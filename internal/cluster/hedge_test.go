@@ -75,7 +75,7 @@ func TestHedgeBeatsStall(t *testing.T) {
 		t.Fatalf("%d requests took %v; hedging is not cutting the stall tail", n, elapsed)
 	}
 
-	fires, wins := g.metrics.hedgeFires.Value(), g.metrics.hedgeWins.Value()
+	fires, wins := g.metrics.attempts[attemptHedge].Value(), g.metrics.hedgeWins.Value()
 	if fires == 0 {
 		t.Fatal("no hedges fired despite a stalled replica")
 	}
@@ -115,7 +115,7 @@ func TestHedgeRespectsBudget(t *testing.T) {
 			t.Fatalf("request %d: status = %d (body %s)", i, resp.StatusCode, data)
 		}
 	}
-	if fires := g.metrics.hedgeFires.Value(); fires != 0 {
+	if fires := g.metrics.attempts[attemptHedge].Value(); fires != 0 {
 		t.Fatalf("hedges fired %d times with an empty budget", fires)
 	}
 	if denied := g.metrics.retryDenied.Value(); denied == 0 {

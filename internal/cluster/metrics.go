@@ -14,10 +14,8 @@ type metrics struct {
 
 	requests          map[string]*obs.Counter // by outcome class
 	attempts          map[string]*obs.Counter // by attempt kind
-	hedgeFires        *obs.Counter
 	hedgeWins         *obs.Counter
 	retryDenied       *obs.Counter
-	staleServed       *obs.Counter
 	probes            *obs.Counter
 	healthTransitions *obs.Counter
 	ejections         *obs.Counter
@@ -52,14 +50,10 @@ func newMetrics(g *Gateway) *metrics {
 		m.attempts[kind] = r.Counter("ballarus_gateway_attempts_total",
 			"Upstream attempts by kind.", "kind", kind)
 	}
-	m.hedgeFires = r.Counter("ballarus_gateway_hedge_fires_total",
-		"Hedge attempts launched after the latency-quantile delay.")
 	m.hedgeWins = r.Counter("ballarus_gateway_hedge_wins_total",
 		"Requests whose winning response came from a hedge attempt.")
 	m.retryDenied = r.Counter("ballarus_gateway_retry_budget_denied_total",
 		"Retries or hedges suppressed by an exhausted retry budget.")
-	m.staleServed = r.Counter("ballarus_gateway_stale_served_total",
-		"Brownout responses served from the last-known-good cache.")
 	m.probes = r.Counter("ballarus_gateway_probes_total",
 		"Active health probes performed.")
 	m.healthTransitions = r.Counter("ballarus_gateway_health_transitions_total",
@@ -80,20 +74,10 @@ func newMetrics(g *Gateway) *metrics {
 		rep := rep
 		r.GaugeFunc("ballarus_gateway_replica_healthy",
 			"Whether active probing considers the replica healthy (1/0).",
-			func() float64 {
-				if rep.available(time.Now()) {
-					return 1
-				}
-				return 0
-			}, "replica", rep.id)
+			func() float64 { return oneIf(rep.stats(time.Now()).Healthy) }, "replica", rep.id)
 		r.GaugeFunc("ballarus_gateway_replica_ejected",
 			"Whether the replica is inside a passive ejection cool-off (1/0).",
-			func() float64 {
-				if rep.ejected(time.Now()) {
-					return 1
-				}
-				return 0
-			}, "replica", rep.id)
+			func() float64 { return oneIf(rep.stats(time.Now()).Ejected) }, "replica", rep.id)
 		r.GaugeFunc("ballarus_gateway_replica_inflight",
 			"Attempts currently in flight to the replica.",
 			func() float64 { return float64(rep.inflight.Load()) }, "replica", rep.id)
@@ -106,6 +90,13 @@ func newMetrics(g *Gateway) *metrics {
 	}
 	g.archive.Register(r)
 	return m
+}
+
+func oneIf(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // handleMetrics serves the gateway's Prometheus exposition.

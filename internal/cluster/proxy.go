@@ -149,7 +149,6 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	// Brownout: every option is exhausted, but a stale answer for the
 	// identical request beats an error the client has to handle.
 	if stale, hit := g.stale.get(key); hit {
-		g.metrics.staleServed.Inc()
 		outcome("degraded", res.err)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
@@ -244,7 +243,6 @@ func (g *Gateway) do(ctx context.Context, pr proxyReq) upstream {
 		outstanding++
 		g.metrics.attempts[kind].Inc()
 		if kind == attemptHedge {
-			g.metrics.hedgeFires.Inc()
 			obs.ActiveFrom(ctx).Attr("hedged", "true")
 		}
 		actx, cancel := context.WithCancel(ctx)
@@ -486,9 +484,9 @@ func (g *Gateway) Stats() gatewayStats {
 		Routing:         g.routing.Name(),
 		HealthyReplicas: g.healthyCount(),
 		BudgetTokens:    g.budget.level(),
-		HedgeFires:      g.metrics.hedgeFires.Value(),
+		HedgeFires:      g.metrics.attempts[attemptHedge].Value(),
 		HedgeWins:       g.metrics.hedgeWins.Value(),
-		StaleServed:     g.metrics.staleServed.Value(),
+		StaleServed:     g.metrics.requests["degraded"].Value(),
 		StaleEntries:    g.stale.len(),
 	}
 	for _, rep := range g.replicas {

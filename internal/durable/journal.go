@@ -31,6 +31,7 @@ type Journal struct {
 	mu      sync.Mutex
 	f       *os.File
 	w       *bufio.Writer
+	size    int64 // bytes in the journal, buffered ones included
 	pending int
 	dirty   bool
 	syncs   int64
@@ -48,13 +49,19 @@ func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 	if opts.SyncBytes <= 0 {
 		opts.SyncBytes = 64 << 10
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
+		return nil, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
 		return nil, err
 	}
 	j := &Journal{
 		f:     f,
 		w:     bufio.NewWriter(f),
+		size:  fi.Size(),
 		opts:  opts,
 		stopc: make(chan struct{}),
 		donec: make(chan struct{}),
@@ -93,6 +100,7 @@ func (j *Journal) Append(payload []byte) error {
 		return err
 	}
 	j.dirty = true
+	j.size += journalHeaderLen + int64(len(payload))
 	j.pending += journalHeaderLen + len(payload)
 	force := j.pending >= j.opts.SyncBytes
 	j.mu.Unlock()
@@ -132,15 +140,39 @@ func (j *Journal) syncLocked() error {
 	return nil
 }
 
-// Reset truncates the journal to empty. Call after the state it covers
-// has been captured in a snapshot.
-func (j *Journal) Reset() error {
+// Mark returns the journal's end, for a later Trim.
+func (j *Journal) Mark() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.w.Reset(j.f) // drop anything buffered; it is covered by the snapshot
-	j.dirty = false
-	j.pending = 0
-	return j.f.Truncate(0)
+	return j.size
+}
+
+// Trim drops the records appended before mark and keeps the ones
+// appended since. Call it once a snapshot holds what the dropped
+// records cover. A crash inside Trim can lose the records it keeps;
+// they are durable again at the next batch fsync.
+func (j *Journal) Trim(mark int64) error {
+	if mark <= 0 {
+		return nil // nothing to drop
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.w.Flush(); err != nil {
+		return err
+	}
+	kept := make([]byte, j.size-min(mark, j.size))
+	if _, err := j.f.ReadAt(kept, j.size-int64(len(kept))); err != nil {
+		return err
+	}
+	if err := j.f.Truncate(0); err != nil {
+		return err
+	}
+	if _, err := j.f.Write(kept); err != nil {
+		return err
+	}
+	j.size = int64(len(kept))
+	j.dirty, j.pending = true, 0
+	return nil
 }
 
 // Close stops the batcher, syncs, and closes the file.

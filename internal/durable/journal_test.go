@@ -41,11 +41,16 @@ func TestJournalAppendReplay(t *testing.T) {
 		}
 	}
 
-	// Reset empties the journal; subsequent appends land at offset 0.
-	if err := j.Reset(); err != nil {
+	// Trim drops the records appended before its mark, keeps the one
+	// appended after it, and later appends follow it.
+	mark := j.Mark()
+	if err := j.Append([]byte("after-mark")); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append([]byte("after-reset")); err != nil {
+	if err := j.Trim(mark); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append([]byte("after-trim")); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -53,8 +58,8 @@ func TestJournalAppendReplay(t *testing.T) {
 	}
 	got = nil
 	st, err = ReplayJournal(path, func(p []byte) error { got = append(got, p); return nil })
-	if err != nil || st.Records != 1 || string(got[0]) != "after-reset" {
-		t.Fatalf("after reset: stats %+v, records %q, err %v", st, got, err)
+	if err != nil || st.Records != 2 || string(got[0]) != "after-mark" || string(got[1]) != "after-trim" {
+		t.Fatalf("after trim: stats %+v, records %q, err %v", st, got, err)
 	}
 }
 

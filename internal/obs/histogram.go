@@ -95,6 +95,19 @@ func (h *Histogram) ObserveDurationExemplar(d time.Duration, traceID string) {
 	}
 }
 
+// Count returns how many values have been observed.
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
+
+// Duration returns the sum of the observed durations, exact to the
+// nanosecond.
+func (h *Histogram) Duration() time.Duration { return time.Duration(h.sum.Load()) }
+
 // hasExemplars reports whether any bucket has recorded an exemplar.
 func (h *Histogram) hasExemplars() bool {
 	for i := range h.exemplars {

@@ -130,16 +130,19 @@ func KindOf(err error) error {
 }
 
 // Classify assigns a kind to err. Already-classified errors pass
-// through unchanged; known sentinels map to their kind
-// (interp.ErrBudget → ErrResourceExhausted; context cancellation,
-// deadline expiry, and interp.ErrInterrupted → ErrTimeout); anything
-// else is ErrInternal. Nil stays nil.
+// through unchanged; known causes map to their kind (a program's
+// runtime *interp.Fault → ErrInvalidInput; interp.ErrBudget →
+// ErrResourceExhausted; context cancellation, deadline expiry, and
+// interp.ErrInterrupted → ErrTimeout); anything else is ErrInternal.
+// Nil stays nil.
 func Classify(err error) error {
 	switch {
 	case err == nil:
 		return nil
 	case KindOf(err) != nil:
 		return err
+	case errors.As(err, new(*interp.Fault)):
+		return Invalid(err)
 	case errors.Is(err, interp.ErrBudget):
 		return Exhausted(err)
 	case errors.Is(err, context.Canceled),

@@ -64,6 +64,8 @@ func TestClassify(t *testing.T) {
 		{context.Canceled, ErrTimeout},
 		{context.DeadlineExceeded, ErrTimeout},
 		{interp.ErrInterrupted, ErrTimeout},
+		{&interp.Fault{Proc: "main", Msg: "division by zero"}, ErrInvalidInput},
+		{fmt.Errorf("x: %w", &interp.Fault{Proc: "main"}), ErrInvalidInput},
 		{errors.New("mystery"), ErrInternal},
 		{Invalid(errors.New("bad")), ErrInvalidInput}, // already classified: untouched
 	}

@@ -3,11 +3,11 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
 	"ballarus/internal/resilience"
+	"ballarus/internal/tenant"
 )
 
 // BatchItem is one element of a batch: exactly one of Predict or
@@ -53,8 +53,8 @@ func (s *Service) Batch(ctx context.Context, items []BatchItem) (*BatchOutcome, 
 	if len(items) == 0 {
 		return nil, resilience.Invalid(errors.New("service: empty batch"))
 	}
-	if reg := s.cfg.tenants; reg != nil {
-		rel, err := s.admitBatch(ctx, len(items))
+	if s.cfg.tenants != nil {
+		rel, err := s.charge(tenant.FromContext(ctx), len(items))
 		if err != nil {
 			s.met.shed.Add(1)
 			return nil, err
@@ -89,23 +89,6 @@ func (s *Service) Batch(ctx context.Context, items []BatchItem) (*BatchOutcome, 
 	}
 	out.Elapsed = time.Since(start)
 	return out, nil
-}
-
-// admitBatch charges the whole batch against the tenant's quota. The
-// returned release undoes the in-flight units when the batch finishes.
-func (s *Service) admitBatch(ctx context.Context, n int) (func(), error) {
-	reg := s.cfg.tenants
-	id := tenantID(ctx)
-	rel, qerr := reg.Admit(id, n)
-	if qerr != nil {
-		s.met.tenantShed(id, qerr.Reason)
-		return nil, resilience.Quota(fmt.Errorf("batch of %d: %w", n, qerr))
-	}
-	s.met.tenantInflight(id, int64(n))
-	return func() {
-		s.met.tenantInflight(id, int64(-n))
-		rel()
-	}, nil
 }
 
 // batchItem dispatches one item, classifying shape errors per item.

@@ -104,15 +104,6 @@ func (c *flightCache[V]) evict() {
 	}
 }
 
-// holds reports whether key has a completed entry, without refreshing
-// its LRU position.
-func (c *flightCache[V]) holds(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f, ok := c.m[key]
-	return ok && f.elem != nil
-}
-
 // completed returns the completed entries' keys and values, least
 // recently used first.
 func (c *flightCache[V]) completed() ([]string, []V) {

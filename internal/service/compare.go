@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"sort"
 	"time"
 
@@ -109,99 +108,42 @@ func (req *CompareRequest) compareKey(runKey string) string {
 // admitted, fault-isolated, and metered exactly like Predict.
 // Error classification follows the same taxonomy.
 func (s *Service) Compare(ctx context.Context, req CompareRequest) (*CompareResult, error) {
-	s.met.requests.Add(1)
 	start := time.Now()
-	if s.cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.timeout)
-		defer cancel()
+	res, err := serve(s, ctx, func(ctx context.Context) (*CompareResult, error) { return s.compare(ctx, req) })
+	if err == nil {
+		res.Elapsed = time.Since(start)
 	}
-	done, err := s.admitTraced(ctx)
-	if err != nil {
-		s.met.errors.Add(1)
-		return nil, err
-	}
-	defer done()
-	s.met.inFlight.Add(1)
-	defer s.met.inFlight.Add(-1)
-
-	res, err := s.compare(ctx, req)
-	if err != nil {
-		s.met.errors.Add(1)
-		if isCanceled(err) {
-			s.met.canceled.Add(1)
-		}
-		return nil, err
-	}
-	res.Elapsed = time.Since(start)
-	s.met.completed.Add(1)
-	return res, nil
+	return res, err
 }
 
 func (s *Service) compare(ctx context.Context, req CompareRequest) (*CompareResult, error) {
-	if err := s.resolve(&req.Request); err != nil {
-		return nil, err
-	}
+	// Backend names first, so a bad one costs no compile.
 	if err := resolveCompare(&req); err != nil {
 		return nil, err
 	}
-	progKey, analysisKey, runKey := req.Request.keys()
-
-	// Stages 1-3 are Predict's: same caches, same keys, so a compare
-	// after a predict of the same program pays for neither compile nor
-	// analysis (nor vice versa).
-	if err := ctx.Err(); err != nil {
-		return nil, resilience.Classify(err)
-	}
-	prog, progHit, err := s.compileStage(ctx, &req.Request, progKey)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, resilience.Classify(err)
-	}
-	analysis, analysisHit, err := s.analyzeStage(ctx, analysisKey, prog)
+	f, err := s.front(ctx, &req.Request)
 	if err != nil {
 		return nil, err
 	}
 
-	if err := ctx.Err(); err != nil {
-		return nil, resilience.Classify(err)
-	}
-	preds, _, _ := timedCtx(ctx, s.met, stagePredict, func() ([]core.Prediction, bool, error) {
-		return analysis.Predictions(req.Order), false, nil
-	})
-
-	// Stage 4: the tournament. One fresh interpreter run streams every
+	// Stage 7: the tournament. One fresh interpreter run streams every
 	// branch event through the entrants; the static pair is scored from
 	// the run's own edge profile. The whole result is content-addressed,
 	// so a repeat request is a single cache lookup.
-	if err := ctx.Err(); err != nil {
-		return nil, resilience.Classify(err)
-	}
 	res, compareHit, err := runStage(s, ctx, stageCompare, func() (*CompareResult, bool, error) {
-		r, hit, err := s.compares.do(ctx, req.compareKey(runKey), func() (*CompareResult, error) {
-			return s.runTournament(ctx, &req, prog, analysis, preds)
+		return s.compares.do(ctx, req.compareKey(f.runKey), func() (*CompareResult, error) {
+			return s.runTournament(ctx, &req, f.prog, f.analysis, f.preds)
 		})
-		if errors.Is(err, interp.ErrInterrupted) && ctx.Err() != nil {
-			err = ctx.Err()
-		}
-		return r, hit, err
 	})
 	if err != nil {
 		return nil, err
-	}
-	if compareHit {
-		s.met.runHits.Add(1)
-	} else {
-		s.met.runMisses.Add(1)
 	}
 
 	// Cache outcomes are per-request, and results are shared: return a
 	// shallow copy rather than mutating the cached value.
 	out := *res
-	out.ProgramCached = progHit
-	out.AnalysisCached = analysisHit
+	out.ProgramCached = f.progHit
+	out.AnalysisCached = f.analysisHit
 	out.CompareCached = compareHit
 	return &out, nil
 }
@@ -215,10 +157,6 @@ func (s *Service) runTournament(ctx context.Context, req *CompareRequest, prog *
 		Seed:      req.Seed,
 		Interrupt: ctx.Done(),
 	}, trace.PredictionVector(preds), req.Predictors, dynpred.H2POptions{MinExecuted: req.H2PMinExecuted})
-	var f *interp.Fault
-	if errors.As(err, &f) {
-		err = resilience.Invalid(err)
-	}
 	if err != nil {
 		return nil, err
 	}

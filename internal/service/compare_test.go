@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -261,10 +262,21 @@ func TestCompareFaultpointAndMetrics(t *testing.T) {
 		`ballarus_compare_miss_rate_pct{predictor="gshare"}`,
 		`ballarus_compare_branches_total`,
 		`ballarus_compare_h2p_branches_total{verdict="static_beaten"}`,
-		`ballarus_stage_runs_total{stage="compare"}`,
 	} {
 		if !strings.Contains(text, w) {
 			t.Errorf("metrics exposition missing %s", w)
+		}
+	}
+	// The failed and the computed run are each recorded once, in the
+	// stage's latency histogram, and only the computed one in its cache
+	// family.
+	st := stageFor(t, s.Stats(), stageCompare)
+	for _, w := range []string{
+		fmt.Sprintf(`ballarus_stage_duration_seconds_count{stage="compare"} %d`, st.Count),
+		fmt.Sprintf(`ballarus_stage_cache_total{stage="compare",result="miss"} %d`, st.CacheMisses),
+	} {
+		if !strings.Contains(text, w) || st.Count != 2 || st.Errors != 1 || st.CacheMisses != 1 {
+			t.Errorf("metrics exposition missing %s (stats %+v)", w, st)
 		}
 	}
 }

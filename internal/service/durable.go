@@ -86,7 +86,7 @@ type durability struct {
 	journal   *durable.Journal
 	snapEvery time.Duration
 
-	mu       sync.Mutex
+	mu       sync.Mutex // serializes snapshots and guards sections
 	sections map[string]DurableSection
 
 	stopc chan struct{}
@@ -95,9 +95,10 @@ type durability struct {
 
 // WithDurableStore persists service state under dir: a periodic (and
 // shutdown-time) snapshot of the recipes behind the run cache plus
-// registered sections, and an append-only journal of accepted requests.
-// Call Recover at boot to load it, and Close at shutdown to write the
-// final snapshot. An unusable directory surfaces from Recover.
+// registered sections, and an append-only journal of the runs computed
+// since the last snapshot. Call Recover at boot to load it, and Close
+// at shutdown to write the final snapshot. An unusable directory
+// surfaces from Recover.
 func WithDurableStore(dir string) Option { return func(c *config) { c.durableDir = dir } }
 
 // WithSnapshotInterval sets the periodic snapshot cadence; <= 0 means
@@ -161,14 +162,15 @@ func (s *Service) RegisterDurableSection(name string, sec DurableSection) {
 	s.dur.sections[name] = sec
 }
 
-// observeAccepted journals a newly accepted piece of work so a crash
-// mid-request can still rewarm it on restart. Requests the run cache
-// already holds are skipped — the next snapshot persists their recipes.
-func (s *Service) observeAccepted(req *Request, runKey string) {
-	if s.dur == nil || s.runs.holds(runKey) {
+// journalRun journals the recipe of a run the run cache just computed,
+// so a crash before the next snapshot can still rewarm it. A request
+// that never finishes is never journaled, and Recover's own replays are
+// not: the snapshot it ends with holds them.
+func (s *Service) journalRun(run *cachedRun) {
+	if s.dur == nil || s.recovering.Load() {
 		return
 	}
-	payload, err := json.Marshal(recipeOf(req))
+	payload, err := json.Marshal(run.recipe)
 	if err != nil {
 		return
 	}
@@ -193,12 +195,13 @@ type RecoveryStats struct {
 }
 
 // Recover loads durable state at boot: the snapshot (per-entry
-// corruption tolerant), then the journal (requests in flight when the
-// last process died), replaying every recipe through the pipeline to
-// rewarm the caches. It finishes by writing a fresh snapshot and
-// resetting the journal. Corruption is never fatal — it only increments
-// the skip counters. The only errors are configuration-level: no
-// durable store, or an unusable state directory.
+// corruption tolerant), then the journal (the runs computed after that
+// snapshot), replaying every recipe through the pipeline, each under
+// the request timeout, to rewarm the caches. It finishes by writing a
+// fresh snapshot, which empties the journal. Corruption is never fatal
+// — it only increments the skip counters, as does a replay that fails
+// or times out. The only errors are configuration-level: no durable
+// store, or an unusable state directory.
 func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 	var rs RecoveryStats
 	if s.dur == nil {
@@ -207,8 +210,8 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 		}
 		return rs, errors.New("service: no durable store configured (WithDurableStore)")
 	}
-	// Replayed work must not be re-journaled; it lands in the run cache,
-	// which the snapshot persists.
+	// Replayed runs are not journaled; they land in the run cache, which
+	// the snapshot persists.
 	s.recovering.Store(true)
 	defer s.recovering.Store(false)
 
@@ -266,27 +269,24 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 	rs.JournalSkipped += int64(jStats.Skipped)
 
 	s.met.recordRecovery(rs)
-	// The rewarmed state is now the baseline: persist it and drop the
+	// The rewarmed state is now the baseline: persist it, which drops the
 	// journal it subsumes.
-	if err := s.SnapshotNow(); err != nil {
-		return rs, err
-	}
-	if err := s.dur.journal.Reset(); err != nil {
-		return rs, fmt.Errorf("service: reset journal: %w", err)
-	}
-	return rs, nil
+	return rs, s.SnapshotNow()
 }
 
-// replayRecipe reruns one persisted recipe through the pipeline,
-// bypassing admission control (recovery happens before traffic). A
-// successful replay lands in the run cache. Returns false when the
-// recipe is unusable or the pipeline rejects it — a recipe that no
-// longer computes is data loss, not an outage.
+// replayRecipe reruns one persisted recipe through the pipeline under
+// the request timeout, bypassing admission control (recovery happens
+// before traffic). A successful replay lands in the run cache. Returns
+// false when the recipe is unusable, the pipeline rejects it or it
+// times out — a recipe that no longer computes is data loss, not an
+// outage.
 func (s *Service) replayRecipe(ctx context.Context, payload []byte) bool {
 	var r recipe
 	if err := json.Unmarshal(payload, &r); err != nil || r.Source == "" {
 		return false
 	}
+	ctx, cancel := s.withTimeout(ctx)
+	defer cancel()
 	res, err := s.predict(ctx, r.request())
 	return err == nil && res != nil
 }
@@ -294,11 +294,18 @@ func (s *Service) replayRecipe(ctx context.Context, payload []byte) bool {
 // SnapshotNow writes a snapshot of the run cache's recipes, least
 // recently used first so replay leaves the most recent work at the
 // front of the LRU, and of every registered section, atomically
-// replacing the previous snapshot.
+// replacing the previous snapshot. Once it is on disk, the journal
+// drops the records appended before the run cache was read.
 func (s *Service) SnapshotNow() error {
 	if s.dur == nil {
 		return errors.New("service: no durable store configured")
 	}
+	s.dur.mu.Lock()
+	defer s.dur.mu.Unlock()
+	// A run is journaled after it enters the run cache, so every record
+	// before this mark is of a run the cache read below holds (or has
+	// evicted).
+	mark := s.dur.journal.Mark()
 	keys, runs := s.runs.completed()
 	entries := make([]durable.Entry, 0, len(keys))
 	for i, run := range runs {
@@ -308,7 +315,6 @@ func (s *Service) SnapshotNow() error {
 		}
 		entries = append(entries, durable.Entry{Section: SectionRequests, Key: keys[i], Payload: payload})
 	}
-	s.dur.mu.Lock()
 	for name, sec := range s.dur.sections {
 		if sec.Collect == nil {
 			continue
@@ -318,12 +324,14 @@ func (s *Service) SnapshotNow() error {
 			entries = append(entries, e)
 		}
 	}
-	s.dur.mu.Unlock()
 	if err := durable.WriteSnapshotFile(s.dur.store.SnapshotPath(), entries); err != nil {
 		s.met.snapshotErrors.Add(1)
 		return fmt.Errorf("service: write snapshot: %w", err)
 	}
 	s.met.snapshotWrites.Add(1)
+	if err := s.dur.journal.Trim(mark); err != nil {
+		return fmt.Errorf("service: trim journal: %w", err)
+	}
 	return nil
 }
 
@@ -339,10 +347,6 @@ func (s *Service) Close() error {
 		close(s.dur.stopc)
 		<-s.dur.donec
 		err = s.SnapshotNow()
-		if err == nil {
-			// The snapshot covers everything; the journal is obsolete.
-			err = s.dur.journal.Reset()
-		}
 		if cerr := s.dur.journal.Close(); err == nil {
 			err = cerr
 		}

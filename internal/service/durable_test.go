@@ -3,12 +3,15 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"ballarus/internal/durable"
+	"ballarus/internal/resilience"
 )
 
 // waitUntil polls cond until it holds or the deadline passes.
@@ -135,12 +138,9 @@ func TestSnapshotCorruptionSkipped(t *testing.T) {
 	if err := svc1.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
-	// Drop the journal so recovery depends on the snapshot alone, then
-	// flip one byte inside the first entry (its section bytes): the CRC
-	// must reject exactly that entry.
-	if err := svc1.dur.journal.Reset(); err != nil {
-		t.Fatal(err)
-	}
+	// The snapshot emptied the journal, so recovery depends on the
+	// snapshot alone. Flip one byte inside the first entry (its section
+	// bytes): the CRC must reject exactly that entry.
 	path := svc1.dur.store.SnapshotPath()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -306,5 +306,120 @@ func TestRecoverWithoutStore(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Durability.Enabled {
 		t.Fatalf("undurable service reports %+v", st)
+	}
+}
+
+// endlessLoop runs 10^9 iterations: under a 2^40 budget it ends only at
+// its deadline.
+const endlessLoop = `int main() { int i; int s = 0; for (i = 0; i < 1000000000; i++) { s += i % 7; } printi(s); return 0; }`
+
+// recoverWithin runs svc.Recover and fails the test if it has not
+// returned within 5 s, canceling it so a stuck replay ends with the
+// test. It returns the stats and how long Recover took.
+func recoverWithin(t *testing.T, svc *Service) (RecoveryStats, time.Duration) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type outcome struct {
+		rs  RecoveryStats
+		err error
+	}
+	done := make(chan outcome, 1)
+	start := time.Now()
+	go func() {
+		rs, err := svc.Recover(ctx)
+		done <- outcome{rs, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		return o.rs, time.Since(start)
+	case <-time.After(5 * time.Second):
+		cancel()
+		<-done
+		t.Fatal("Recover still running after 5 s")
+		return RecoveryStats{}, 0
+	}
+}
+
+// TestTimedOutRequestNotReplayed: a request that timed out computed no
+// run, so nothing is journaled and a restart replays nothing.
+func TestTimedOutRequestNotReplayed(t *testing.T) {
+	dir := t.TempDir()
+	opts := []Option{WithDurableStore(dir), WithSnapshotInterval(time.Hour), WithRequestTimeout(50 * time.Millisecond)}
+	svc1 := New(opts...)
+	_, err := svc1.Predict(context.Background(), Request{Source: endlessLoop, Budget: 1 << 40})
+	if !errors.Is(err, resilience.ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+	if err := svc1.dur.journal.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Crash: no Close.
+
+	svc2 := New(opts...)
+	defer svc2.Close()
+	rs, took := recoverWithin(t, svc2)
+	if took > time.Second || rs.Warmed != 0 {
+		t.Fatalf("Recover took %v with stats %+v, want under 1 s and nothing warmed", took, rs)
+	}
+}
+
+// TestJournaledTimeoutSkipped: a journal record whose replay outlasts
+// the request timeout is skipped and counted, not run without a
+// deadline.
+func TestJournaledTimeoutSkipped(t *testing.T) {
+	dir := t.TempDir()
+	payload, err := json.Marshal(recipeOf(&Request{Source: endlessLoop, Budget: 1 << 40}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := durable.OpenJournal(filepath.Join(dir, durable.JournalName), durable.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc := New(WithDurableStore(dir), WithSnapshotInterval(time.Hour), WithRequestTimeout(50*time.Millisecond))
+	defer svc.Close()
+	rs, took := recoverWithin(t, svc)
+	if took > time.Second || rs.JournalSkipped != 1 || rs.Warmed != 0 {
+		t.Fatalf("Recover took %v with stats %+v, want under 1 s and the record skipped", took, rs)
+	}
+}
+
+// TestSnapshotTrimsJournal: a snapshot drops the journal records it
+// covers, so a crash after it replays only the run computed since.
+func TestSnapshotTrimsJournal(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	svc1 := New(WithDurableStore(dir), WithSnapshotInterval(time.Hour))
+	for i := int64(0); i < 6; i++ {
+		if i == 5 {
+			if err := svc1.SnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := svc1.Predict(ctx, Request{Source: testSrc, Seed: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc1.dur.journal.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Crash: no Close.
+
+	svc2 := New(WithDurableStore(dir), WithSnapshotInterval(time.Hour))
+	defer svc2.Close()
+	rs, _ := recoverWithin(t, svc2)
+	if rs.SnapshotEntries != 5 || rs.JournalReplayed != 1 || rs.Warmed != 6 {
+		t.Fatalf("recovery stats %+v, want 5 snapshot entries, 1 journal record, 6 warmed", rs)
 	}
 }

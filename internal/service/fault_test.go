@@ -79,6 +79,40 @@ func TestFaultMatrix(t *testing.T) {
 	}
 }
 
+// TestEveryStageIsolated: a panic at any of the seven stages fails
+// only the call that hits it, as an internal error counted once in
+// Stats().Panics (optimize runs inside compile, and is still counted
+// once), and the next identical call succeeds.
+func TestEveryStageIsolated(t *testing.T) {
+	for _, stage := range stageOrder {
+		t.Run(stage, func(t *testing.T) {
+			defer resilience.ClearFaults()
+			s := New()
+			defer s.Close()
+			req := Request{Source: testSrc, Optimize: true}
+			call := func() error {
+				var err error
+				if stage == stageCompare {
+					_, err = s.Compare(context.Background(), CompareRequest{Request: req})
+				} else {
+					_, err = s.Predict(context.Background(), req)
+				}
+				return err
+			}
+			resilience.InjectFault("service."+stage, resilience.Fault{Panic: "injected " + stage, Times: 1})
+			if err := call(); !errors.Is(err, resilience.ErrInternal) || !resilience.IsPanic(err) {
+				t.Fatalf("err = %v, want a recovered panic classified internal", err)
+			}
+			if got := s.Stats().Panics; got != 1 {
+				t.Fatalf("panics = %d, want 1", got)
+			}
+			if err := call(); err != nil {
+				t.Fatalf("next identical call: %v", err)
+			}
+		})
+	}
+}
+
 // TestExpiredDeadlinesDoNotRefuseOthers: a request whose own deadline
 // expires fails alone. Eight of them in a row leave every other
 // request's answer unchanged: a benchmark answered before them still

@@ -1,9 +1,7 @@
 package service
 
 import (
-	"context"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"ballarus/internal/core"
@@ -55,13 +53,12 @@ const (
 // stageMetrics accumulates one pipeline stage's counters. All values
 // live in the obs registry, so hot-path recording never takes a lock
 // and the Prometheus exposition reads the same source of truth as
-// Stats().
+// Stats(). The latency histogram is the one record of each run: its
+// count and sum are Stats()' count and total time.
 type stageMetrics struct {
 	span      string // "stage.<name>", the stage's span name
 	fault     string // "service.<name>", its faultpoint and panic-isolation name
-	count     *obs.Counter
 	errors    *obs.Counter
-	nanos     atomic.Int64 // cumulative wall time, for Stats().MeanTime
 	hits      *obs.Counter // cache hits (cacheable stages only)
 	misses    *obs.Counter // cache misses, i.e. actual computations
 	lat       *obs.Histogram
@@ -69,8 +66,6 @@ type stageMetrics struct {
 }
 
 func (m *stageMetrics) record(d time.Duration, hit bool, err error) {
-	m.count.Inc()
-	m.nanos.Add(int64(d))
 	m.lat.ObserveDuration(d)
 	if err != nil {
 		m.errors.Inc()
@@ -146,8 +141,8 @@ type Stats struct {
 	Canceled  int64         `json:"canceled"`   // errors that were cancellations/timeouts
 	Shed      int64         `json:"shed"`       // requests rejected by admission control
 	Panics    int64         `json:"panics"`     // panics recovered inside pipeline stages
-	RunHits   int64         `json:"run_hits"`   // whole-pipeline result cache hits
-	RunMisses int64         `json:"run_misses"` // whole-pipeline executions
+	RunHits   int64         `json:"run_hits"`   // run and tournament cache hits
+	RunMisses int64         `json:"run_misses"` // interpreter runs and tournaments computed
 	Programs  int           `json:"programs"`   // compiled programs cached
 	Analyses  int           `json:"analyses"`   // analyses cached
 	Runs      int           `json:"runs"`       // run results cached
@@ -176,8 +171,6 @@ type metrics struct {
 	canceled  *obs.Counter
 	shed      *obs.Counter
 	panics    *obs.Counter
-	runHits   *obs.Counter
-	runMisses *obs.Counter
 	deadline  *obs.Histogram // remaining deadline at admission
 	stages    map[string]*stageMetrics
 
@@ -281,8 +274,6 @@ func newMetrics(start time.Time) *metrics {
 		canceled:  reg.Counter("ballarus_requests_canceled_total", "Errors that were cancellations or timeouts."),
 		shed:      reg.Counter("ballarus_requests_shed_total", "Requests rejected by admission control."),
 		panics:    reg.Counter("ballarus_stage_panics_total", "Panics recovered inside pipeline stages."),
-		runHits:   reg.Counter("ballarus_run_cache_total", "Whole-pipeline run cache outcomes.", "result", "hit"),
-		runMisses: reg.Counter("ballarus_run_cache_total", "Whole-pipeline run cache outcomes.", "result", "miss"),
 		deadline: reg.Histogram("ballarus_request_deadline_seconds",
 			"Remaining deadline when a request enters the pipeline — how much budget clients (or the gateway's X-Deadline-Ms) actually grant.",
 			obs.DurationBuckets),
@@ -312,7 +303,6 @@ func newMetrics(start time.Time) *metrics {
 		m.stages[name] = &stageMetrics{
 			span:   "stage." + name,
 			fault:  "service." + name,
-			count:  reg.Counter("ballarus_stage_runs_total", stageHelp+"executions (including cache hits).", "stage", name),
 			errors: reg.Counter("ballarus_stage_errors_total", stageHelp+"failures.", "stage", name),
 			hits:   reg.Counter("ballarus_stage_cache_total", stageHelp+"cache outcomes.", "stage", name, "result", "hit"),
 			misses: reg.Counter("ballarus_stage_cache_total", stageHelp+"cache outcomes.", "stage", name, "result", "miss"),
@@ -424,19 +414,6 @@ func (m *metrics) observeAttribution(a *core.Analysis, order core.Order, p *prof
 	}
 }
 
-// timedCtx runs fn as the named stage, recording latency and cache
-// outcome, under a span on ctx's active trace (free when the request
-// carries no trace).
-func timedCtx[V any](ctx context.Context, m *metrics, name string, fn func() (V, bool, error)) (V, bool, error) {
-	st := m.stages[name]
-	sp := obs.StartSpan(ctx, st.span)
-	start := time.Now()
-	v, hit, err := fn()
-	st.record(time.Since(start), hit, err)
-	sp.End(err)
-	return v, hit, err
-}
-
 func (m *metrics) snapshot(programs, analyses, runs, compares cacheSnapshot, durability DurabilityStats) Stats {
 	s := Stats{
 		Requests:  m.requests.Value(),
@@ -447,8 +424,8 @@ func (m *metrics) snapshot(programs, analyses, runs, compares cacheSnapshot, dur
 		Canceled:  m.canceled.Value(),
 		Shed:      m.shed.Value(),
 		Panics:    m.panics.Value(),
-		RunHits:   m.runHits.Value(),
-		RunMisses: m.runMisses.Value(),
+		RunHits:   m.stages[stageExecute].hits.Value() + m.stages[stageCompare].hits.Value(),
+		RunMisses: m.stages[stageExecute].misses.Value() + m.stages[stageCompare].misses.Value(),
 		Programs:  programs.entries,
 		Analyses:  analyses.entries,
 		Runs:      runs.entries,
@@ -467,9 +444,9 @@ func (m *metrics) snapshot(programs, analyses, runs, compares cacheSnapshot, dur
 		st := m.stages[name]
 		snap := StageStats{
 			Name:        name,
-			Count:       st.count.Value(),
+			Count:       st.lat.Count(),
 			Errors:      st.errors.Value(),
-			TotalTime:   time.Duration(st.nanos.Load()),
+			TotalTime:   st.lat.Duration(),
 			CacheHits:   st.hits.Value(),
 			CacheMisses: st.misses.Value(),
 		}

@@ -124,6 +124,9 @@ func TestServiceMetricsExposition(t *testing.T) {
 		if _, err := s.Predict(ctx, Request{Source: obsTestSrc, Optimize: true}); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := s.Compare(ctx, CompareRequest{Request: Request{Source: obsTestSrc, Optimize: true}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var buf bytes.Buffer
 	if err := s.Metrics().WritePrometheus(&buf); err != nil {
@@ -151,16 +154,19 @@ func TestServiceMetricsExposition(t *testing.T) {
 	if got := value("ballarus_requests_completed_total", nil); int64(got) != st.Completed {
 		t.Errorf("completed_total = %v, stats say %d", got, st.Completed)
 	}
-	if got := value("ballarus_run_cache_total", map[string]string{"result": "hit"}); int64(got) != st.RunHits {
-		t.Errorf("run_cache_total{hit} = %v, stats say %d", got, st.RunHits)
+	// The run and tournament caches' outcomes are the execute and
+	// compare rows of the stage cache family.
+	for result, want := range map[string]int64{"hit": st.RunHits, "miss": st.RunMisses} {
+		got := value("ballarus_stage_cache_total", map[string]string{"stage": stageExecute, "result": result}) +
+			value("ballarus_stage_cache_total", map[string]string{"stage": stageCompare, "result": result})
+		if int64(got) != want || want != 2 {
+			t.Errorf("stage_cache_total{execute+compare,%s} = %v, stats say %d, want 2", result, got, want)
+		}
 	}
 	for _, stage := range stageOrder {
 		want := stageFor(t, st, stage).Count
-		if got := value("ballarus_stage_runs_total", map[string]string{"stage": stage}); int64(got) != want {
-			t.Errorf("stage_runs_total{%s} = %v, stats say %d", stage, got, want)
-		}
-		if got := value("ballarus_stage_duration_seconds_count", map[string]string{"stage": stage}); int64(got) != want {
-			t.Errorf("stage_duration_seconds_count{%s} = %v, want %d", stage, got, want)
+		if got := value("ballarus_stage_duration_seconds_count", map[string]string{"stage": stage}); int64(got) != want || want == 0 {
+			t.Errorf("stage_duration_seconds_count{%s} = %v, stats say %d, want > 0", stage, got, want)
 		}
 	}
 	// Domain metrics: every dynamic branch is attributed to exactly one

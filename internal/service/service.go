@@ -1,7 +1,10 @@
 // Package service runs the full ballarus pipeline — compile, optimize,
-// analyze, predict, execute, score — as a concurrent, cached prediction
-// service. It is the throughput layer the CLI tools, the HTTP server
-// (cmd/blserve), and the evaluation harness share:
+// analyze, predict, execute, score, and compare's tournament — as a
+// concurrent, cached prediction service. It is the throughput layer the
+// CLI tools, the HTTP server (cmd/blserve), and the evaluation harness
+// share. Predict and Compare take one request path (timeout, admission,
+// request counters) and share the front half of the pipeline, and all
+// seven stages run through one stage runner:
 //
 //   - bounded concurrency: at most Workers requests execute at once, the
 //     rest queue (respecting their contexts);
@@ -9,12 +12,13 @@
 //     programs, analyses, and deterministic run results are keyed by a
 //     SHA-256 of their inputs, and concurrent requests for the same key
 //     share one computation;
-//   - observability: per-stage latency, throughput, and cache-hit
-//     counters, exposed as a Stats snapshot;
+//   - observability: each stage run is recorded once, in its latency
+//     histogram, beside its error and cache-hit counters, all exposed as
+//     a Stats snapshot;
 //   - cancellation: context deadlines and cancellation are honored
 //     between stages and interrupt the interpreter mid-run;
 //   - resilience: every error is classified into the typed taxonomy of
-//     internal/resilience, each stage runs behind panic isolation and a
+//     internal/resilience, every stage runs behind panic isolation and a
 //     fault-injection point, and admission control sheds load once the
 //     queue is full. A failed stage fails only its own request: the
 //     stages are pure functions of their input, so nothing is retried
@@ -321,13 +325,21 @@ func (req *Request) keys() (progKey, analysisKey, runKey string) {
 // exactly one of resilience.ErrInvalidInput, ErrResourceExhausted,
 // ErrOverload, ErrTimeout, or ErrInternal holds.
 func (s *Service) Predict(ctx context.Context, req Request) (*Result, error) {
-	s.met.requests.Add(1)
 	start := time.Now()
-	if s.cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.timeout)
-		defer cancel()
+	res, err := serve(s, ctx, func(ctx context.Context) (*Result, error) { return s.predict(ctx, req) })
+	if err == nil {
+		res.Elapsed = time.Since(start)
 	}
+	return res, err
+}
+
+// serve is the one request path behind Predict and Compare: it applies
+// the service timeout, admits the request, runs it, and keeps the
+// request counters.
+func serve[R any](s *Service, ctx context.Context, run func(context.Context) (*R, error)) (*R, error) {
+	s.met.requests.Add(1)
+	ctx, cancel := s.withTimeout(ctx)
+	defer cancel()
 	done, err := s.admitTraced(ctx)
 	if err != nil {
 		s.met.errors.Add(1)
@@ -337,7 +349,7 @@ func (s *Service) Predict(ctx context.Context, req Request) (*Result, error) {
 	s.met.inFlight.Add(1)
 	defer s.met.inFlight.Add(-1)
 
-	res, err := s.predict(ctx, req)
+	res, err := run(ctx)
 	if err != nil {
 		s.met.errors.Add(1)
 		if isCanceled(err) {
@@ -345,9 +357,17 @@ func (s *Service) Predict(ctx context.Context, req Request) (*Result, error) {
 		}
 		return nil, err
 	}
-	res.Elapsed = time.Since(start)
 	s.met.completed.Add(1)
 	return res, nil
+}
+
+// withTimeout applies the service's request timeout, if any, to ctx. A
+// tighter deadline already on ctx still wins.
+func (s *Service) withTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
+	if s.cfg.timeout > 0 {
+		return context.WithTimeout(ctx, s.cfg.timeout)
+	}
+	return ctx, func() {}
 }
 
 // admitTraced wraps tenant-quota and worker-slot admission in an
@@ -364,22 +384,27 @@ func (s *Service) admitTraced(ctx context.Context) (func(), error) {
 		s.met.deadline.Observe(remaining.Seconds())
 		asp.Attr("deadline_remaining", remaining.Round(time.Millisecond).String())
 	}
-	id, relTenant, err := s.admitTenant(ctx)
-	if id != "" {
+	id, release := "", func() {}
+	if s.cfg.tenants != nil {
+		id = tenant.FromContext(ctx)
 		asp.Attr("tenant", id)
+		s.met.tenantRequest(id)
+		if !preadmitted(ctx) {
+			var err error
+			if release, err = s.charge(id, 1); err != nil {
+				s.met.shed.Add(1)
+				asp.End(err)
+				return nil, err
+			}
+		}
 	}
-	if err != nil {
-		s.met.shed.Add(1)
-		asp.End(err)
-		return nil, err
-	}
-	err = s.admit(ctx, id)
+	err := s.admit(ctx, id)
 	asp.End(err)
 	if err != nil {
-		relTenant()
+		release()
 		return nil, err
 	}
-	return func() { <-s.sem; relTenant() }, nil
+	return func() { <-s.sem; release() }, nil
 }
 
 // admit implements admission control: take a worker slot immediately if
@@ -413,14 +438,20 @@ func (s *Service) admit(ctx context.Context, id string) error {
 	}
 }
 
-// runStage runs one failure-prone pipeline stage behind the resilience
-// layer: panics are isolated into ErrInternal with captured stacks, a
-// faultpoint named "service.<stage>" allows deterministic fault
-// injection, and the outcome is classified into the typed taxonomy and
-// recorded in the stage metrics. A failure fails this request only.
+// runStage runs one pipeline stage, the only way any of the seven
+// runs. A request whose context has already ended fails before the
+// stage starts. The stage runs under its span, behind panic isolation
+// and a faultpoint named "service.<stage>" for deterministic fault
+// injection. An interpreter interrupt caused by the request's context
+// reports as that context's error, the outcome is classified into the
+// typed taxonomy, and it is recorded once, in the stage's metrics. A
+// failure fails this request only.
 func runStage[V any](s *Service, ctx context.Context, name string, fn func() (V, bool, error)) (V, bool, error) {
 	var val V
 	var hit bool
+	if err := ctx.Err(); err != nil {
+		return val, false, resilience.Classify(err)
+	}
 	st := s.met.stages[name]
 	sp := obs.StartSpan(ctx, st.span)
 	start := time.Now()
@@ -432,10 +463,18 @@ func runStage[V any](s *Service, ctx context.Context, name string, fn func() (V,
 		val, hit, ferr = fn()
 		return ferr
 	})
-	if resilience.IsPanic(err) {
-		s.met.panics.Add(1)
+	if err != nil {
+		// Safely returns a *PanicError unwrapped only for a panic it
+		// recovered itself, so a panic in a nested stage (optimize runs
+		// inside compile) counts once.
+		if _, ok := err.(*resilience.PanicError); ok {
+			s.met.panics.Add(1)
+		}
+		if errors.Is(err, interp.ErrInterrupted) && ctx.Err() != nil {
+			err = ctx.Err()
+		}
+		err = resilience.Classify(err)
 	}
-	err = resilience.Classify(err)
 	st.record(time.Since(start), hit, err)
 	if st.cacheable && err == nil {
 		if hit {
@@ -451,123 +490,34 @@ func runStage[V any](s *Service, ctx context.Context, name string, fn func() (V,
 	return val, hit, nil
 }
 
-func (s *Service) predict(ctx context.Context, req Request) (*Result, error) {
-	if err := s.resolve(&req); err != nil {
-		return nil, err
-	}
-	progKey, analysisKey, runKey := req.keys()
-	if !s.recovering.Load() {
-		s.observeAccepted(&req, runKey)
-	}
-
-	// Stage 1+2: compile (and optionally optimize) the source. The cache
-	// stores the post-optimizer program so the analysis cache keys align.
-	// Compiler rejections are the client's fault; everything else that
-	// goes wrong in a stage classifies per resilience.Classify.
-	if err := ctx.Err(); err != nil {
-		return nil, resilience.Classify(err)
-	}
-	prog, progHit, err := s.compileStage(ctx, &req, progKey)
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 3: Ball-Larus analysis.
-	if err := ctx.Err(); err != nil {
-		return nil, resilience.Classify(err)
-	}
-	analysis, analysisHit, err := s.analyzeStage(ctx, analysisKey, prog)
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 4: the prediction vector under the requested order. Cheap,
-	// derived, and order-specific, so computed per request.
-	if err := ctx.Err(); err != nil {
-		return nil, resilience.Classify(err)
-	}
-	preds, _, _ := timedCtx(ctx, s.met, stagePredict, func() ([]core.Prediction, bool, error) {
-		return analysis.Predictions(req.Order), false, nil
-	})
-
-	// Stage 5: execute. The interpreter is deterministic given the
-	// config, so results are content-addressed like everything else.
-	// Runtime faults in the program are the client's; a blown budget is
-	// resource exhaustion; an interrupt caused by this request's context
-	// is reported as the context's error.
-	if err := ctx.Err(); err != nil {
-		return nil, resilience.Classify(err)
-	}
-	run, runHit, err := runStage(s, ctx, stageExecute, func() (*cachedRun, bool, error) {
-		r, hit, err := s.runs.do(ctx, runKey, func() (*cachedRun, error) {
-			r, err := interp.Run(prog, interp.Config{
-				Input:     req.Input,
-				Budget:    req.Budget,
-				Seed:      req.Seed,
-				Interrupt: ctx.Done(),
-			})
-			var f *interp.Fault
-			if errors.As(err, &f) {
-				err = resilience.Invalid(err)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return &cachedRun{Result: r, recipe: recipeOf(&req)}, nil
-		})
-		if errors.Is(err, interp.ErrInterrupted) && ctx.Err() != nil {
-			err = ctx.Err()
-		}
-		return r, hit, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if runHit {
-		s.met.runHits.Add(1)
-	} else {
-		s.met.runMisses.Add(1)
-	}
-
-	// Stage 6: score the predictions against the measured profile.
-	res := &Result{
-		Name:            req.Benchmark,
-		Analysis:        analysis,
-		Profile:         run.Profile,
-		Predictions:     preds,
-		StaticBranches:  len(analysis.Branches),
-		DynamicBranches: run.Profile.Total(),
-		Steps:           run.Steps,
-		ExitCode:        run.ExitCode,
-		Output:          run.Output,
-		ProgramCached:   progHit,
-		AnalysisCached:  analysisHit,
-		RunCached:       runHit,
-	}
-	if res.Name == "" {
-		res.Name = "<source>"
-	}
-	timedCtx(ctx, s.met, stageScore, func() (struct{}, bool, error) {
-		hm, perf, dyn := core.Tally(preds, run.Profile)
-		vm, _, _ := core.Tally(analysis.VotePredictions(core.DefaultWeights), run.Profile)
-		lm, _, _ := core.Tally(analysis.LoopRandPredictions(), run.Profile)
-		bm, _, _ := core.Tally(analysis.BTFNTPredictions(), run.Profile)
-		res.Heuristic = profile.MakeRate(hm, perf, dyn)
-		res.Vote = profile.MakeRate(vm, perf, dyn)
-		res.LoopRand = profile.MakeRate(lm, perf, dyn)
-		res.BTFNT = profile.MakeRate(bm, perf, dyn)
-		s.met.observeScores(hm, vm, lm, bm, perf, dyn)
-		s.met.observeAttribution(analysis, req.Order, run.Profile)
-		return struct{}{}, false, nil
-	})
-	return res, nil
+// frontHalf is what stages 1-4 hand on: the program, its analysis and
+// the prediction vector under the request's order, with the run key
+// and the cache outcomes.
+type frontHalf struct {
+	prog        *mir.Program
+	analysis    *core.Analysis
+	preds       []core.Prediction
+	runKey      string
+	progHit     bool
+	analysisHit bool
 }
 
-// compileStage runs (or cache-loads) compilation and optional
-// optimization for a resolved request. Shared by Predict and Compare so
-// the two pipelines hit one program cache.
-func (s *Service) compileStage(ctx context.Context, req *Request, progKey string) (*mir.Program, bool, error) {
-	return runStage(s, ctx, stageCompile, func() (*mir.Program, bool, error) {
+// front resolves req and runs the stages Predict and Compare share:
+// compile (with the optional optimizer), analyze and predict. Both hit
+// the same caches under the same keys, so a compare after a predict of
+// the same program pays for neither compile nor analysis (nor vice
+// versa).
+func (s *Service) front(ctx context.Context, req *Request) (f frontHalf, err error) {
+	if err := s.resolve(req); err != nil {
+		return f, err
+	}
+	progKey, analysisKey, runKey := req.keys()
+	f.runKey = runKey
+
+	// Stages 1+2: compile (and optionally optimize) the source. The
+	// cache stores the post-optimizer program so the analysis cache keys
+	// align. Compiler rejections are the client's fault.
+	f.prog, f.progHit, err = runStage(s, ctx, stageCompile, func() (*mir.Program, bool, error) {
 		return s.programs.do(ctx, progKey, func() (*mir.Program, error) {
 			p, err := minic.Compile(req.Source, req.CompileOpts)
 			if err != nil {
@@ -576,20 +526,97 @@ func (s *Service) compileStage(ctx context.Context, req *Request, progKey string
 			if !req.Optimize {
 				return p, nil
 			}
-			o, _, err := timedCtx(ctx, s.met, stageOptimize, func() (*mir.Program, bool, error) {
+			p, _, err = runStage(s, ctx, stageOptimize, func() (*mir.Program, bool, error) {
 				return opt.Program(p), false, nil
 			})
-			return o, err
+			return p, err
 		})
 	})
+	if err != nil {
+		return f, err
+	}
+
+	// Stage 3: Ball-Larus analysis.
+	f.analysis, f.analysisHit, err = runStage(s, ctx, stageAnalyze, func() (*core.Analysis, bool, error) {
+		return s.analyses.do(ctx, analysisKey, func() (*core.Analysis, error) {
+			return core.Analyze(f.prog, s.cfg.analysis)
+		})
+	})
+	if err != nil {
+		return f, err
+	}
+
+	// Stage 4: the prediction vector under the requested order. Cheap,
+	// derived, and order-specific, so computed per request.
+	f.preds, _, err = runStage(s, ctx, stagePredict, func() ([]core.Prediction, bool, error) {
+		return f.analysis.Predictions(req.Order), false, nil
+	})
+	return f, err
 }
 
-// analyzeStage runs (or cache-loads) the Ball-Larus analysis. Shared by
-// Predict and Compare.
-func (s *Service) analyzeStage(ctx context.Context, analysisKey string, prog *mir.Program) (*core.Analysis, bool, error) {
-	return runStage(s, ctx, stageAnalyze, func() (*core.Analysis, bool, error) {
-		return s.analyses.do(ctx, analysisKey, func() (*core.Analysis, error) {
-			return core.Analyze(prog, s.cfg.analysis)
+func (s *Service) predict(ctx context.Context, req Request) (*Result, error) {
+	f, err := s.front(ctx, &req)
+	if err != nil {
+		return nil, err
+	}
+
+	// Stage 5: execute. The interpreter is deterministic given the
+	// config, so results are content-addressed like everything else.
+	// A computed run is journaled once it is in the run cache.
+	run, runHit, err := runStage(s, ctx, stageExecute, func() (*cachedRun, bool, error) {
+		return s.runs.do(ctx, f.runKey, func() (*cachedRun, error) {
+			r, err := interp.Run(f.prog, interp.Config{
+				Input:     req.Input,
+				Budget:    req.Budget,
+				Seed:      req.Seed,
+				Interrupt: ctx.Done(),
+			})
+			if err != nil {
+				return nil, err
+			}
+			return &cachedRun{Result: r, recipe: recipeOf(&req)}, nil
 		})
 	})
+	if err != nil {
+		return nil, err
+	}
+	if !runHit {
+		s.journalRun(run)
+	}
+
+	// Stage 6: score the predictions against the measured profile.
+	res := &Result{
+		Name:            req.Benchmark,
+		Analysis:        f.analysis,
+		Profile:         run.Profile,
+		Predictions:     f.preds,
+		StaticBranches:  len(f.analysis.Branches),
+		DynamicBranches: run.Profile.Total(),
+		Steps:           run.Steps,
+		ExitCode:        run.ExitCode,
+		Output:          run.Output,
+		ProgramCached:   f.progHit,
+		AnalysisCached:  f.analysisHit,
+		RunCached:       runHit,
+	}
+	if res.Name == "" {
+		res.Name = "<source>"
+	}
+	_, _, err = runStage(s, ctx, stageScore, func() (struct{}, bool, error) {
+		hm, perf, dyn := core.Tally(f.preds, run.Profile)
+		vm, _, _ := core.Tally(f.analysis.VotePredictions(core.DefaultWeights), run.Profile)
+		lm, _, _ := core.Tally(f.analysis.LoopRandPredictions(), run.Profile)
+		bm, _, _ := core.Tally(f.analysis.BTFNTPredictions(), run.Profile)
+		res.Heuristic = profile.MakeRate(hm, perf, dyn)
+		res.Vote = profile.MakeRate(vm, perf, dyn)
+		res.LoopRand = profile.MakeRate(lm, perf, dyn)
+		res.BTFNT = profile.MakeRate(bm, perf, dyn)
+		s.met.observeScores(hm, vm, lm, bm, perf, dyn)
+		s.met.observeAttribution(f.analysis, req.Order, run.Profile)
+		return struct{}{}, false, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }

@@ -33,30 +33,18 @@ func preadmitted(ctx context.Context) bool {
 	return ok
 }
 
-// tenantID is shorthand for the context's tenant identity.
-func tenantID(ctx context.Context) string { return tenant.FromContext(ctx) }
-
-// admitTenant charges the request against its tenant's quotas. It
-// returns the tenant id, a release for the in-flight unit (never nil),
-// and a quota rejection if the tenant is over a limit.
-func (s *Service) admitTenant(ctx context.Context) (string, func(), error) {
-	reg := s.cfg.tenants
-	if reg == nil {
-		return "", func() {}, nil
-	}
-	id := tenant.FromContext(ctx)
-	s.met.tenantRequest(id)
-	if preadmitted(ctx) {
-		return id, func() {}, nil
-	}
-	rel, qerr := reg.Admit(id, 1)
+// charge takes n units of tenant id's rate and concurrency quotas: one
+// for a request, n for a batch of n. It returns the release of the
+// in-flight units, or a quota rejection.
+func (s *Service) charge(id string, n int) (func(), error) {
+	rel, qerr := s.cfg.tenants.Admit(id, n)
 	if qerr != nil {
 		s.met.tenantShed(id, qerr.Reason)
-		return id, func() {}, resilience.Quota(qerr)
+		return nil, resilience.Quota(qerr)
 	}
-	s.met.tenantInflight(id, +1)
-	return id, func() {
-		s.met.tenantInflight(id, -1)
+	s.met.tenantInflight(id, int64(n))
+	return func() {
+		s.met.tenantInflight(id, -int64(n))
 		rel()
 	}, nil
 }
