@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"bufio"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -10,17 +9,18 @@ import (
 )
 
 // Journal record layout: crc32(payload) uint32 | len(payload) uint32 |
-// payload. Appends go through a buffered writer and are fsynced in
-// batches — either when the pending bytes pass SyncBytes or when the
-// background flusher ticks — so sustained traffic amortizes the fsync
-// cost while bounding how much a crash can lose.
+// payload. Each append is written to the file before Append returns, so
+// a killed process loses no record, and fsynced in batches — either
+// when the pending bytes pass SyncBytes or when the background flusher
+// ticks — so sustained traffic amortizes the fsync cost while bounding
+// how much a machine crash can lose.
 const journalHeaderLen = 8
 
 // JournalOptions configure append batching.
 type JournalOptions struct {
 	// SyncEvery is the background fsync interval; <= 0 means 100ms.
 	SyncEvery time.Duration
-	// SyncBytes forces a flush+fsync once this many bytes are pending;
+	// SyncBytes forces an fsync once this many bytes are pending;
 	// <= 0 means 64 KiB.
 	SyncBytes int
 }
@@ -30,8 +30,7 @@ type JournalOptions struct {
 type Journal struct {
 	mu      sync.Mutex
 	f       *os.File
-	w       *bufio.Writer
-	size    int64 // bytes in the journal, buffered ones included
+	size    int64 // bytes in the journal
 	pending int
 	dirty   bool
 	syncs   int64
@@ -60,7 +59,6 @@ func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 	}
 	j := &Journal{
 		f:     f,
-		w:     bufio.NewWriter(f),
 		size:  fi.Size(),
 		opts:  opts,
 		stopc: make(chan struct{}),
@@ -84,24 +82,22 @@ func (j *Journal) flushLoop() {
 	}
 }
 
-// Append adds one record. The record is durable after the next batch
-// fsync (at most SyncEvery later), not on return.
+// Append adds one record. The record is in the file when Append
+// returns, and durable against a machine crash after the next batch
+// fsync (at most SyncEvery later).
 func (j *Journal) Append(payload []byte) error {
-	var hdr [journalHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
+	rec := make([]byte, journalHeaderLen+len(payload))
+	binary.LittleEndian.PutUint32(rec[0:4], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(payload)))
+	copy(rec[journalHeaderLen:], payload)
 	j.mu.Lock()
-	if _, err := j.w.Write(hdr[:]); err != nil {
-		j.mu.Unlock()
-		return err
-	}
-	if _, err := j.w.Write(payload); err != nil {
+	if _, err := j.f.Write(rec); err != nil {
 		j.mu.Unlock()
 		return err
 	}
 	j.dirty = true
-	j.size += journalHeaderLen + int64(len(payload))
-	j.pending += journalHeaderLen + len(payload)
+	j.size += int64(len(rec))
+	j.pending += len(rec)
 	force := j.pending >= j.opts.SyncBytes
 	j.mu.Unlock()
 	if force {
@@ -117,7 +113,7 @@ func (j *Journal) Syncs() int64 {
 	return j.syncs
 }
 
-// Sync flushes buffered records and fsyncs the file.
+// Sync fsyncs the records appended since the last sync.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -127,9 +123,6 @@ func (j *Journal) Sync() error {
 func (j *Journal) syncLocked() error {
 	if !j.dirty {
 		return nil
-	}
-	if err := j.w.Flush(); err != nil {
-		return err
 	}
 	if err := j.f.Sync(); err != nil {
 		return err
@@ -157,9 +150,6 @@ func (j *Journal) Trim(mark int64) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.w.Flush(); err != nil {
-		return err
-	}
 	kept := make([]byte, j.size-min(mark, j.size))
 	if _, err := j.f.ReadAt(kept, j.size-int64(len(kept))); err != nil {
 		return err

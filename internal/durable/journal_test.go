@@ -24,9 +24,8 @@ func TestJournalAppendReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	// Each record is in the file when Append returns, before any
+	// fsync, so a killed process loses none of them.
 	var got [][]byte
 	st, err := ReplayJournal(path, func(p []byte) error {
 		got = append(got, append([]byte(nil), p...))

@@ -210,6 +210,10 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 		}
 		return rs, errors.New("service: no durable store configured (WithDurableStore)")
 	}
+	// Hold the snapshot lock throughout: a periodic snapshot taken
+	// mid-recovery would trim journal records not yet replayed.
+	s.dur.mu.Lock()
+	defer s.dur.mu.Unlock()
 	// Replayed runs are not journaled; they land in the run cache, which
 	// the snapshot persists.
 	s.recovering.Store(true)
@@ -241,9 +245,7 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 			}
 			continue
 		}
-		s.dur.mu.Lock()
 		sec, ok := s.dur.sections[e.Section]
-		s.dur.mu.Unlock()
 		if !ok || sec.Restore == nil || sec.Restore(e) != nil {
 			rs.SnapshotSkipped++
 			continue
@@ -271,7 +273,7 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 	s.met.recordRecovery(rs)
 	// The rewarmed state is now the baseline: persist it, which drops the
 	// journal it subsumes.
-	return rs, s.SnapshotNow()
+	return rs, s.snapshot()
 }
 
 // replayRecipe reruns one persisted recipe through the pipeline under
@@ -302,6 +304,11 @@ func (s *Service) SnapshotNow() error {
 	}
 	s.dur.mu.Lock()
 	defer s.dur.mu.Unlock()
+	return s.snapshot()
+}
+
+// snapshot is SnapshotNow with s.dur.mu held.
+func (s *Service) snapshot() error {
 	// A run is journaled after it enters the run cache, so every record
 	// before this mark is of a run the cache read below holds (or has
 	// evicted).

@@ -423,3 +423,33 @@ func TestSnapshotTrimsJournal(t *testing.T) {
 		t.Fatalf("recovery stats %+v, want 5 snapshot entries, 1 journal record, 6 warmed", rs)
 	}
 }
+
+// TestPeriodicSnapshotWaitsForRecover: a periodic snapshot that ticks
+// while Recover replays the snapshot must not trim the journal records
+// Recover has yet to replay.
+func TestPeriodicSnapshotWaitsForRecover(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	svc1 := New(WithDurableStore(dir), WithSnapshotInterval(time.Hour))
+	for i := int64(0); i < 6; i++ {
+		if i == 4 {
+			if err := svc1.SnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := svc1.Predict(ctx, Request{Benchmark: "xlisp", Seed: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc1.dur.journal.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Crash: no Close.
+
+	svc2 := New(WithDurableStore(dir), WithSnapshotInterval(time.Millisecond))
+	defer svc2.Close()
+	rs, _ := recoverWithin(t, svc2)
+	if rs.SnapshotEntries != 4 || rs.JournalReplayed != 2 || rs.Warmed != 6 {
+		t.Fatalf("recovery stats %+v, want 4 snapshot entries, 2 journal records, 6 warmed", rs)
+	}
+}
