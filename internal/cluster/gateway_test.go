@@ -553,9 +553,14 @@ func TestReplicaGaugesMatchStats(t *testing.T) {
 	a.predict.Store(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	})
-	g, ts := newTestGateway(t, Config{EjectAfter: 1, EjectBase: time.Minute, EjectMax: time.Minute}, a, b)
+	// A fixed routing seed makes least-inflight's tie-breaks, and so the
+	// request that reaches a, the same on every run.
+	g, ts := newTestGateway(t, Config{EjectAfter: 1, EjectBase: time.Minute, EjectMax: time.Minute, RoutingSeed: 1}, a, b)
 	for i := 0; i < 8 && a.hits.Load() == 0; i++ {
 		postBody(t, ts.URL, fmt.Sprintf(`{"source":"req%d"}`, i), nil)
+	}
+	if a.hits.Load() == 0 {
+		t.Fatal("8 requests never routed to the failing replica")
 	}
 
 	e := scrapeGateway(t, ts.URL)

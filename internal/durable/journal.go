@@ -29,6 +29,7 @@ type JournalOptions struct {
 // use.
 type Journal struct {
 	mu      sync.Mutex
+	path    string
 	f       *os.File
 	size    int64 // bytes in the journal
 	pending int
@@ -58,6 +59,7 @@ func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 		return nil, err
 	}
 	j := &Journal{
+		path:  path,
 		f:     f,
 		size:  fi.Size(),
 		opts:  opts,
@@ -142,8 +144,8 @@ func (j *Journal) Mark() int64 {
 
 // Trim drops the records appended before mark and keeps the ones
 // appended since. Call it once a snapshot holds what the dropped
-// records cover. A crash inside Trim can lose the records it keeps;
-// they are durable again at the next batch fsync.
+// records cover. The kept records replace the journal atomically, so a
+// crash inside Trim leaves the old journal or the trimmed one.
 func (j *Journal) Trim(mark int64) error {
 	if mark <= 0 {
 		return nil // nothing to drop
@@ -154,14 +156,14 @@ func (j *Journal) Trim(mark int64) error {
 	if _, err := j.f.ReadAt(kept, j.size-int64(len(kept))); err != nil {
 		return err
 	}
-	if err := j.f.Truncate(0); err != nil {
+	f, err := replaceFile(j.path, kept)
+	if err != nil {
 		return err
 	}
-	if _, err := j.f.Write(kept); err != nil {
-		return err
-	}
+	j.f.Close()
+	j.f = f
 	j.size = int64(len(kept))
-	j.dirty, j.pending = true, 0
+	j.dirty, j.pending = false, 0
 	return nil
 }
 

@@ -52,13 +52,30 @@ func TestJournalAppendReplay(t *testing.T) {
 	if err := j.Append([]byte("after-trim")); err != nil {
 		t.Fatal(err)
 	}
+	got = nil
+	st, err = ReplayJournal(path, func(p []byte) error { got = append(got, p); return nil })
+	if err != nil || st.Records != 2 || string(got[0]) != "after-mark" || string(got[1]) != "after-trim" {
+		t.Fatalf("after trim: stats %+v, records %q, err %v", st, got, err)
+	}
+
+	// A second trim replaces the same file, and no temp file is left.
+	mark = j.Mark()
+	if err := j.Append([]byte("after-second-mark")); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Trim(mark); err != nil {
+		t.Fatal(err)
+	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 	got = nil
 	st, err = ReplayJournal(path, func(p []byte) error { got = append(got, p); return nil })
-	if err != nil || st.Records != 2 || string(got[0]) != "after-mark" || string(got[1]) != "after-trim" {
-		t.Fatalf("after trim: stats %+v, records %q, err %v", st, got, err)
+	if err != nil || st.Records != 1 || string(got[0]) != "after-second-mark" {
+		t.Fatalf("after second trim: stats %+v, records %q, err %v", st, got, err)
+	}
+	if names, _ := filepath.Glob(filepath.Join(filepath.Dir(path), "*")); len(names) != 1 {
+		t.Fatalf("state directory holds %q, want the journal alone", names)
 	}
 }
 

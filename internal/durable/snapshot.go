@@ -188,29 +188,38 @@ func DecodeSnapshot(data []byte) ([]Entry, SnapshotStats) {
 }
 
 // WriteSnapshotFile atomically replaces path with a snapshot of
-// entries: the bytes are written to a temp file in the same directory,
-// fsynced, and renamed over path, so a crash at any point leaves either
-// the old snapshot or the new one — never a torn file.
+// entries (see replaceFile).
 func WriteSnapshotFile(path string, entries []Entry) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	f, err := replaceFile(path, EncodeSnapshot(entries))
 	if err != nil {
 		return err
 	}
+	return f.Close()
+}
+
+// replaceFile atomically replaces path with data: the bytes are written
+// to a temp file in the same directory, fsynced, and renamed over path,
+// so a crash at any point leaves either the old file or the new one —
+// never a torn file. It returns the new file, open for writing at its
+// end.
+func replaceFile(path string, data []byte) (*os.File, error) {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return nil, err
+	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(EncodeSnapshot(entries)); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		return err
+		return nil, err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
+		return nil, err
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
+		tmp.Close()
+		return nil, err
 	}
 	// Persist the rename itself. Directory fsync is advisory on some
 	// platforms; failure to open the directory is not fatal.
@@ -218,7 +227,7 @@ func WriteSnapshotFile(path string, entries []Entry) error {
 		d.Sync()
 		d.Close()
 	}
-	return nil
+	return tmp, nil
 }
 
 // ReadSnapshotFile loads and decodes a snapshot. A missing file is an

@@ -89,6 +89,12 @@ type durability struct {
 	mu       sync.Mutex // serializes snapshots and guards sections
 	sections map[string]DurableSection
 
+	// recovered is closed when Recover returns. The snapshot loop waits
+	// for it: until Recover has rewarmed the run cache, a snapshot of
+	// the cache would replace the state on disk with nothing.
+	recovered     chan struct{}
+	recoveredOnce sync.Once
+
 	stopc chan struct{}
 	donec chan struct{}
 }
@@ -96,9 +102,9 @@ type durability struct {
 // WithDurableStore persists service state under dir: a periodic (and
 // shutdown-time) snapshot of the recipes behind the run cache plus
 // registered sections, and an append-only journal of the runs computed
-// since the last snapshot. Call Recover at boot to load it, and Close
-// at shutdown to write the final snapshot. An unusable directory
-// surfaces from Recover.
+// since the last snapshot. Call Recover at boot to load it; periodic
+// snapshots start once it returns. Call Close at shutdown to write the
+// final snapshot. An unusable directory surfaces from Recover.
 func WithDurableStore(dir string) Option { return func(c *config) { c.durableDir = dir } }
 
 // WithSnapshotInterval sets the periodic snapshot cadence; <= 0 means
@@ -126,6 +132,7 @@ func (s *Service) initDurability() error {
 		journal:   journal,
 		snapEvery: s.cfg.snapEvery,
 		sections:  map[string]DurableSection{},
+		recovered: make(chan struct{}),
 		stopc:     make(chan struct{}),
 		donec:     make(chan struct{}),
 	}
@@ -139,6 +146,11 @@ func (s *Service) initDurability() error {
 
 func (s *Service) snapshotLoop() {
 	defer close(s.dur.donec)
+	select {
+	case <-s.dur.recovered:
+	case <-s.dur.stopc:
+		return
+	}
 	t := time.NewTicker(s.dur.snapEvery)
 	defer t.Stop()
 	for {
@@ -214,6 +226,7 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 	// mid-recovery would trim journal records not yet replayed.
 	s.dur.mu.Lock()
 	defer s.dur.mu.Unlock()
+	defer s.dur.recoveredOnce.Do(func() { close(s.dur.recovered) })
 	// Replayed runs are not journaled; they land in the run cache, which
 	// the snapshot persists.
 	s.recovering.Store(true)

@@ -424,9 +424,11 @@ func TestSnapshotTrimsJournal(t *testing.T) {
 	}
 }
 
-// TestPeriodicSnapshotWaitsForRecover: a periodic snapshot that ticks
-// while Recover replays the snapshot must not trim the journal records
-// Recover has yet to replay.
+// TestPeriodicSnapshotWaitsForRecover: a periodic snapshot must wait
+// for Recover. One that ticks before it would replace the snapshot on
+// disk with the empty run cache and trim the whole journal; one that
+// ticks while Recover replays the snapshot would trim the journal
+// records Recover has yet to replay.
 func TestPeriodicSnapshotWaitsForRecover(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -448,6 +450,7 @@ func TestPeriodicSnapshotWaitsForRecover(t *testing.T) {
 
 	svc2 := New(WithDurableStore(dir), WithSnapshotInterval(time.Millisecond))
 	defer svc2.Close()
+	time.Sleep(20 * time.Millisecond) // twenty ticks before Recover
 	rs, _ := recoverWithin(t, svc2)
 	if rs.SnapshotEntries != 4 || rs.JournalReplayed != 2 || rs.Warmed != 6 {
 		t.Fatalf("recovery stats %+v, want 4 snapshot entries, 2 journal records, 6 warmed", rs)
