@@ -47,8 +47,9 @@
 // Every proxied request runs under a trace whose ID is echoed in
 // X-Trace-Id; each attempt (primary, hedge, retry) gets a child span
 // and stamps a Traceparent header so the replica's trace links back
-// to it. Traces that errored, hedged, or exceeded -trace-slow are
-// tail-sampled into a bounded archive, plus a deterministic
+// to it; an X-Trace-Id request header is ignored. The gateway's tracer
+// keeps the recent traces and archives those that errored, hedged, or
+// exceeded -trace-slow (-trace-archive entries), plus a deterministic
 // -trace-sample fraction of the rest.
 package main
 
@@ -69,7 +70,7 @@ import (
 	"ballarus/internal/obs"
 )
 
-const version = "0.3.0"
+const version = "0.4.0"
 
 func main() {
 	addr := flag.String("addr", ":8722", "listen address (:0 picks a free port, printed on stderr)")
@@ -134,11 +135,11 @@ func main() {
 		Timeout:       *timeout,
 		StaleCap:      *staleCap,
 		Logger:        logger,
-		TraceArchive: obs.NewArchive(obs.ArchivePolicy{
+		TraceArchive: obs.ArchivePolicy{
 			Capacity:      *traceArchive,
 			SlowThreshold: *traceSlow,
 			SampleRate:    *traceSample,
-		}),
+		},
 	})
 	if err != nil {
 		cli.Exit("blgate", err)

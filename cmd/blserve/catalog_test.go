@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"ballarus/internal/cluster"
-	"ballarus/internal/obs"
 	"ballarus/internal/service"
 	"ballarus/internal/tenant"
 )
@@ -25,7 +24,7 @@ func TestMetricCatalog(t *testing.T) {
 		service.WithDurableStore(t.TempDir()),
 		service.WithTenants(tenant.NewRegistry(tenant.Config{})))
 	defer svc.Close()
-	replica := scrapeFamilies(t, newServer(svc, obs.NewArchive(obs.ArchivePolicy{})).handler(false))
+	replica := scrapeFamilies(t, newServer(svc).handler(false))
 
 	g, err := cluster.New(cluster.Config{Replicas: []string{"http://127.0.0.1:1"}, ProbeEvery: -1})
 	if err != nil {

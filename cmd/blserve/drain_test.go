@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"ballarus/internal/obs"
 	"ballarus/internal/service"
 )
 
@@ -14,7 +13,7 @@ import (
 func newDrainableServer(t *testing.T, admin bool) (*httptest.Server, *server) {
 	t.Helper()
 	svc := service.New()
-	s := newServer(svc, obs.NewArchive(obs.ArchivePolicy{}))
+	s := newServer(svc)
 	s.instanceID = "test-instance"
 	ts := httptest.NewServer(s.handler(admin))
 	t.Cleanup(ts.Close)

@@ -71,7 +71,7 @@ func TestServerDurableRoundTrip(t *testing.T) {
 	svc1 := service.New(
 		service.WithDurableStore(dir),
 		service.WithSnapshotInterval(time.Hour))
-	ts1 := httptest.NewServer(newServer(svc1, obs.NewArchive(obs.ArchivePolicy{})).handler(false))
+	ts1 := httptest.NewServer(newServer(svc1).handler(false))
 	resp, first := postPredict(t, ts1, predictRequest{Source: testSrc})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("priming request status = %d", resp.StatusCode)
@@ -86,7 +86,7 @@ func TestServerDurableRoundTrip(t *testing.T) {
 		service.WithDurableStore(dir),
 		service.WithSnapshotInterval(time.Hour))
 	defer svc2.Close()
-	app := newServer(svc2, obs.NewArchive(obs.ArchivePolicy{})) // registers the trace section before recovery
+	app := newServer(svc2)
 	rs, err := svc2.Recover(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +109,55 @@ func TestServerDurableRoundTrip(t *testing.T) {
 	}
 }
 
+// TestArchivedTraceSurvivesRestart: a request whose execute stage
+// fails is archived, and after a crash a new server over the same state
+// directory still serves its trace at /debug/traces?id=.
+func TestArchivedTraceSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	svc1 := service.New(service.WithDurableStore(dir), service.WithSnapshotInterval(time.Hour))
+	ts1 := httptest.NewServer(newServer(svc1).handler(false))
+	resp, _ := postPredict(t, ts1, predictRequest{Source: testSrc, Budget: 10})
+	id := resp.Header.Get("X-Trace-Id")
+	if resp.StatusCode != http.StatusUnprocessableEntity || id == "" {
+		t.Fatalf("budget-10 request: status %d, trace %q; want 422 with a trace ID", resp.StatusCode, id)
+	}
+	ts1.Close() // waits for the handler, so the trace has ended
+	if err := svc1.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	// No svc1.Close: the process "dies" here.
+
+	svc2 := service.New(service.WithDurableStore(dir), service.WithSnapshotInterval(time.Hour))
+	defer svc2.Close()
+	app := newServer(svc2)
+	rs, err := svc2.Recover(context.Background())
+	if err != nil || rs.SnapshotEntries != 1 {
+		t.Fatalf("recovery stats %+v, err %v; want the one archived trace", rs, err)
+	}
+	ts2 := httptest.NewServer(app.handler(false))
+	defer ts2.Close()
+
+	r, err := http.Get(ts2.URL + "/debug/traces?id=" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	var traces []obs.Trace
+	if err := json.NewDecoder(r.Body).Decode(&traces); err != nil {
+		t.Fatal(err)
+	}
+	if len(traces) != 1 || traces[0].ID != id {
+		t.Fatalf("/debug/traces?id=%s after restart = %+v, want the archived trace", id, traces)
+	}
+	var failed bool
+	for _, sp := range traces[0].Spans {
+		failed = failed || sp.Name == "stage.execute" && sp.Status == obs.StatusError
+	}
+	if !failed {
+		t.Fatalf("restored trace lost its failed stage.execute span: %+v", traces[0].Spans)
+	}
+}
+
 // TestAdminEndpointsGated: the /debug chaos endpoints exist only when
 // the handler is built with admin enabled, and they drive the fault
 // registry end to end.
@@ -116,7 +165,7 @@ func TestAdminEndpointsGated(t *testing.T) {
 	defer resilience.ClearFaults()
 	svc := service.New()
 	defer svc.Close()
-	app := newServer(svc, obs.NewArchive(obs.ArchivePolicy{}))
+	app := newServer(svc)
 	public := httptest.NewServer(app.handler(false))
 	defer public.Close()
 	admin := httptest.NewServer(app.handler(true))

@@ -45,12 +45,13 @@
 //
 // Every request runs under a distributed-tracing span: an incoming
 // Traceparent header (stamped by blgate attempts) parents this
-// process's trace, the trace ID is echoed in X-Trace-Id, and completed
-// traces that errored, were hedged, or exceeded -trace-slow are
-// tail-sampled into a durable archive (-trace-archive entries, plus a
-// -trace-sample fraction of boring traces) that survives restarts via
-// -state-dir. Request-latency histogram buckets
-// carry the most recent trace ID as ballarus_*_exemplar gauges.
+// process's trace, the trace ID is echoed in X-Trace-Id, and the
+// tracer keeps the recent traces and archives those that errored, were
+// hedged, or exceeded -trace-slow (-trace-archive entries, plus a
+// -trace-sample fraction of boring traces); with -state-dir the archive
+// is part of the snapshot and survives restarts. Request-latency
+// histogram buckets carry the most recent trace ID as
+// ballarus_*_exemplar gauges.
 //
 // Logs are structured (slog); -log-format json switches them to JSON
 // and -log-level debug additionally emits one event per completed
@@ -154,7 +155,11 @@ func main() {
 		service.WithQueueDepth(*queue),
 		service.WithCacheSize(*cache),
 		service.WithBudget(*budget),
-		service.WithTracer(obs.NewTracer(256, logger)),
+		service.WithTracer(obs.NewTracer(256, logger, obs.ArchivePolicy{
+			Capacity:      *traceArchive,
+			SlowThreshold: *traceSlow,
+			SampleRate:    *traceSample,
+		})),
 	}
 	if *tenants {
 		opts = append(opts, service.WithTenants(tenant.NewRegistry(tenant.Config{
@@ -175,13 +180,7 @@ func main() {
 	}
 	svc := service.New(opts...)
 	svc.Tracer().SetSource(*instanceID)
-	archive := obs.NewArchive(obs.ArchivePolicy{
-		Capacity:      *traceArchive,
-		SlowThreshold: *traceSlow,
-		SampleRate:    *traceSample,
-	})
-	// Registers the trace archive's durable section.
-	app := newServer(svc, archive)
+	app := newServer(svc)
 	app.instanceID = *instanceID
 	if *batchMax > 0 {
 		app.batchMax = *batchMax

@@ -97,14 +97,14 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.svc.Metrics().WritePrometheus(w)
 }
 
-// handleTraces serves the tracer's ring buffer and the tail-sampled
+// handleTraces serves the tracer's recent ring and tail-sampled
 // archive: ?id= returns every collection of one trace (what the
 // gateway's assembly fan-out calls), ?slowest=N the worst archived
 // traces, and ?last=N (default 32, clamped to the ring capacity) the
 // most recent. Malformed numeric parameters are a 400.
 func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	traces, err := obs.QueryTraces(s.svc.Tracer(), s.archive, q.Get("id"), q.Get("last"), q.Get("slowest"))
+	traces, err := s.svc.Tracer().Query(q.Get("id"), q.Get("last"), q.Get("slowest"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "invalid_input", err)
 		return

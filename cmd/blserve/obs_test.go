@@ -126,9 +126,9 @@ func TestMetricsEndpoint(t *testing.T) {
 // admin handler.
 func TestPprofGatedBehindAdmin(t *testing.T) {
 	svc := service.New()
-	public := httptest.NewServer(newServer(svc, obs.NewArchive(obs.ArchivePolicy{})).handler(false))
+	public := httptest.NewServer(newServer(svc).handler(false))
 	defer public.Close()
-	admin := httptest.NewServer(newServer(svc, obs.NewArchive(obs.ArchivePolicy{})).handler(true))
+	admin := httptest.NewServer(newServer(svc).handler(true))
 	defer admin.Close()
 
 	resp, err := http.Get(public.URL + "/debug/pprof/cmdline")

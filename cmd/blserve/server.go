@@ -12,9 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ballarus/internal/durable"
 	"ballarus/internal/dynpred"
-	"ballarus/internal/obs"
 	"ballarus/internal/profile"
 	"ballarus/internal/resilience"
 	"ballarus/internal/service"
@@ -122,11 +120,7 @@ type server struct {
 	svc     *service.Service
 	maxBody int64
 	// batchMax bounds POST /v1/batch item counts.
-	batchMax int
-	// archive tail-samples completed request traces (always-keep for
-	// errors/hedges/slow requests) and rides the durable
-	// snapshot, so the interesting traces survive a crash.
-	archive    *obs.Archive
+	batchMax   int
 	instanceID string
 	// draining flips once at shutdown: new API requests are refused
 	// with 503 + Connection: close so load balancers fail this replica
@@ -134,40 +128,9 @@ type server struct {
 	draining atomic.Bool
 }
 
-// traceSection is the snapshot section holding the tail-sampled trace
-// archive.
-const traceSection = "traces"
-
-// newServer builds the blserve server over a prediction service,
-// attaches the trace archive to the service tracer, and registers the
-// archive as a durable snapshot section (a no-op when the service has no
-// durable store).
-func newServer(svc *service.Service, archive *obs.Archive) *server {
-	s := &server{svc: svc, maxBody: 4 << 20, batchMax: defaultBatchMax, archive: archive}
-	svc.Tracer().Attach(archive)
-	archive.Register(svc.Metrics())
-	svc.RegisterDurableSection(traceSection, service.DurableSection{
-		Collect: s.collectTraces,
-		Restore: s.restoreTrace,
-	})
-	return s
-}
-
-// collectTraces snapshots the trace archive for the durable store,
-// oldest first so restore preserves ring order.
-func (s *server) collectTraces() []durable.Entry {
-	snaps := s.archive.Snapshot()
-	out := make([]durable.Entry, 0, len(snaps))
-	for i, b := range snaps {
-		out = append(out, durable.Entry{Key: fmt.Sprintf("t%06d", i), Payload: b})
-	}
-	return out
-}
-
-// restoreTrace loads one archived trace back; a corrupt payload loses
-// that trace, nothing more.
-func (s *server) restoreTrace(e durable.Entry) error {
-	return s.archive.Load(e.Payload)
+// newServer builds the blserve server over a prediction service.
+func newServer(svc *service.Service) *server {
+	return &server{svc: svc, maxBody: 4 << 20, batchMax: defaultBatchMax}
 }
 
 // handler builds the HTTP API, wrapped in the tracing/metrics

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ballarus"
-	"ballarus/internal/obs"
 	"ballarus/internal/resilience"
 	"ballarus/internal/service"
 )
@@ -33,7 +32,7 @@ int main() {
 func newTestServer(t *testing.T, opts ...service.Option) (*httptest.Server, *service.Service) {
 	t.Helper()
 	svc := service.New(opts...)
-	ts := httptest.NewServer(newServer(svc, obs.NewArchive(obs.ArchivePolicy{})).handler(false))
+	ts := httptest.NewServer(newServer(svc).handler(false))
 	t.Cleanup(ts.Close)
 	return ts, svc
 }

@@ -44,8 +44,8 @@ type cluster struct {
 //     must fire and win;
 //  4. recover: restart r0 on its old address and wait for active
 //     probing to mark the whole cluster healthy;
-//  5. trace: hang r1's execute stage again, drive traffic until a
-//     request hedges, then assemble its distributed trace through
+//  5. trace: hang r1's execute stage until the phase ends, drive fresh
+//     jobs until one hedges (at most 48), then assemble its trace through
 //     GET /v1/trace/{id} — the tree must hold both gateway attempt
 //     spans (the loser closed "canceled", not "error") and the winning
 //     replica's execute span parented at the winning attempt;
@@ -157,9 +157,10 @@ func (c *cluster) killSoak(ctx context.Context) error {
 	return nil
 }
 
-// hangR1 hangs r1's execute stage for its next ten requests.
-func (c *cluster) hangR1() bool {
-	payload, _ := json.Marshal(map[string]any{"point": "service.execute", "hang": true, "times": 10})
+// hangR1 hangs r1's execute stage for its next times requests, or
+// until /debug/clearfaults when times is 0.
+func (c *cluster) hangR1(times int) bool {
+	payload, _ := json.Marshal(map[string]any{"point": "service.execute", "hang": true, "times": times})
 	return c.post("r1", "/debug/fault", payload)
 }
 
@@ -169,7 +170,7 @@ func (c *cluster) hangR1() bool {
 func (c *cluster) stall(context.Context) error {
 	var before, after gateStats
 	c.getJSON("gate", "/gateway/stats", &before)
-	if !c.hangR1() {
+	if !c.hangR1(10) {
 		c.violate("stall phase: fault injection on r1 failed")
 		return nil
 	}
@@ -247,20 +248,26 @@ func hasExecuteSpan(n *obs.TraceNode) bool {
 }
 
 // trace is where observability has to pay off: it hangs r1's execute
-// stage again, drives fresh jobs until one hedges, then assembles that
-// request's distributed trace via GET /v1/trace/{id} and checks the
-// tree — both attempt spans present and parented at the gateway's
-// request span, the losing attempt closed with status "canceled" (a
-// hedge loser is not an error), and the winning attempt carrying the
-// winning replica's execute span.
+// stage until the phase ends, drives fresh jobs until one's trace
+// assembles hedged (at most 48), then checks that request's distributed
+// trace from GET /v1/trace/{id} — both attempt spans present and
+// parented at the gateway's request span, the losing attempt closed
+// with status "canceled" (a hedge loser is not an error), and the
+// winning attempt carrying the winning replica's execute span. If no
+// try hedges, the violation lists each try's answering replica and
+// trace status, and the hedges the gateway fired, to name the cause.
 func (c *cluster) trace(context.Context) error {
-	if !c.hangR1() {
+	var before gateStats
+	c.getJSON("gate", "/gateway/stats", &before)
+	if !c.hangR1(0) {
 		c.violate("trace phase: fault injection on r1 failed")
 		return nil
 	}
 	defer c.post("r1", "/debug/clearfaults", nil)
 
-	for i := 0; i < 12; i++ {
+	const tries = 48
+	var seen []string // per try: answering replica and trace status
+	for i := 0; i < tries; i++ {
 		r := c.send(c.newJob(4000), "")
 		traceID := r.header.Get("X-Trace-Id")
 		if r.status != http.StatusOK {
@@ -271,13 +278,12 @@ func (c *cluster) trace(context.Context) error {
 			c.violate("trace phase: 200 response missing X-Trace-Id")
 			continue
 		}
-		// An unarchived (unhedged) trace may answer 404; its decoded
-		// body has no hedged root, so the loop moves on.
-		_, raw, err := c.call(http.MethodGet, "gate", "/v1/trace/"+traceID, nil, "")
+		resp, raw, err := c.call(http.MethodGet, "gate", "/v1/trace/"+traceID, nil, "")
 		if err != nil {
 			c.violate("trace phase: GET /v1/trace/%s: %v", traceID, err)
 			continue
 		}
+		seen = append(seen, fmt.Sprintf("%s/%d", r.header.Get("X-Instance-Id"), resp.StatusCode))
 		var a obs.AssembledTrace
 		if err := json.Unmarshal(raw, &a); err != nil {
 			c.violate("trace phase: trace %s: undecodable body: %v", traceID, err)
@@ -325,7 +331,11 @@ func (c *cluster) trace(context.Context) error {
 			traceID, a.Spans, strings.Join(a.Sources, ","), obs.RenderWaterfall(&a, 48))
 		return nil
 	}
-	c.violate("trace phase: no request hedged in 12 tries against a stalled replica")
+	var after gateStats
+	c.getJSON("gate", "/gateway/stats", &after)
+	c.violate("trace phase: no hedged trace assembled in %d tries against a stalled replica; "+
+		"answering replica/trace status per try: %s; %d hedges fired",
+		tries, strings.Join(seen, " "), after.HedgeFires-before.HedgeFires)
 	return nil
 }
 

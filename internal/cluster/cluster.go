@@ -109,13 +109,10 @@ type Config struct {
 	// StaleCap bounds the last-known-good brownout cache (default 256).
 	StaleCap int
 
-	// Tracer records gateway request traces; nil builds a default
-	// 256-entry tracer so /debug/traces and trace assembly always work.
-	Tracer *obs.Tracer
-	// TraceArchive tail-samples completed traces; nil builds one with
-	// obs.ArchivePolicy defaults. Errored, hedged, and slow traces are
-	// always kept.
-	TraceArchive *obs.Archive
+	// TraceArchive configures the tail-sampled archive of the gateway's
+	// tracer, which also keeps the last 256 traces. Errored, hedged, and
+	// slow traces are always kept.
+	TraceArchive obs.ArchivePolicy
 
 	// Transport overrides the upstream round tripper (tests).
 	Transport http.RoundTripper
@@ -200,7 +197,6 @@ type Gateway struct {
 	metrics  *metrics
 	routing  RoutingPolicy
 	tracer   *obs.Tracer
-	archive  *obs.Archive
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -228,18 +224,10 @@ func New(cfg Config) (*Gateway, error) {
 		latency: newLatencyTracker(cfg.HedgeQuantile, cfg.HedgeInitial, cfg.HedgeMin),
 		stale:   newStaleStore(cfg.StaleCap),
 		routing: routing,
-		tracer:  cfg.Tracer,
-		archive: cfg.TraceArchive,
+		tracer:  obs.NewTracer(256, cfg.Logger, cfg.TraceArchive),
 		stop:    make(chan struct{}),
 	}
-	if g.tracer == nil {
-		g.tracer = obs.NewTracer(256, cfg.Logger)
-	}
-	if g.archive == nil {
-		g.archive = obs.NewArchive(obs.ArchivePolicy{})
-	}
 	g.tracer.SetSource("gateway")
-	g.tracer.Attach(g.archive)
 	g.client = &http.Client{Transport: cfg.Transport}
 	for i, raw := range cfg.Replicas {
 		rep, err := newReplica(fmt.Sprintf("replica%d", i), raw)

@@ -132,7 +132,7 @@ func TestGatewayProxiesPredict(t *testing.T) {
 	b := newFakeReplica(t, "b")
 	_, ts := newTestGateway(t, Config{}, a, b)
 
-	resp, data := postBody(t, ts.URL, `{"source":"x"}`, map[string]string{"X-Trace-Id": "abc123"})
+	resp, data := postBody(t, ts.URL, `{"source":"x"}`, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d (body %s)", resp.StatusCode, data)
 	}

@@ -88,7 +88,7 @@ func newMetrics(g *Gateway) *metrics {
 		m.replicaErr[rep.id] = r.Counter("ballarus_gateway_replica_requests_total",
 			"Attempt outcomes per replica.", "replica", rep.id, "outcome", "error")
 	}
-	g.archive.Register(r)
+	g.tracer.Register(r)
 	return m
 }
 

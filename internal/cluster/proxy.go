@@ -114,20 +114,15 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(rctx, timeout)
 	defer cancel()
 
-	traceID := r.Header.Get("X-Trace-Id")
-	if traceID == "" {
-		traceID = act.ID()
-	}
 	// The canonical content key doubles as the brownout cache key and
 	// the rendezvous routing key, so equivalent request bodies land on
 	// (and warm) the same replica.
 	key := staleKey(r.URL.Path, body)
 	res := g.do(ctx, proxyReq{
-		path:    r.URL.Path,
-		body:    body,
-		traceID: traceID,
-		tenant:  r.Header.Get("X-Tenant-Id"),
-		key:     key,
+		path:   r.URL.Path,
+		body:   body,
+		tenant: r.Header.Get("X-Tenant-Id"),
+		key:    key,
 	})
 	if res.ok() {
 		switch {
@@ -176,14 +171,13 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 }
 
 // proxyReq bundles what one proxied request carries upstream: the
-// route, the body, the propagated trace and tenant identities, and the
-// canonical content key the routing policy shards on.
+// route, the body, the propagated tenant identity, and the canonical
+// content key the routing policy shards on.
 type proxyReq struct {
-	path    string
-	body    []byte
-	traceID string
-	tenant  string
-	key     string
+	path   string
+	body   []byte
+	tenant string
+	key    string
 }
 
 // do runs the hedged attempt loop: a primary immediately, one hedge
@@ -310,9 +304,6 @@ func (g *Gateway) attempt(ctx context.Context, rep *replica, kind string, sp *ob
 		req.Header.Set(obs.TraceHeader, sc.Header())
 	}
 	req.Header.Set("X-Attempt-Kind", kind)
-	if pr.traceID != "" {
-		req.Header.Set("X-Trace-Id", pr.traceID)
-	}
 	if pr.tenant != "" {
 		req.Header.Set("X-Tenant-Id", pr.tenant)
 	}
@@ -370,7 +361,7 @@ func (g *Gateway) attempt(ctx context.Context, rep *replica, kind string, sp *ob
 	default:
 		// 2xx/4xx — including per-tenant quota 429s, which are a
 		// healthy replica enforcing policy.
-		g.noteSuccess(rep, time.Since(start), pr.traceID)
+		g.noteSuccess(rep, time.Since(start), sp.SpanContext().TraceID)
 		sp.End(nil)
 	}
 	results <- upstream{status: resp.StatusCode, header: resp.Header, body: b, rep: rep, kind: kind}

@@ -12,12 +12,12 @@ import (
 	"ballarus/internal/obs"
 )
 
-// handleDebugTraces serves the gateway's own trace ring and archive
+// handleDebugTraces serves the gateway's own recent ring and archive
 // with the same query contract as blserve's /debug/traces: ?id= exact
 // match, ?slowest=N, or ?last=N (clamped to the ring capacity).
 func (g *Gateway) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	traces, err := obs.QueryTraces(g.tracer, g.archive, q.Get("id"), q.Get("last"), q.Get("slowest"))
+	traces, err := g.tracer.Query(q.Get("id"), q.Get("last"), q.Get("slowest"))
 	if err != nil {
 		gatewayError(w, http.StatusBadRequest, "invalid_input", err)
 		return
@@ -52,7 +52,7 @@ func (g *Gateway) handleTraceSlowest(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	traces := g.archive.Slowest(n)
+	traces := g.tracer.Slowest(n)
 	out := make([]traceSummary, 0, len(traces))
 	for _, tr := range traces {
 		out = append(out, traceSummary{
@@ -88,7 +88,6 @@ func (g *Gateway) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	add("gateway", g.tracer.Find(id))
-	add("gateway", g.archive.Find(id))
 
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.ProbeTimeout*4)
 	defer cancel()

@@ -287,13 +287,60 @@ func TestTraceAssemblyAcrossHops(t *testing.T) {
 	}
 }
 
+// TestReplicaLatencyExemplarIsGatewayTrace: the replica latency
+// exemplar names the gateway's own trace, the one its response echoes,
+// even when the client sends an X-Trace-Id header of its own; and that
+// header is not forwarded, since no replica reads it.
+func TestReplicaLatencyExemplarIsGatewayTrace(t *testing.T) {
+	a := newFakeReplica(t, "a")
+	var upstream atomic.Value
+	upstream.Store("unset")
+	a.predict.Store(func(w http.ResponseWriter, r *http.Request) {
+		upstream.Store(r.Header.Get("X-Trace-Id"))
+		okPredict("a")(w, r)
+	})
+	_, ts := newTestGateway(t, Config{}, a)
+
+	resp, data := postBody(t, ts.URL, `{"source":"x"}`, map[string]string{"X-Trace-Id": "abc123"})
+	id := resp.Header.Get("X-Trace-Id")
+	if resp.StatusCode != http.StatusOK || !isTraceID(id) {
+		t.Fatalf("status %d, X-Trace-Id %q (body %s)", resp.StatusCode, id, data)
+	}
+	if got := upstream.Load(); got != "" {
+		t.Errorf("replica saw X-Trace-Id %q, want none", got)
+	}
+
+	m, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Body.Close()
+	exp, err := obs.ParseExposition(m.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exemplars int
+	for _, sm := range exp.Samples {
+		if sm.Name != "ballarus_gateway_replica_latency_seconds_exemplar" {
+			continue
+		}
+		exemplars++
+		if sm.Labels["trace_id"] != id {
+			t.Errorf("exemplar %v names trace %q, want the response's %s", sm.Labels, sm.Labels["trace_id"], id)
+		}
+	}
+	if exemplars != 1 {
+		t.Fatalf("%d replica latency exemplars, want 1", exemplars)
+	}
+}
+
 // TestGatewayDebugTracesAndSlowest covers the gateway's own trace
 // query surface: ?last clamping, ?id filtering, bad parameters, and
 // the slowest-trace summary endpoint.
 func TestGatewayDebugTracesAndSlowest(t *testing.T) {
 	a := newFakeReplica(t, "a")
 	g, ts := newTestGateway(t, Config{
-		TraceArchive: obs.NewArchive(obs.ArchivePolicy{SampleRate: 1}),
+		TraceArchive: obs.ArchivePolicy{SampleRate: 1},
 	}, a)
 
 	var ids []string

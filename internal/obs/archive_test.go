@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +11,7 @@ func mkTrace(id string, d time.Duration) *Trace {
 }
 
 func TestArchiveKeepsInterestingTraces(t *testing.T) {
-	a := NewArchive(ArchivePolicy{SlowThreshold: 100 * time.Millisecond})
+	a := NewTracer(0, nil, ArchivePolicy{SlowThreshold: 100 * time.Millisecond})
 
 	cases := []struct {
 		name string
@@ -29,62 +28,57 @@ func TestArchiveKeepsInterestingTraces(t *testing.T) {
 		{"canceled-span", &Trace{ID: "aaaaaaaaaaaaaaa8", SpanID: "8", Spans: []SpanRecord{{Name: "x", Status: StatusCanceled}}, Duration: time.Millisecond}, false},
 	}
 	for _, c := range cases {
-		a.Offer(c.tr)
-		if got := len(a.Find(c.tr.ID)) == 1; got != c.keep {
+		before := a.Archived()
+		a.push(c.tr)
+		if got := a.Archived() > before; got != c.keep {
 			t.Errorf("%s: kept=%v, want %v", c.name, got, c.keep)
 		}
 	}
 }
 
 func TestArchiveSamplingDeterministic(t *testing.T) {
-	mk := func() *Archive { return NewArchive(ArchivePolicy{SampleRate: 0.5, Seed: 42}) }
+	mk := func() *Tracer { return NewTracer(0, nil, ArchivePolicy{SampleRate: 0.5}) }
 	a1, a2 := mk(), mk()
 	ids := []string{"00000000000000a1", "00000000000000b2", "00000000000000c3", "00000000000000d4",
 		"00000000000000e5", "00000000000000f6", "00000000000000a7", "00000000000000b8"}
-	var kept1, kept2 int
 	for _, id := range ids {
-		a1.Offer(mkTrace(id, time.Millisecond))
-		a2.Offer(mkTrace(id, time.Millisecond))
-		if len(a1.Find(id)) != len(a2.Find(id)) {
-			t.Fatalf("id %s sampled differently across identically-seeded archives", id)
+		a1.push(mkTrace(id, time.Millisecond))
+		a2.push(mkTrace(id, time.Millisecond))
+		if a1.Archived() != a2.Archived() {
+			t.Fatalf("id %s sampled differently across identically configured tracers", id)
 		}
-		kept1 += len(a1.Find(id))
-		kept2 += len(a2.Find(id))
 	}
-	if kept1 != kept2 {
-		t.Fatalf("kept %d vs %d", kept1, kept2)
-	}
-	if kept1 == 0 || kept1 == len(ids) {
-		t.Fatalf("sample rate 0.5 kept %d/%d — degenerate", kept1, len(ids))
+	if kept := a1.Archived(); kept == 0 || kept == len(ids) {
+		t.Fatalf("sample rate 0.5 kept %d/%d — degenerate", kept, len(ids))
 	}
 
-	off := NewArchive(ArchivePolicy{SampleRate: 0})
-	off.Offer(mkTrace("00000000000000a1", time.Millisecond))
-	if off.Len() != 0 {
+	off := NewTracer(0, nil, ArchivePolicy{SampleRate: 0})
+	off.push(mkTrace("00000000000000a1", time.Millisecond))
+	if off.Archived() != 0 {
 		t.Fatal("rate 0 kept a boring trace")
 	}
-	all := NewArchive(ArchivePolicy{SampleRate: 1})
-	all.Offer(mkTrace("00000000000000a1", time.Millisecond))
-	if all.Len() != 1 {
+	all := NewTracer(0, nil, ArchivePolicy{SampleRate: 1})
+	all.push(mkTrace("00000000000000a1", time.Millisecond))
+	if all.Archived() != 1 {
 		t.Fatal("rate 1 dropped a trace")
 	}
 }
 
 func TestArchiveCapacityBound(t *testing.T) {
-	a := NewArchive(ArchivePolicy{Capacity: 4, SampleRate: 1})
+	a := NewTracer(0, nil, ArchivePolicy{Capacity: 4, SampleRate: 1})
 	for i := 0; i < 10; i++ {
-		a.Offer(mkTrace(string(rune('a'+i))+"000000000000000", time.Duration(i)*time.Millisecond))
+		a.push(mkTrace(string(rune('a'+i))+"000000000000000", time.Duration(i)*time.Millisecond))
 	}
-	if a.Len() != 4 {
-		t.Fatalf("len = %d, want capacity 4", a.Len())
+	if a.Archived() != 4 {
+		t.Fatalf("archived = %d, want capacity 4", a.Archived())
 	}
 }
 
 func TestArchiveSlowest(t *testing.T) {
-	a := NewArchive(ArchivePolicy{SampleRate: 1})
-	a.Offer(mkTrace("00000000000000a1", 5*time.Millisecond))
-	a.Offer(mkTrace("00000000000000b2", 50*time.Millisecond))
-	a.Offer(mkTrace("00000000000000c3", time.Millisecond))
+	a := NewTracer(0, nil, ArchivePolicy{SampleRate: 1})
+	a.push(mkTrace("00000000000000a1", 5*time.Millisecond))
+	a.push(mkTrace("00000000000000b2", 50*time.Millisecond))
+	a.push(mkTrace("00000000000000c3", time.Millisecond))
 	got := a.Slowest(2)
 	if len(got) != 2 || got[0].ID != "00000000000000b2" || got[1].ID != "00000000000000a1" {
 		t.Fatalf("Slowest = %v", got)
@@ -92,24 +86,24 @@ func TestArchiveSlowest(t *testing.T) {
 }
 
 func TestArchiveSnapshotLoadRoundTrip(t *testing.T) {
-	a := NewArchive(ArchivePolicy{SampleRate: 1})
+	a := NewTracer(0, nil, ArchivePolicy{SampleRate: 1})
 	tr := mkTrace("00000000000000a1", 7*time.Millisecond)
 	tr.Spans = []SpanRecord{{Name: "stage.execute", SpanID: "00000000000000e1", ParentID: tr.SpanID, Duration: time.Millisecond}}
-	a.Offer(tr)
-	a.Offer(mkTrace("00000000000000b2", time.Millisecond))
+	a.push(tr)
+	a.push(mkTrace("00000000000000b2", time.Millisecond))
 
 	entries := a.Snapshot()
-	if len(entries) != 2 {
-		t.Fatalf("snapshot entries = %d", len(entries))
+	if len(entries) != 2 || !strings.Contains(string(entries[0]), tr.ID) {
+		t.Fatalf("snapshot entries = %q, want 2, oldest first", entries)
 	}
-	b := NewArchive(ArchivePolicy{})
+	b := NewTracer(0, nil, ArchivePolicy{})
 	for _, e := range entries {
 		if err := b.Load(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if b.Len() != 2 {
-		t.Fatalf("restored len = %d", b.Len())
+	if b.Archived() != 2 {
+		t.Fatalf("restored archive holds %d", b.Archived())
 	}
 	got := b.Find("00000000000000a1")
 	if len(got) != 1 || len(got[0].Spans) != 1 || got[0].Spans[0].ParentID != tr.SpanID {
@@ -125,10 +119,10 @@ func TestArchiveSnapshotLoadRoundTrip(t *testing.T) {
 
 func TestArchiveMetrics(t *testing.T) {
 	reg := NewRegistry()
-	a := NewArchive(ArchivePolicy{SlowThreshold: time.Hour})
+	a := NewTracer(0, nil, ArchivePolicy{SlowThreshold: time.Hour})
 	a.Register(reg)
-	a.Offer(&Trace{ID: "00000000000000a1", SpanID: "1", Err: "boom"})
-	a.Offer(mkTrace("00000000000000b2", time.Millisecond)) // dropped
+	a.push(&Trace{ID: "00000000000000a1", SpanID: "1", Err: "boom"})
+	a.push(mkTrace("00000000000000b2", time.Millisecond)) // dropped
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -147,19 +141,4 @@ func TestArchiveMetrics(t *testing.T) {
 	if errs := Lint(strings.NewReader(out)); len(errs) != 0 {
 		t.Fatalf("lint: %v", errs)
 	}
-}
-
-func TestNilArchiveInert(t *testing.T) {
-	var a *Archive
-	a.Offer(mkTrace("00000000000000a1", time.Second))
-	if a.Len() != 0 || a.Find("00000000000000a1") != nil || a.Slowest(3) != nil || a.Snapshot() != nil {
-		t.Fatal("nil archive not inert")
-	}
-	if err := a.Load([]byte("{}")); err == nil {
-		t.Fatal("nil archive Load succeeded")
-	}
-	tr := NewTracer(2, nil)
-	tr.Attach(nil)
-	_, act := tr.Start(context.Background(), "req")
-	act.End(nil) // must not panic pushing through nil archive
 }

@@ -43,7 +43,7 @@ func TestParseTraceHeaderRejectsMalformed(t *testing.T) {
 }
 
 func TestStartAdoptsRemoteParent(t *testing.T) {
-	tr := NewTracer(8, nil)
+	tr := NewTracer(8, nil, ArchivePolicy{})
 	remote := SpanContext{TraceID: "00000000000000aa", SpanID: "00000000000000bb", Flags: FlagSampled}
 	ctx := ContextWithRemote(context.Background(), remote)
 	_, act := tr.Start(ctx, "req")
@@ -61,7 +61,7 @@ func TestStartAdoptsRemoteParent(t *testing.T) {
 }
 
 func TestStartMintsFreshTraceWithoutRemote(t *testing.T) {
-	tr := NewTracer(8, nil)
+	tr := NewTracer(8, nil, ArchivePolicy{})
 	_, act := tr.Start(context.Background(), "req")
 	act.End(nil)
 	got := tr.Last(1)[0]
@@ -77,7 +77,7 @@ func TestStartMintsFreshTraceWithoutRemote(t *testing.T) {
 }
 
 func TestSpanParentLinks(t *testing.T) {
-	tr := NewTracer(8, nil)
+	tr := NewTracer(8, nil, ArchivePolicy{})
 	ctx, act := tr.Start(context.Background(), "req")
 
 	StartSpan(ctx, "stage.execute").End(nil)
@@ -98,7 +98,7 @@ func TestSpanParentLinks(t *testing.T) {
 }
 
 func TestSpanStatusCanceledVsError(t *testing.T) {
-	tr := NewTracer(8, nil)
+	tr := NewTracer(8, nil, ArchivePolicy{})
 	ctx, act := tr.Start(context.Background(), "req")
 	StartSpan(ctx, "winner").End(nil)
 	StartSpan(ctx, "loser").End(context.Canceled)
@@ -126,7 +126,7 @@ func TestSpanStatusCanceledVsError(t *testing.T) {
 }
 
 func TestTracerFind(t *testing.T) {
-	tr := NewTracer(8, nil)
+	tr := NewTracer(8, nil, ArchivePolicy{})
 	remote := SpanContext{TraceID: "00000000000000aa", SpanID: "00000000000000bb", Flags: 1}
 	for i := 0; i < 2; i++ {
 		_, act := tr.Start(ContextWithRemote(context.Background(), remote), "retry-hit")
@@ -147,7 +147,7 @@ func TestTracerFind(t *testing.T) {
 }
 
 func TestQueryTraces(t *testing.T) {
-	tr := NewTracer(4, nil)
+	tr := NewTracer(4, nil, ArchivePolicy{SampleRate: 1})
 	var ids []string
 	for i := 0; i < 6; i++ {
 		_, act := tr.Start(context.Background(), "req")
@@ -155,42 +155,48 @@ func TestQueryTraces(t *testing.T) {
 		act.End(nil)
 	}
 
-	if _, err := QueryTraces(tr, nil, "", "zero", ""); err == nil {
+	if _, err := tr.Query("", "zero", ""); err == nil {
 		t.Fatal("bad last accepted")
 	}
-	if _, err := QueryTraces(tr, nil, "", "-1", ""); err == nil {
+	if _, err := tr.Query("", "-1", ""); err == nil {
 		t.Fatal("negative last accepted")
 	}
-	if _, err := QueryTraces(tr, nil, "", "", "nope"); err == nil {
+	if _, err := tr.Query("", "", "nope"); err == nil {
 		t.Fatal("bad slowest accepted")
 	}
-	got, err := QueryTraces(tr, nil, "", "999", "")
+	got, err := tr.Query("", "999", "")
 	if err != nil || len(got) != 4 {
 		t.Fatalf("last=999 -> %d traces (err %v), want clamp to capacity 4", len(got), err)
 	}
-	got, err = QueryTraces(tr, nil, ids[5], "", "")
+	got, err = tr.Query(ids[5], "", "")
 	if err != nil || len(got) != 1 || got[0].ID != ids[5] {
 		t.Fatalf("id query = %v, %v", got, err)
 	}
-	got, err = QueryTraces(tr, nil, "", "", "2")
+	got, err = tr.Query("", "", "2")
 	if err != nil || len(got) != 2 {
 		t.Fatalf("slowest=2 -> %d traces (err %v)", len(got), err)
 	}
 }
 
+// TestQueryTracesDedupsRingAndArchive: a trace held by both rings is
+// found once, and one the recent ring has moved past is still found in
+// the archive.
 func TestQueryTracesDedupsRingAndArchive(t *testing.T) {
-	tr := NewTracer(4, nil)
-	ar := NewArchive(ArchivePolicy{SampleRate: 1})
-	tr.Attach(ar)
+	tr := NewTracer(1, nil, ArchivePolicy{SampleRate: 1})
 	_, act := tr.Start(context.Background(), "req")
 	id := act.ID()
 	act.End(nil)
-	if ar.Len() != 1 {
-		t.Fatalf("archive len = %d", ar.Len())
+	if tr.Archived() != 1 {
+		t.Fatalf("archive holds %d", tr.Archived())
 	}
-	got, err := QueryTraces(tr, ar, id, "", "")
+	got, err := tr.Query(id, "", "")
 	if err != nil || len(got) != 1 {
 		t.Fatalf("id query across ring+archive = %d traces (err %v), want 1", len(got), err)
+	}
+	_, next := tr.Start(context.Background(), "req")
+	next.End(nil)
+	if got := tr.Find(id); len(got) != 1 || got[0].ID != id {
+		t.Fatalf("Find after the ring moved on = %v, want the archived trace", got)
 	}
 }
 

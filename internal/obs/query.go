@@ -5,41 +5,27 @@ import (
 	"strconv"
 )
 
-// QueryTraces resolves a /debug/traces-style query against a trace ring
-// and (optionally) an archive. Exactly one of the query modes applies,
-// in precedence order:
+// Query resolves a /debug/traces-style query. Exactly one of the query
+// modes applies, in precedence order:
 //
-//   - id != "": every collected trace with that trace ID, ring first
-//     then archive, deduplicated by root span ID.
-//   - slowest != "": the N slowest archived traces (falling back to the
-//     ring when no archive is attached).
-//   - otherwise: the last N ring traces, most recent first. last == ""
-//     defaults to 32; values above the ring capacity are clamped.
+//   - id != "": every trace with that trace ID (Find).
+//   - slowest != "": the N slowest archived traces.
+//   - otherwise: the last N traces of the recent ring, most recent
+//     first. last == "" defaults to 32; values above the ring capacity
+//     are clamped.
 //
 // Malformed or non-positive numeric parameters return an error so HTTP
 // handlers can 400 instead of guessing.
-func QueryTraces(t *Tracer, ar *Archive, id, last, slowest string) ([]*Trace, error) {
+func (t *Tracer) Query(id, last, slowest string) ([]*Trace, error) {
 	if id != "" {
-		seen := map[string]bool{}
-		var out []*Trace
-		for _, tr := range append(t.Find(id), ar.Find(id)...) {
-			if tr.SpanID != "" && seen[tr.SpanID] {
-				continue
-			}
-			seen[tr.SpanID] = true
-			out = append(out, tr)
-		}
-		return out, nil
+		return t.Find(id), nil
 	}
 	if slowest != "" {
 		n, err := strconv.Atoi(slowest)
 		if err != nil || n <= 0 {
 			return nil, fmt.Errorf("invalid slowest parameter %q", slowest)
 		}
-		if ar != nil {
-			return ar.Slowest(n), nil
-		}
-		return slowestOf(t.Last(t.Capacity()), n), nil
+		return t.Slowest(n), nil
 	}
 	n := 32
 	if last != "" {
@@ -49,21 +35,5 @@ func QueryTraces(t *Tracer, ar *Archive, id, last, slowest string) ([]*Trace, er
 		}
 		n = v
 	}
-	if c := t.Capacity(); c > 0 && n > c {
-		n = c
-	}
-	return t.Last(n), nil
-}
-
-func slowestOf(traces []*Trace, n int) []*Trace {
-	out := append([]*Trace(nil), traces...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Duration > out[j-1].Duration; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
+	return t.Last(min(n, t.Capacity())), nil
 }

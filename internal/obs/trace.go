@@ -7,6 +7,7 @@ import (
 	"errors"
 	"log/slog"
 	mrand "math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -143,28 +144,59 @@ type SpanRecord struct {
 	Attrs    map[string]string `json:"attrs,omitempty"`
 }
 
-// Tracer records request traces into a fixed-size ring buffer and
-// optionally exports each completed trace as a structured slog event.
-// A nil Tracer disables tracing at near-zero cost.
+// Tracer records request traces. Every finished trace enters a ring of
+// the most recent ones and is offered to a tail-sampled archive (see
+// ArchivePolicy), and is optionally exported as a structured slog
+// event. Both rings live under one lock, and a trace both keep is one
+// *Trace. A nil Tracer disables tracing at near-zero cost.
 type Tracer struct {
-	capacity int
-	logger   *slog.Logger
-	source   string
-	archive  *Archive
+	logger *slog.Logger
+	source string
+	policy ArchivePolicy
 
-	mu   sync.Mutex
-	ring []*Trace
-	next int
+	mu      sync.Mutex
+	recent  ring
+	archive ring
+
+	kept    map[string]*Counter // reason -> counter (nil until Register)
+	dropped *Counter
 }
 
-// NewTracer creates a tracer keeping the last capacity traces
-// (capacity <= 0 means 256). logger, when non-nil, receives one debug
-// event per completed trace.
-func NewTracer(capacity int, logger *slog.Logger) *Tracer {
+// NewTracer creates a tracer whose recent ring keeps the last capacity
+// traces (capacity <= 0 means 256) and whose archive follows policy.
+// logger, when non-nil, receives one debug event per finished trace.
+func NewTracer(capacity int, logger *slog.Logger, policy ArchivePolicy) *Tracer {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &Tracer{capacity: capacity, logger: logger}
+	policy = policy.withDefaults()
+	return &Tracer{
+		logger:  logger,
+		policy:  policy,
+		recent:  ring{limit: capacity},
+		archive: ring{limit: policy.Capacity},
+	}
+}
+
+// ring is a bounded buffer of traces that overwrites its oldest.
+type ring struct {
+	buf   []*Trace
+	next  int
+	limit int
+}
+
+func (r *ring) push(tr *Trace) {
+	if len(r.buf) < r.limit {
+		r.buf = append(r.buf, tr)
+	} else {
+		r.buf[r.next] = tr
+	}
+	r.next = (r.next + 1) % r.limit
+}
+
+// newest returns the i-th most recent trace, 0 being the newest.
+func (r *ring) newest(i int) *Trace {
+	return r.buf[(r.next-1-i+len(r.buf))%len(r.buf)]
 }
 
 // SetSource names the process in every trace this tracer records (e.g.
@@ -175,20 +207,12 @@ func (t *Tracer) SetSource(source string) {
 	}
 }
 
-// Attach routes every completed trace through the archive's
-// tail-sampling decision in addition to the ring buffer.
-func (t *Tracer) Attach(a *Archive) {
-	if t != nil {
-		t.archive = a
-	}
-}
-
-// Capacity returns the ring buffer size (0 on a nil Tracer).
+// Capacity returns the recent ring's size (0 on a nil Tracer).
 func (t *Tracer) Capacity() int {
 	if t == nil {
 		return 0
 	}
-	return t.capacity
+	return t.recent.limit
 }
 
 // newID returns a 16-hex-char trace ID from the OS entropy source.
@@ -279,8 +303,8 @@ func (a *Active) Attr(k, v string) {
 	a.tr.Attrs[k] = v
 }
 
-// End finalizes the trace, pushes it into the tracer's ring buffer (and
-// archive, when attached), and emits it as a slog debug event.
+// End finalizes the trace, pushes it into the tracer's recent ring,
+// offers it to the archive, and emits it as a slog debug event.
 // Idempotent.
 func (a *Active) End(err error) {
 	if a == nil {
@@ -302,15 +326,16 @@ func (a *Active) End(err error) {
 }
 
 func (t *Tracer) push(tr *Trace) {
+	reason := t.keepReason(tr)
 	t.mu.Lock()
-	if len(t.ring) < t.capacity {
-		t.ring = append(t.ring, tr)
-	} else {
-		t.ring[t.next] = tr
+	t.recent.push(tr)
+	c := t.dropped
+	if reason != "" {
+		t.archive.push(tr)
+		c = t.kept[reason]
 	}
-	t.next = (t.next + 1) % t.capacity
 	t.mu.Unlock()
-	t.archive.Offer(tr)
+	c.Inc()
 	if t.logger != nil && t.logger.Enabled(context.Background(), slog.LevelDebug) {
 		attrs := []any{
 			slog.String("trace", tr.ID),
@@ -328,23 +353,24 @@ func (t *Tracer) push(tr *Trace) {
 	}
 }
 
-// Last returns up to n completed traces, most recent first.
+// Last returns up to n traces from the recent ring, most recent first.
 func (t *Tracer) Last(n int) []*Trace {
 	if t == nil || n <= 0 {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]*Trace, 0, min(n, len(t.ring)))
-	for i := 1; i <= len(t.ring) && len(out) < n; i++ {
-		out = append(out, t.ring[(t.next-i+len(t.ring))%len(t.ring)])
+	out := make([]*Trace, min(n, len(t.recent.buf)))
+	for i := range out {
+		out[i] = t.recent.newest(i)
 	}
 	return out
 }
 
-// Find returns every ring-buffer trace with the given trace ID, most
-// recent first. One process can hold several (a retried request can
-// land on the same replica twice).
+// Find returns every trace with the given trace ID, most recent first:
+// the recent ring's, then the archive's not already among them. One
+// process can hold several (a retried request can land on the same
+// replica twice).
 func (t *Tracer) Find(id string) []*Trace {
 	if t == nil || id == "" {
 		return nil
@@ -352,8 +378,14 @@ func (t *Tracer) Find(id string) []*Trace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []*Trace
-	for i := 1; i <= len(t.ring); i++ {
-		if tr := t.ring[(t.next-i+len(t.ring))%len(t.ring)]; tr.ID == id {
+	for i := range t.recent.buf {
+		if tr := t.recent.newest(i); tr.ID == id {
+			out = append(out, tr)
+		}
+	}
+	inRecent := len(out)
+	for i := range t.archive.buf {
+		if tr := t.archive.newest(i); tr.ID == id && !slices.Contains(out[:inRecent], tr) {
 			out = append(out, tr)
 		}
 	}

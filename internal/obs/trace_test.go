@@ -11,7 +11,7 @@ import (
 )
 
 func TestTraceLifecycle(t *testing.T) {
-	tr := NewTracer(4, nil)
+	tr := NewTracer(4, nil, ArchivePolicy{})
 	ctx, act := tr.Start(context.Background(), "predict")
 	if act.ID() == "" || len(act.ID()) != 16 {
 		t.Fatalf("bad trace id %q", act.ID())
@@ -47,7 +47,7 @@ func TestTraceLifecycle(t *testing.T) {
 }
 
 func TestTracerRingWraps(t *testing.T) {
-	tr := NewTracer(3, nil)
+	tr := NewTracer(3, nil, ArchivePolicy{})
 	for i := 0; i < 7; i++ {
 		_, act := tr.Start(context.Background(), string(rune('a'+i)))
 		act.End(nil)
@@ -84,7 +84,7 @@ func TestNilTracerAndSpanAreFree(t *testing.T) {
 }
 
 func TestConcurrentSpans(t *testing.T) {
-	tr := NewTracer(2, nil)
+	tr := NewTracer(2, nil, ArchivePolicy{})
 	ctx, act := tr.Start(context.Background(), "fanout")
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -105,7 +105,7 @@ func TestConcurrentSpans(t *testing.T) {
 func TestTraceSlogExport(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	tr := NewTracer(4, logger)
+	tr := NewTracer(4, logger, ArchivePolicy{})
 	ctx, act := tr.Start(context.Background(), "predict")
 	StartSpan(ctx, "compile").End(nil)
 	act.End(nil)

@@ -15,10 +15,13 @@ import (
 	"ballarus/internal/minic"
 )
 
-// SectionRequests is the snapshot section holding the recipes of the
-// run cache's entries. External layers (e.g. blserve's trace archive)
-// register their own sections via RegisterDurableSection.
-const SectionRequests = "request"
+// Snapshot sections: the recipes of the run cache's entries, and the
+// tracer's archive, one Trace JSON per entry. Recover skips and counts
+// entries of any other section.
+const (
+	SectionRequests = "request"
+	SectionTraces   = "traces"
+)
 
 // recipe is the durable form of a resolved request: everything needed
 // to recompute a cached result deterministically. The pipeline is
@@ -69,16 +72,6 @@ type cachedRun struct {
 	recipe recipe
 }
 
-// DurableSection lets a layer above the service persist its own state
-// inside the service snapshot (e.g. blserve's trace archive). Collect
-// is called at snapshot time; Restore once per entry of the section
-// during Recover. Restore errors skip the entry (counted), never fail
-// recovery.
-type DurableSection struct {
-	Collect func() []durable.Entry
-	Restore func(e durable.Entry) error
-}
-
 // durability is the service's durable-state machinery; nil when
 // disabled.
 type durability struct {
@@ -86,8 +79,7 @@ type durability struct {
 	journal   *durable.Journal
 	snapEvery time.Duration
 
-	mu       sync.Mutex // serializes snapshots and guards sections
-	sections map[string]DurableSection
+	mu sync.Mutex // serializes snapshots
 
 	// recovered is closed when Recover returns. The snapshot loop waits
 	// for it: until Recover has rewarmed the run cache, a snapshot of
@@ -100,8 +92,8 @@ type durability struct {
 }
 
 // WithDurableStore persists service state under dir: a periodic (and
-// shutdown-time) snapshot of the recipes behind the run cache plus
-// registered sections, and an append-only journal of the runs computed
+// shutdown-time) snapshot of the recipes behind the run cache and of
+// the tracer's archive, and an append-only journal of the runs computed
 // since the last snapshot. Call Recover at boot to load it; periodic
 // snapshots start once it returns. Call Close at shutdown to write the
 // final snapshot. An unusable directory surfaces from Recover.
@@ -131,7 +123,6 @@ func (s *Service) initDurability() error {
 		store:     store,
 		journal:   journal,
 		snapEvery: s.cfg.snapEvery,
-		sections:  map[string]DurableSection{},
 		recovered: make(chan struct{}),
 		stopc:     make(chan struct{}),
 		donec:     make(chan struct{}),
@@ -161,17 +152,6 @@ func (s *Service) snapshotLoop() {
 			return
 		}
 	}
-}
-
-// RegisterDurableSection registers an external snapshot section. Call
-// before Recover so snapshots of the section can be restored.
-func (s *Service) RegisterDurableSection(name string, sec DurableSection) {
-	if s.dur == nil {
-		return
-	}
-	s.dur.mu.Lock()
-	defer s.dur.mu.Unlock()
-	s.dur.sections[name] = sec
 }
 
 // journalRun journals the recipe of a run the run cache just computed,
@@ -249,21 +229,20 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 		if ctx.Err() != nil {
 			break
 		}
-		if e.Section == SectionRequests {
-			if s.replayRecipe(ctx, e.Payload) {
-				rs.SnapshotEntries++
+		var ok bool
+		switch e.Section {
+		case SectionRequests:
+			if ok = s.replayRecipe(ctx, e.Payload); ok {
 				rs.Warmed++
-			} else {
-				rs.SnapshotSkipped++
 			}
-			continue
+		case SectionTraces:
+			ok = s.tracer.Load(e.Payload) == nil
 		}
-		sec, ok := s.dur.sections[e.Section]
-		if !ok || sec.Restore == nil || sec.Restore(e) != nil {
+		if ok {
+			rs.SnapshotEntries++
+		} else {
 			rs.SnapshotSkipped++
-			continue
 		}
-		rs.SnapshotEntries++
 	}
 
 	jStats, err := durable.ReplayJournal(s.dur.store.JournalPath(), func(payload []byte) error {
@@ -308,9 +287,9 @@ func (s *Service) replayRecipe(ctx context.Context, payload []byte) bool {
 
 // SnapshotNow writes a snapshot of the run cache's recipes, least
 // recently used first so replay leaves the most recent work at the
-// front of the LRU, and of every registered section, atomically
-// replacing the previous snapshot. Once it is on disk, the journal
-// drops the records appended before the run cache was read.
+// front of the LRU, and of the tracer's archive, oldest first,
+// atomically replacing the previous snapshot. Once it is on disk, the
+// journal drops the records appended before the run cache was read.
 func (s *Service) SnapshotNow() error {
 	if s.dur == nil {
 		return errors.New("service: no durable store configured")
@@ -335,14 +314,8 @@ func (s *Service) snapshot() error {
 		}
 		entries = append(entries, durable.Entry{Section: SectionRequests, Key: keys[i], Payload: payload})
 	}
-	for name, sec := range s.dur.sections {
-		if sec.Collect == nil {
-			continue
-		}
-		for _, e := range sec.Collect() {
-			e.Section = name
-			entries = append(entries, e)
-		}
+	for i, b := range s.tracer.Snapshot() {
+		entries = append(entries, durable.Entry{Section: SectionTraces, Key: fmt.Sprintf("t%06d", i), Payload: b})
 	}
 	if err := durable.WriteSnapshotFile(s.dur.store.SnapshotPath(), entries); err != nil {
 		s.met.snapshotErrors.Add(1)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"ballarus/internal/durable"
+	"ballarus/internal/obs"
 	"ballarus/internal/resilience"
 )
 
@@ -172,57 +174,46 @@ func TestSnapshotCorruptionSkipped(t *testing.T) {
 	}
 }
 
-// TestRecoverRegisteredSection: an external section (the shape blserve's
-// trace archive uses) round-trips through the snapshot, and entries of
-// an unregistered section are skipped, not fatal — which is how a state
-// dir holding the "stale" section older blserve builds wrote still
-// boots.
-func TestRecoverRegisteredSection(t *testing.T) {
+// TestRecoverArchivedTraces: the tracer's archive round-trips through
+// the snapshot's "traces" section, and entries of an unknown section are
+// skipped and counted, not fatal — which is how a state dir holding the
+// "stale" section older blserve builds wrote still boots.
+func TestRecoverArchivedTraces(t *testing.T) {
 	dir := t.TempDir()
-	ctx := context.Background()
-
-	svc1 := New(WithDurableStore(dir), WithSnapshotInterval(time.Hour))
-	svc1.RegisterDurableSection("stale", DurableSection{
-		Collect: func() []durable.Entry {
-			return []durable.Entry{
-				{Key: "k1", Payload: []byte(`{"name":"x"}`)},
-				{Key: "k2", Payload: []byte(`{"name":"y"}`)},
-			}
-		},
-	})
-	if err := svc1.SnapshotNow(); err != nil {
+	path := filepath.Join(dir, durable.SnapshotName)
+	ids := []string{"00000000000000a1", "00000000000000b2"}
+	var entries []durable.Entry
+	for i, id := range ids {
+		payload, _ := json.Marshal(obs.Trace{ID: id, SpanID: id, Name: "predict"})
+		entries = append(entries, durable.Entry{Section: SectionTraces, Key: fmt.Sprintf("t%06d", i), Payload: payload})
+	}
+	entries = append(entries, durable.Entry{Section: "stale", Key: "k1", Payload: []byte(`{"name":"x"}`)})
+	if err := durable.WriteSnapshotFile(path, entries); err != nil {
 		t.Fatal(err)
 	}
 
-	// svc2 registers the section: both entries restore, and its Collect
-	// carries them into the baseline snapshot Recover rewrites.
-	restored := map[string]string{}
-	svc2 := New(WithDurableStore(dir), WithSnapshotInterval(time.Hour))
-	svc2.RegisterDurableSection("stale", DurableSection{
-		Collect: func() []durable.Entry {
-			out := make([]durable.Entry, 0, len(restored))
-			for k, v := range restored {
-				out = append(out, durable.Entry{Key: k, Payload: []byte(v)})
-			}
-			return out
-		},
-		Restore: func(e durable.Entry) error {
-			restored[e.Key] = string(e.Payload)
-			return nil
-		},
-	})
-	rs, err := svc2.Recover(ctx)
-	if err != nil || rs.SnapshotEntries != 2 || len(restored) != 2 {
-		t.Fatalf("section restore: stats %+v, restored %v, err %v", rs, restored, err)
+	svc := New(WithDurableStore(dir), WithSnapshotInterval(time.Hour))
+	rs, err := svc.Recover(context.Background())
+	if err != nil || rs.SnapshotEntries != 2 || rs.SnapshotSkipped != 1 || svc.Tracer().Archived() != 2 {
+		t.Fatalf("recover: stats %+v, archived %d, err %v; want 2 entries, 1 skipped, 2 archived",
+			rs, svc.Tracer().Archived(), err)
 	}
-	svc2.Close()
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// svc3 does not register it: entries are skipped, boot succeeds.
-	svc3 := New(WithDurableStore(dir), WithSnapshotInterval(time.Hour))
-	defer svc3.Close()
-	rs, err = svc3.Recover(ctx)
-	if err != nil || rs.SnapshotSkipped != 2 {
-		t.Fatalf("unregistered section: stats %+v, err %v", rs, err)
+	got, _, err := durable.ReadSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(ids) {
+		t.Fatalf("snapshot after Close holds %d entries, want the %d traces", len(got), len(ids))
+	}
+	for i, e := range got {
+		var tr obs.Trace
+		if e.Section != SectionTraces || json.Unmarshal(e.Payload, &tr) != nil || tr.ID != ids[i] {
+			t.Fatalf("entry %d = %s/%s %s, want trace %s", i, e.Section, e.Key, e.Payload, ids[i])
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ const obsTestSrc = `int main() { int i; int s = 0; for (i = 0; i < 2000; i++) { 
 // span for admission and for every pipeline stage, with cache-outcome
 // attributes.
 func TestPredictTraceSpans(t *testing.T) {
-	tracer := obs.NewTracer(8, nil)
+	tracer := obs.NewTracer(8, nil, obs.ArchivePolicy{})
 	s := New(WithTracer(tracer))
 	defer s.Close()
 	if s.Tracer() != tracer {
@@ -72,7 +72,7 @@ func names(spans []obs.SpanRecord) []string {
 // TestTracePropagatesThroughFan: spans opened inside Fan workers (other
 // goroutines) land in the trace attached to the parent context.
 func TestTracePropagatesThroughFan(t *testing.T) {
-	tracer := obs.NewTracer(4, nil)
+	tracer := obs.NewTracer(4, nil, obs.ArchivePolicy{})
 	s := New(WithTracer(tracer))
 	defer s.Close()
 	ctx, act := tracer.Start(context.Background(), "fanout")
@@ -234,7 +234,7 @@ func TestFreshServiceExpositionGuards(t *testing.T) {
 // trace attached — the overhead budget for the observability layer.
 func BenchmarkPredictWarmTraced(b *testing.B) {
 	src := `int main() { int i; int s = 0; for (i = 0; i < 500000; i++) { s += i % 9; } printi(s); return 0; }`
-	tracer := obs.NewTracer(256, nil)
+	tracer := obs.NewTracer(256, nil, obs.ArchivePolicy{})
 	s := New(WithTracer(tracer))
 	defer s.Close()
 	ctx := context.Background()

@@ -14,7 +14,10 @@
 //     share one computation;
 //   - observability: each stage run is recorded once, in its latency
 //     histogram, beside its error and cache-hit counters, all exposed as
-//     a Stats snapshot;
+//     a Stats snapshot, and opens a span on the request's trace; the
+//     service's one tracer keeps the recent traces and a tail-sampled
+//     archive, which a durable service snapshots beside the run cache's
+//     recipes;
 //   - cancellation: context deadlines and cancellation are honored
 //     between stages and interrupt the interpreter mid-run;
 //   - resilience: every error is classified into the typed taxonomy of
@@ -92,8 +95,10 @@ func WithCacheSize(n int) Option { return func(c *config) { c.cacheSize = n } }
 // own). n <= 0 keeps the interpreter default (64M instructions).
 func WithBudget(n int64) Option { return func(c *config) { c.budget = n } }
 
-// WithTracer replaces the service's tracer (the ring buffer behind
-// /debug/traces). nil restores the default 256-trace tracer.
+// WithTracer replaces the service's tracer: its recent ring and its
+// tail-sampled archive serve /debug/traces, and a durable service
+// persists the archive. nil restores the default tracer (256 recent
+// traces, default ArchivePolicy).
 func WithTracer(t *obs.Tracer) Option { return func(c *config) { c.tracer = t } }
 
 // Service is a concurrent, cached prediction pipeline. Create one with
@@ -137,8 +142,9 @@ func New(opts ...Option) *Service {
 		tracer:   cfg.tracer,
 	}
 	if s.tracer == nil {
-		s.tracer = obs.NewTracer(256, nil)
+		s.tracer = obs.NewTracer(256, nil, obs.ArchivePolicy{})
 	}
+	s.tracer.Register(s.met.reg)
 	if cfg.durableDir != "" {
 		s.durInitErr = s.initDurability()
 	}
@@ -188,7 +194,8 @@ func (s *Service) wireFuncMetrics() {
 func (s *Service) Metrics() *obs.Registry { return s.met.reg }
 
 // Tracer returns the service's tracer — blserve starts a trace per
-// request against it and serves its ring buffer at /debug/traces.
+// request against it and serves its recent ring and archive at
+// /debug/traces.
 func (s *Service) Tracer() *obs.Tracer { return s.tracer }
 
 // Request describes one prediction job. Exactly one of Source or
